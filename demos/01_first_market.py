@@ -36,7 +36,7 @@ profile, state = run_propose_dispose(inst, F(1))
 for i, j in profile.matched_pairs():
     c = profile.chosen[(i, j)]
     print(f"  {inst.men[i]} signs with {inst.women[j]}: "
-          f"{c.hint} paying ({c.u}, {c.v})")
+          f"{inst.game(i, j).describe(c)} paying ({c.u}, {c.v})")
 print(f"  finished in {state.iterations} rounds "
       f"(worst-case budget {state.iteration_bound})")
 
@@ -56,5 +56,5 @@ print(f"  settled at margin {eps}")
 for i, j in profile.matched_pairs():
     c = profile.chosen[(i, j)]
     print(f"  {inst.men[i]} signs with {inst.women[j]}: "
-          f"{c.hint} paying ({c.u}, {c.v})")
+          f"{inst.game(i, j).describe(c)} paying ({c.u}, {c.v})")
 print(f"  exact blocking pair remaining: {blocking}")

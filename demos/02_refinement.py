@@ -49,7 +49,7 @@ print(f"  status: {out.status.value} in {out.passes} pass(es)")
 for i, j in out.profile.matched_pairs():
     c = out.profile.chosen[(i, j)]
     print(f"  {inst.men[i]} and {inst.women[j]} settle on "
-          f"{c.hint} paying ({c.u}, {c.v})")
+          f"{inst.game(i, j).describe(c)} paying ({c.u}, {c.v})")
 print(f"  externally stable: {is_externally_stable(inst, out.profile, eps).holds}")
 print(f"  internally stable: {is_internally_stable(inst, out.profile, eps).holds}")
 

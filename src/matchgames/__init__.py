@@ -15,6 +15,7 @@ from .games import (
     Game,
     GameError,
     Instance,
+    LevelGame,
     PiecewiseLinear,
     PotentialGame,
     RepeatedGame,

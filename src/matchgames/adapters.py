@@ -22,15 +22,6 @@ from .games import (
 )
 from .rational import RationalLike, rat
 
-__all__ = [
-    "from_ordinal",
-    "from_shapley_shubik",
-    "from_gale_demange",
-    "from_hatfield_milgrom",
-    "EMPTY_CONTRACT",
-    "hm_stable_allocation",
-]
-
 EMPTY_CONTRACT = "EMPTY"
 
 

@@ -46,13 +46,6 @@ from .stability import (
     is_stable_variant,
 )
 
-_STATUS_NAMES = {
-    RefineStatus.CONVERGED: "Converged",
-    RefineStatus.PASS_LIMIT: "PassLimit",
-    RefineStatus.INFEASIBLE: "Infeasible",
-}
-
-
 def _render_report(inst: Instance, report: StabilityReport) -> List[str]:
     head = f"{report.notion}: holds={'true' if report.holds else 'false'}"
     if report.eps is not None:
@@ -128,8 +121,7 @@ def _cmd_solve_stable(args) -> int:
     policies = None if args.policy == "auto" else _POLICY_NAMES[args.policy]
     result = refine(inst, profile, eps, policies=policies, max_passes=args.max_passes)
     _emit_profile(inst, result.profile, args.out)
-    status = _STATUS_NAMES[result.status]
-    line = f"status={status} passes={result.passes}"
+    line = f"status={result.status.value} passes={result.passes}"
     if result.failed_couple is not None:
         i, j = result.failed_couple
         line += f" couple={inst.men[i]},{inst.women[j]}"

@@ -21,10 +21,10 @@ from .games import (
     Game,
     GameError,
     Instance,
+    LevelGame,
     PotentialGame,
     RepeatedGame,
     Side,
-    _LevelGame,
 )
 from .geometry import Point, clip_ge, vertex_argmax
 from .rational import is_neg_inf, rat
@@ -135,7 +135,7 @@ def _scan(game: Game, oo: OutsideOptions, prefer_nash: bool) -> CneResult:
     return CneResult(None, "not_feasible_game")
 
 
-def _solve_level(game: _LevelGame, oo: OutsideOptions) -> CneResult:
+def _solve_level(game: LevelGame, oo: OutsideOptions) -> CneResult:
     lo, hi = game.level_bounds(oo.u0, oo.v0)
     feasible = [
         (k, lev) for k, lev in enumerate(game.levels) if lo <= lev <= hi
@@ -218,7 +218,7 @@ def solve_cne(game: Game, oo: OutsideOptions, policy: CnePolicy = CnePolicy.ANY)
             raise GameError("max-potential policy requires a potential game")
         return _solve_max_potential(game, oo)
     if policy is CnePolicy.ZERO_SUM_MEDIAN:
-        if not isinstance(game, _LevelGame):
+        if not isinstance(game, LevelGame):
             raise GameError("median policy requires a payoff-level game class")
         return _solve_level(game, oo)
     if policy is CnePolicy.REPEATED_ORACLE:

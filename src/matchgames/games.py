@@ -10,7 +10,7 @@ every downstream comparison stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import List, Mapping, Sequence, Tuple
@@ -39,7 +39,7 @@ class Contract:
     ``strategy_a`` / ``strategy_b`` are descriptors whose meaning is
     class specific: pure action indices for matrix games, a payoff
     level or transfer for level games, a payoff point for repeated
-    games.  ``hint`` is informational only and excluded from equality.
+    games.  ``Game.describe`` puts a contract into words.
     """
 
     id: int
@@ -47,7 +47,6 @@ class Contract:
     strategy_b: object
     u: Fraction
     v: Fraction
-    hint: str = field(default="", compare=False)
 
 
 def _matrix(rows: Sequence[Sequence[RationalLike]], name: str) -> List[List[Fraction]]:
@@ -159,6 +158,10 @@ class Game:
     def _evaluate(self, a: object, b: object) -> Tuple[Fraction, Fraction]:
         raise NotImplementedError
 
+    def describe(self, contract: Contract) -> str:
+        """A short human-readable account of what the contract is."""
+        raise NotImplementedError
+
     def improving_deviations(self, contract: Contract, side: Side) -> Tuple[Contract, ...]:
         """Menu contracts one side can reach unilaterally and strictly prefer."""
         raise NotImplementedError
@@ -181,20 +184,11 @@ class BimatrixGame(Game):
             raise GameError("U and V must share dimensions")
         self.rows = len(self.U)
         self.cols = len(self.U[0])
-        menu = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                menu.append(
-                    Contract(
-                        id=r * self.cols + c,
-                        strategy_a=r,
-                        strategy_b=c,
-                        u=self.U[r][c],
-                        v=self.V[r][c],
-                        hint=f"cell({r},{c})",
-                    )
-                )
-        self._menu = tuple(menu)
+        self._menu = tuple(
+            Contract(r * self.cols + c, r, c, self.U[r][c], self.V[r][c])
+            for r in range(self.rows)
+            for c in range(self.cols)
+        )
 
     def _evaluate(self, a, b):
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < self.rows and 0 <= b < self.cols):
@@ -210,6 +204,10 @@ class BimatrixGame(Game):
                 menu[r2 * self.cols + c] for r2 in range(self.rows) if self.U[r2][c] > contract.u
             )
         return tuple(menu[r * self.cols + c2] for c2 in range(self.cols) if self.V[r][c2] > contract.v)
+
+    def describe(self, contract):
+        self.validate_contract(contract)
+        return f"cell({contract.strategy_a},{contract.strategy_b})"
 
 
 def validate_potential(
@@ -264,24 +262,58 @@ class PotentialGame(BimatrixGame):
         return self.phi[contract.strategy_a][contract.strategy_b]
 
 
-class _LevelGame(Game):
-    """Shared machinery for games whose menu is a grid of payoff levels.
+class _Identity:
+    """The map x -> x; zero-sum games use it for both f and h."""
+
+    def __call__(self, x):
+        return x
+
+    inverse = __call__
+
+
+_IDENTITY = _Identity()
+
+
+def _positive(value: RationalLike, what: str) -> Fraction:
+    value = rat(value)
+    if value <= 0:
+        raise GameError(f"{what} must be positive")
+    return value
+
+
+def _monotone(m) -> PiecewiseLinear:
+    return m if isinstance(m, PiecewiseLinear) else PiecewiseLinear(m)
+
+
+class LevelGame(Game):
+    """A menu that is a grid of payoff levels: u = f(level), v = h(-level).
 
     Levels live on a native scale (the zero-sum payoff scale or the
-    transfer scale).  The man's payoff strictly increases with the
-    level, the woman's strictly decreases, and ``value_level`` is the
-    level both sides would settle on absent outside pressure.  A menu
-    deviation is improving for the man when it moves the level from
-    below toward the value (never past it), mirrored for the woman.
+    transfer scale).  ``f`` and ``h`` are strictly increasing exact
+    maps, so the man's payoff strictly increases with the level and the
+    woman's strictly decreases; ``value_level`` is the level both sides
+    would settle on absent outside pressure.  A menu deviation is
+    improving for the man when it moves the level from below toward the
+    value (never past it), mirrored for the woman.
     """
 
-    levels: Tuple[Fraction, ...]
-    value_level: Fraction
-    resolution: Fraction
+    def __init__(self, levels: Sequence[Fraction], value_level: Fraction, resolution, f, h):
+        self.levels: Tuple[Fraction, ...] = tuple(levels)
+        self.value_level = value_level
+        self.resolution = resolution
+        self.f = f
+        self.h = h
+        self._menu = tuple(Contract(k, x, x, f(x), h(-x)) for k, x in enumerate(self.levels))
 
     def level_of(self, contract: Contract) -> Fraction:
         self.validate_contract(contract)
         return contract.strategy_a
+
+    def _evaluate(self, a, b):
+        if a != b:
+            raise GameError(f"{self.kind} contract descriptors must agree")
+        lev = rat(a)
+        return (self.f(lev), self.h(-lev))
 
     def level_bounds(self, u_floor, v_floor) -> Tuple[object, object]:
         """Native-scale interval [lo, hi] of levels meeting the payoff floors.
@@ -289,7 +321,9 @@ class _LevelGame(Game):
         Floors may be the minus-infinity sentinel; the returned bounds
         may then be infinite sentinels as well.
         """
-        raise NotImplementedError
+        lo = self.f.inverse(u_floor) if not is_neg_inf(u_floor) else NEG_INF
+        hi = -self.h.inverse(v_floor) if not is_neg_inf(v_floor) else POS_INF
+        return (lo, hi)
 
     def improving_deviations(self, contract, side):
         cur = self.level_of(contract)
@@ -304,50 +338,32 @@ class _LevelGame(Game):
         return tuple(out)
 
 
-def _anchor_hint(level: Fraction, entries: Sequence[Fraction]) -> str:
-    below = max(x for x in entries if x <= level)
-    above = min(x for x in entries if x >= level)
-    return f"between pure levels {fmt(below)} and {fmt(above)}"
+def _matrix_levels(g: List[List[Fraction]], resolution: Fraction, f) -> List[Fraction]:
+    """Levels spanning the entries of g, gridded on the u = f(level) scale."""
+    entries = [x for row in g for x in row]
+    return [f.inverse(u) for u in _grid(f(min(entries)), f(max(entries)), resolution)]
 
 
-class ZeroSumGame(_LevelGame):
+class ZeroSumGame(LevelGame):
     """Zero-sum game discretized into payoff levels u = g, v = -g."""
 
     kind = "zero_sum"
 
     def __init__(self, g_matrix: Sequence[Sequence[RationalLike]], resolution: RationalLike):
         self.g = _matrix(g_matrix, "g")
-        self.resolution = rat(resolution)
-        if self.resolution <= 0:
-            raise GameError("menu resolution must be positive")
-        self.value_level = matrix_game_value(self.g)
+        res = _positive(resolution, "menu resolution")
+        levels = _matrix_levels(self.g, res, _IDENTITY)
+        super().__init__(levels, matrix_game_value(self.g), res, _IDENTITY, _IDENTITY)
+
+    def describe(self, contract):
+        lev = self.level_of(contract)
         entries = [x for row in self.g for x in row]
-        self.levels = tuple(_grid(min(entries), max(entries), self.resolution))
-        self._menu = tuple(
-            Contract(
-                id=k,
-                strategy_a=lev,
-                strategy_b=lev,
-                u=lev,
-                v=-lev,
-                hint=_anchor_hint(lev, entries),
-            )
-            for k, lev in enumerate(self.levels)
-        )
-
-    def _evaluate(self, a, b):
-        if a != b:
-            raise GameError("zero-sum contract descriptors must agree")
-        lev = rat(a)
-        return (lev, -lev)
-
-    def level_bounds(self, u_floor, v_floor):
-        lo = u_floor if not is_neg_inf(u_floor) else NEG_INF
-        hi = -v_floor if not is_neg_inf(v_floor) else POS_INF
-        return (lo, hi)
+        below = max(x for x in entries if x <= lev)
+        above = min(x for x in entries if x >= lev)
+        return f"between pure levels {fmt(below)} and {fmt(above)}"
 
 
-class StrictlyCompetitiveGame(_LevelGame):
+class StrictlyCompetitiveGame(LevelGame):
     """Monotone transforms of a zero-sum game: u = f(g), v = h(-g).
 
     The menu is gridded on the u scale (so consecutive u values differ
@@ -365,44 +381,18 @@ class StrictlyCompetitiveGame(_LevelGame):
         h_map: PiecewiseLinear,
     ):
         self.g = _matrix(g_matrix, "g")
-        self.resolution = rat(resolution)
-        if self.resolution <= 0:
-            raise GameError("menu resolution must be positive")
-        self.f = f_map if isinstance(f_map, PiecewiseLinear) else PiecewiseLinear(f_map)
-        self.h = h_map if isinstance(h_map, PiecewiseLinear) else PiecewiseLinear(h_map)
-        self.value_level = matrix_game_value(self.g)
-        entries = [x for row in self.g for x in row]
-        u_grid = _grid(self.f(min(entries)), self.f(max(entries)), self.resolution)
-        self.levels = tuple(self.f.inverse(u) for u in u_grid)
-        self._menu = tuple(
-            Contract(
-                id=k,
-                strategy_a=lev,
-                strategy_b=lev,
-                u=u_grid[k],
-                v=self.h(-lev),
-                hint=_anchor_hint(lev, entries),
-            )
-            for k, lev in enumerate(self.levels)
-        )
+        res = _positive(resolution, "menu resolution")
+        f, h = _monotone(f_map), _monotone(h_map)
+        super().__init__(_matrix_levels(self.g, res, f), matrix_game_value(self.g), res, f, h)
 
-    def _evaluate(self, a, b):
-        if a != b:
-            raise GameError("strictly competitive contract descriptors must agree")
-        lev = rat(a)
-        return (self.f(lev), self.h(-lev))
-
-    def level_bounds(self, u_floor, v_floor):
-        lo = self.f.inverse(u_floor) if not is_neg_inf(u_floor) else NEG_INF
-        hi = -self.h.inverse(v_floor) if not is_neg_inf(v_floor) else POS_INF
-        return (lo, hi)
+    describe = ZeroSumGame.describe
 
 
-class TransferGame(_LevelGame):
+class TransferGame(LevelGame):
     """Surplus division through a bounded transfer grid.
 
-    The man receives the transfer t (u = f_u(t)), the woman pays it
-    (v = f_v(-t)); both maps are strictly increasing.  The underlying
+    The man receives the transfer t (u = f(t)), the woman pays it
+    (v = h(-t)); both maps are strictly increasing.  The underlying
     game has value 0 on the transfer scale: absent outside pressure
     neither side owes the other anything.
     """
@@ -417,39 +407,14 @@ class TransferGame(_LevelGame):
         f_u: PiecewiseLinear,
         f_v: PiecewiseLinear,
     ):
-        self.t_min = rat(t_min)
-        self.t_max = rat(t_max)
-        self.resolution = rat(step)
-        if self.resolution <= 0:
-            raise GameError("transfer grid step must be positive")
-        if self.t_min > self.t_max:
+        t_min, t_max = rat(t_min), rat(t_max)
+        res = _positive(step, "transfer grid step")
+        if t_min > t_max:
             raise GameError("transfer grid has empty range")
-        self.f_u = f_u if isinstance(f_u, PiecewiseLinear) else PiecewiseLinear(f_u)
-        self.f_v = f_v if isinstance(f_v, PiecewiseLinear) else PiecewiseLinear(f_v)
-        self.value_level = Fraction(0)
-        self.levels = tuple(_grid(self.t_min, self.t_max, self.resolution))
-        self._menu = tuple(
-            Contract(
-                id=k,
-                strategy_a=t,
-                strategy_b=t,
-                u=self.f_u(t),
-                v=self.f_v(-t),
-                hint=f"transfer {fmt(t)}",
-            )
-            for k, t in enumerate(self.levels)
-        )
+        super().__init__(_grid(t_min, t_max, res), Fraction(0), res, _monotone(f_u), _monotone(f_v))
 
-    def _evaluate(self, a, b):
-        if a != b:
-            raise GameError("transfer contract descriptors must agree")
-        t = rat(a)
-        return (self.f_u(t), self.f_v(-t))
-
-    def level_bounds(self, u_floor, v_floor):
-        lo = self.f_u.inverse(u_floor) if not is_neg_inf(u_floor) else NEG_INF
-        hi = -self.f_v.inverse(v_floor) if not is_neg_inf(v_floor) else POS_INF
-        return (lo, hi)
+    def describe(self, contract):
+        return f"transfer {fmt(self.level_of(contract))}"
 
 
 class RepeatedGame(Game):
@@ -469,37 +434,18 @@ class RepeatedGame(Game):
         v_matrix: Sequence[Sequence[RationalLike]],
         resolution: RationalLike,
     ):
-        self.U = _matrix(u_matrix, "U")
-        self.V = _matrix(v_matrix, "V")
-        if len(self.V) != len(self.U) or len(self.V[0]) != len(self.U[0]):
-            raise GameError("U and V must share dimensions")
-        self.resolution = rat(resolution)
-        if self.resolution <= 0:
-            raise GameError("menu resolution must be positive")
-        cells = [
-            (self.U[r][c], self.V[r][c])
-            for r in range(len(self.U))
-            for c in range(len(self.U[0]))
-        ]
-        self.hull: Tuple[Point, ...] = tuple(convex_hull(cells))
-        self.alpha = matrix_game_value(self.U)
-        self.beta = matrix_game_value(_transpose(self.V))
-        menu = []
+        stage = BimatrixGame(u_matrix, v_matrix)
+        self.U, self.V = stage.U, stage.V
+        self.resolution = _positive(resolution, "menu resolution")
+        self.hull = feasible_payoff_hull(stage)
+        self.alpha, self.beta = punishment_levels(stage)
         xs = [p[0] for p in self.hull]
-        for u in _grid(min(xs), max(xs), self.resolution):
-            v_lo, v_hi = self._slice(u)
-            for v in _grid(v_lo, v_hi, self.resolution):
-                menu.append(
-                    Contract(
-                        id=len(menu),
-                        strategy_a=(u, v),
-                        strategy_b=(u, v),
-                        u=u,
-                        v=v,
-                        hint="hull grid point",
-                    )
-                )
-        self._menu = tuple(menu)
+        points = [
+            (u, v)
+            for u in _grid(min(xs), max(xs), self.resolution)
+            for v in _grid(*self._slice(u), self.resolution)
+        ]
+        self._menu = tuple(Contract(k, p, p, p[0], p[1]) for k, p in enumerate(points))
 
     def _slice(self, u: Fraction) -> Tuple[Fraction, Fraction]:
         """Exact v-range of the hull along the vertical line at u."""
@@ -550,14 +496,13 @@ class RepeatedGame(Game):
                 return c
         if not hull_contains(list(self.hull), point):
             raise GameError(f"point {point} outside the feasible payoff hull")
-        return Contract(
-            id=len(self.menu()),
-            strategy_a=point,
-            strategy_b=point,
-            u=point[0],
-            v=point[1],
-            hint="synthesized hull point",
-        )
+        return Contract(len(self.menu()), point, point, point[0], point[1])
+
+    def describe(self, contract):
+        self.validate_contract(contract)
+        if contract.id < len(self.menu()):
+            return "hull grid point"
+        return "synthesized hull point"
 
     def improving_deviations(self, contract, side):
         self.validate_contract(contract)

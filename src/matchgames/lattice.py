@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .games import Contract, Instance, Side
+from .games import Contract, Instance, LevelGame, Side
 from .rational import rat
 from .stability import (
     MatchingError,
@@ -23,9 +23,6 @@ from .stability import (
     validate_profile,
     woman_payoff,
 )
-
-_COMPETITIVE_KINDS = {"zero_sum", "strictly_competitive", "transfer"}
-
 
 def genericity_holds(
     inst: Instance, p1: MatchingProfile, p2: MatchingProfile, eps=0
@@ -136,7 +133,7 @@ def meet_competitive(
     """
     eps = rat(eps)
     for key in sorted(inst.games.keys()):
-        if inst.games[key].kind not in _COMPETITIVE_KINDS:
+        if not isinstance(inst.games[key], LevelGame):
             raise MatchingError(
                 f"meet requires competitive game classes; games[{key}] is {inst.games[key].kind}"
             )

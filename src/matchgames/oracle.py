@@ -21,16 +21,6 @@ from .stability import (
     is_stable_variant,
 )
 
-__all__ = [
-    "OracleCapError",
-    "enumerate_matchings",
-    "count_profiles",
-    "enumerate_profiles",
-    "enumerate_stable",
-    "pareto_frontier",
-    "brute_force_cne",
-]
-
 
 class OracleCapError(ValueError):
     """Raised when the candidate space is too large to enumerate."""

@@ -23,7 +23,8 @@ RationalLike = Union[Fraction, int, str]
 def rat(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
-    Accepted strings: "3", "-7/2", "0.25" (decimal strings are exact).
+    Accepted strings: "3", "-7/2", "0.25" (decimal strings are exact);
+    a malformed string or a zero denominator raises ValueError.
     Floats are rejected: binary floats do not carry the exactness
     contract, so callers must write "0.1" rather than 0.1.
     """
@@ -34,7 +35,10 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError(
             f"float {value!r} rejected: pass an int, Fraction, or exact string "

@@ -35,7 +35,7 @@ from .cne import (
     outside_options,
     solve_cne,
 )
-from .games import Game, Instance, PotentialGame, RepeatedGame, _LevelGame
+from .games import Game, Instance, LevelGame, PotentialGame, RepeatedGame
 from .rational import fmt, rat
 from .stability import MatchingError, MatchingProfile, find_blocking_pair, validate_profile
 
@@ -71,7 +71,7 @@ def _class_solve(game: Game, oo: OutsideOptions, policy: Optional[CnePolicy]) ->
     # prefers self-enforcing points by construction.
     if isinstance(game, RepeatedGame):
         return _solve_repeated(game, oo)
-    if isinstance(game, _LevelGame):
+    if isinstance(game, LevelGame):
         return _solve_level(game, oo)
     for c in game.menu():
         if is_feasible(game, c, oo) and game.is_nash_contract(c):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import adapters
 from .extensive import GameTree, InternalNode, TerminalNode, TreeNode
@@ -29,22 +29,6 @@ from .games import (
 )
 from .rational import fmt, rat
 from .stability import SINGLE, MatchingProfile
-
-__all__ = [
-    "SchemaError",
-    "load_json",
-    "dump_json",
-    "parse_instance",
-    "load_instance_file",
-    "dump_instance",
-    "parse_profile",
-    "load_profile_file",
-    "dump_profile",
-    "parse_tree",
-    "load_tree_file",
-    "parse_model",
-    "load_model_file",
-]
 
 
 class SchemaError(ValueError):
@@ -78,7 +62,7 @@ def _num(value: Any, where: str) -> Fraction:
         raise SchemaError(f"{where}: expected an integer or \"p/q\" string, got {value!r}")
     try:
         return rat(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -117,51 +101,6 @@ def _check_keys(obj: Mapping, where: str, required: Tuple[str, ...], optional: T
         raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
 
 
-def _collect_numbers(value: Any, where: str, out: List[Fraction]) -> None:
-    # Any nesting of lists bottoms out in exact numbers.
-    if isinstance(value, list):
-        for k, item in enumerate(value):
-            _collect_numbers(item, f"{where}[{k}]", out)
-    else:
-        out.append(_num(value, where))
-
-
-# Numeric payload fields per game class; trailing "?" marks optional.
-_GAME_FIELDS: Dict[str, Tuple[Tuple[str, bool], ...]] = {
-    "bimatrix": (("u", True), ("v", True)),
-    "potential": (("u", True), ("v", True), ("phi", True)),
-    "zero_sum": (("g", True), ("resolution", False)),
-    "strictly_competitive": (
-        ("g", True),
-        ("f", True),
-        ("h", True),
-        ("resolution", False),
-    ),
-    "transfer": (
-        ("t_min", True),
-        ("t_max", True),
-        ("f_u", True),
-        ("f_v", True),
-        ("resolution", False),
-    ),
-    "repeated": (("u", True), ("v", True), ("resolution", False)),
-}
-
-
-def _game_skeleton(payload: Any, where: str) -> Tuple[str, dict]:
-    obj = _dict(payload, where)
-    if "class" not in obj:
-        raise SchemaError(f"{where}: missing game class tag")
-    cls = _str(obj["class"], f"{where}.class")
-    if cls not in _GAME_FIELDS:
-        raise SchemaError(f"{where}.class: unknown game class {cls!r}")
-    fields = _GAME_FIELDS[cls]
-    required = tuple(name for name, req in fields if req)
-    optional = tuple(name for name, req in fields if not req)
-    _check_keys(obj, where, required + ("class",), optional)
-    return cls, obj
-
-
 def _breakpoints(value: Any, where: str) -> List[Tuple[Fraction, Fraction]]:
     pts = _list(value, where)
     out = []
@@ -181,55 +120,6 @@ def _matrix_in(value: Any, where: str) -> List[List[Fraction]]:
     return out
 
 
-def parse_game(payload: Any, where: str, default_resolution: Optional[Fraction]) -> Game:
-    """Build one couple game from its tagged payload."""
-    cls, obj = _game_skeleton(payload, where)
-
-    def resolution() -> Fraction:
-        if "resolution" in obj:
-            return _num(obj["resolution"], f"{where}.resolution")
-        if default_resolution is None or default_resolution <= 0:
-            raise SchemaError(
-                f"{where}: no menu resolution; give the game an explicit "
-                "\"resolution\" or run with a positive eps (default is eps/2)"
-            )
-        return default_resolution
-
-    try:
-        if cls == "bimatrix":
-            return BimatrixGame(_matrix_in(obj["u"], f"{where}.u"), _matrix_in(obj["v"], f"{where}.v"))
-        if cls == "potential":
-            return PotentialGame(
-                _matrix_in(obj["u"], f"{where}.u"),
-                _matrix_in(obj["v"], f"{where}.v"),
-                _matrix_in(obj["phi"], f"{where}.phi"),
-            )
-        if cls == "zero_sum":
-            return ZeroSumGame(_matrix_in(obj["g"], f"{where}.g"), resolution())
-        if cls == "strictly_competitive":
-            return StrictlyCompetitiveGame(
-                _matrix_in(obj["g"], f"{where}.g"),
-                resolution(),
-                PiecewiseLinear(_breakpoints(obj["f"], f"{where}.f")),
-                PiecewiseLinear(_breakpoints(obj["h"], f"{where}.h")),
-            )
-        if cls == "transfer":
-            return TransferGame(
-                _num(obj["t_min"], f"{where}.t_min"),
-                _num(obj["t_max"], f"{where}.t_max"),
-                resolution(),
-                PiecewiseLinear(_breakpoints(obj["f_u"], f"{where}.f_u")),
-                PiecewiseLinear(_breakpoints(obj["f_v"], f"{where}.f_v")),
-            )
-        return RepeatedGame(
-            _matrix_in(obj["u"], f"{where}.u"),
-            _matrix_in(obj["v"], f"{where}.v"),
-            resolution(),
-        )
-    except GameError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
 def _matrix_out(rows) -> list:
     return [[_num_out(x) for x in row] for row in rows]
 
@@ -238,48 +128,120 @@ def _points_out(pl: PiecewiseLinear) -> list:
     return [[_num_out(x), _num_out(y)] for x, y in pl.points]
 
 
+class _Codec(NamedTuple):
+    """How one game class travels as JSON.
+
+    ``fields`` pairs each required payload field with its reader, and
+    ``resolution`` tells whether the optional "resolution" field
+    applies.  ``build`` makes the game from the parsed fields (with the
+    resolution filled in); ``dump`` gives back every field but "class"
+    and "resolution", in emission order.  Builders name the game
+    classes at call time, so they use whatever this module binds then.
+    """
+
+    fields: Tuple[Tuple[str, Callable[[Any, str], Any]], ...]
+    resolution: bool
+    build: Callable[[Dict[str, Any]], Game]
+    dump: Callable[[Any], Dict[str, Any]]
+
+
+_CODECS: Dict[str, _Codec] = {
+    "bimatrix": _Codec(
+        (("u", _matrix_in), ("v", _matrix_in)),
+        False,
+        lambda p: BimatrixGame(p["u"], p["v"]),
+        lambda g: {"u": _matrix_out(g.U), "v": _matrix_out(g.V)},
+    ),
+    "potential": _Codec(
+        (("u", _matrix_in), ("v", _matrix_in), ("phi", _matrix_in)),
+        False,
+        lambda p: PotentialGame(p["u"], p["v"], p["phi"]),
+        lambda g: {"u": _matrix_out(g.U), "v": _matrix_out(g.V), "phi": _matrix_out(g.phi)},
+    ),
+    "zero_sum": _Codec(
+        (("g", _matrix_in),),
+        True,
+        lambda p: ZeroSumGame(p["g"], p["resolution"]),
+        lambda g: {"g": _matrix_out(g.g)},
+    ),
+    "strictly_competitive": _Codec(
+        (("g", _matrix_in), ("f", _breakpoints), ("h", _breakpoints)),
+        True,
+        lambda p: StrictlyCompetitiveGame(p["g"], p["resolution"], p["f"], p["h"]),
+        lambda g: {"g": _matrix_out(g.g), "f": _points_out(g.f), "h": _points_out(g.h)},
+    ),
+    "transfer": _Codec(
+        (("t_min", _num), ("t_max", _num), ("f_u", _breakpoints), ("f_v", _breakpoints)),
+        True,
+        lambda p: TransferGame(p["t_min"], p["t_max"], p["resolution"], p["f_u"], p["f_v"]),
+        lambda g: {
+            "t_min": _num_out(g.levels[0]),
+            "t_max": _num_out(g.levels[-1]),
+            "f_u": _points_out(g.f),
+            "f_v": _points_out(g.h),
+        },
+    ),
+    "repeated": _Codec(
+        (("u", _matrix_in), ("v", _matrix_in)),
+        True,
+        lambda p: RepeatedGame(p["u"], p["v"], p["resolution"]),
+        lambda g: {"u": _matrix_out(g.U), "v": _matrix_out(g.V)},
+    ),
+}
+
+
+def _read_game(payload: Any, where: str) -> Tuple[_Codec, Dict[str, Any]]:
+    """Check a tagged game payload and parse every number in it."""
+    obj = _dict(payload, where)
+    if "class" not in obj:
+        raise SchemaError(f"{where}: missing game class tag")
+    cls = _str(obj["class"], f"{where}.class")
+    if cls not in _CODECS:
+        raise SchemaError(f"{where}.class: unknown game class {cls!r}")
+    codec = _CODECS[cls]
+    required = tuple(name for name, _read in codec.fields) + ("class",)
+    _check_keys(obj, where, required, ("resolution",) if codec.resolution else ())
+    fields = {name: read(obj[name], f"{where}.{name}") for name, read in codec.fields}
+    if "resolution" in obj:
+        fields["resolution"] = _num(obj["resolution"], f"{where}.resolution")
+    return codec, fields
+
+
+def _build_game(codec: _Codec, fields: Dict[str, Any], where: str, default_resolution) -> Game:
+    if codec.resolution and "resolution" not in fields:
+        if default_resolution is None or default_resolution <= 0:
+            raise SchemaError(
+                f"{where}: no menu resolution; give the game an explicit "
+                "\"resolution\" or run with a positive eps (default is eps/2)"
+            )
+        fields["resolution"] = default_resolution
+    try:
+        return codec.build(fields)
+    except GameError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def parse_game(payload: Any, where: str, default_resolution: Optional[Fraction]) -> Game:
+    """Build one couple game from its tagged payload."""
+    return _build_game(*_read_game(payload, where), where, default_resolution)
+
+
 def dump_game(game: Game) -> dict:
     """Tagged payload for one couple game; inverse of parse_game."""
-    if isinstance(game, PotentialGame):
-        return {
-            "class": "potential",
-            "u": _matrix_out(game.U),
-            "v": _matrix_out(game.V),
-            "phi": _matrix_out(game.phi),
-        }
-    if isinstance(game, RepeatedGame):
-        return {
-            "class": "repeated",
-            "u": _matrix_out(game.U),
-            "v": _matrix_out(game.V),
-            "resolution": _num_out(game.resolution),
-        }
-    if isinstance(game, BimatrixGame):
-        return {"class": "bimatrix", "u": _matrix_out(game.U), "v": _matrix_out(game.V)}
-    if isinstance(game, StrictlyCompetitiveGame):
-        return {
-            "class": "strictly_competitive",
-            "g": _matrix_out(game.g),
-            "f": _points_out(game.f),
-            "h": _points_out(game.h),
-            "resolution": _num_out(game.resolution),
-        }
-    if isinstance(game, ZeroSumGame):
-        return {
-            "class": "zero_sum",
-            "g": _matrix_out(game.g),
-            "resolution": _num_out(game.resolution),
-        }
-    if isinstance(game, TransferGame):
-        return {
-            "class": "transfer",
-            "t_min": _num_out(game.t_min),
-            "t_max": _num_out(game.t_max),
-            "f_u": _points_out(game.f_u),
-            "f_v": _points_out(game.f_v),
-            "resolution": _num_out(game.resolution),
-        }
-    raise SchemaError(f"cannot serialize game of kind {game.kind!r}")
+    codec = _CODECS.get(game.kind)
+    if codec is None:
+        raise SchemaError(f"cannot serialize game of kind {game.kind!r}")
+    out = {"class": game.kind, **codec.dump(game)}
+    if codec.resolution:
+        out["resolution"] = _num_out(game.resolution)
+    return out
+
+
+def _integral(value: Any) -> bool:
+    """Every number in a parsed field (nested lists and pairs) is an integer."""
+    if isinstance(value, Fraction):
+        return value.denominator == 1
+    return all(_integral(x) for x in value)
 
 
 def _names(value: Any, where: str) -> List[str]:
@@ -317,39 +279,36 @@ def parse_instance(data: Any, eps=None) -> Tuple[Instance, Fraction]:
     games_obj = _dict(obj["games"], "instance.games")
     if set(games_obj) != set(men):
         raise SchemaError("instance.games: keys must be exactly the men")
-    skeletons: Dict[Tuple[int, int], Tuple[str, dict, str]] = {}
-    numbers: List[Fraction] = list(irp_men) + list(irp_women)
+    parsed: Dict[Tuple[int, int], Tuple[_Codec, Dict[str, Any], str]] = {}
+    integral = all(x.denominator == 1 for x in irp_men + irp_women)
     for i, m in enumerate(men):
         row = _dict(games_obj[m], f"instance.games[{m!r}]")
         if set(row) != set(women):
             raise SchemaError(f"instance.games[{m!r}]: keys must be exactly the women")
         for j, w in enumerate(women):
             where = f"instance.games[{m!r}][{w!r}]"
-            cls, payload = _game_skeleton(row[w], where)
-            skeletons[(i, j)] = (cls, payload, where)
-            for name, _req in _GAME_FIELDS[cls]:
-                if name in payload:
-                    _collect_numbers(payload[name], f"{where}.{name}", numbers)
+            codec, fields = _read_game(row[w], where)
+            parsed[(i, j)] = (codec, fields, where)
+            integral = integral and all(_integral(x) for x in fields.values())
+    default_res = None
     if "menu_resolution" in obj:
-        numbers.append(_num(obj["menu_resolution"], "instance.menu_resolution"))
+        default_res = _num(obj["menu_resolution"], "instance.menu_resolution")
+        integral = integral and default_res.denominator == 1
 
     if eps is not None:
         eps_used = rat(eps)
-    elif all(x.denominator == 1 for x in numbers):
+    elif integral:
         eps_used = Fraction(1)
     else:
         raise SchemaError(
             "instance has non-integer payoffs, so there is no default margin; pass --eps"
         )
-
-    if "menu_resolution" in obj:
-        default_res = _num(obj["menu_resolution"], "instance.menu_resolution")
-    else:
-        default_res = eps_used / 2 if eps_used > 0 else None
+    if default_res is None and eps_used > 0:
+        default_res = eps_used / 2
 
     games = {
-        key: parse_game(payload, where, default_res)
-        for key, (_cls, payload, where) in skeletons.items()
+        key: _build_game(codec, fields, where, default_res)
+        for key, (codec, fields, where) in parsed.items()
     }
     return build_instance(men, women, irp_men, irp_women, games), eps_used
 
@@ -463,7 +422,7 @@ def parse_profile(inst: Instance, data: Any) -> MatchingProfile:
             except GameError as exc:
                 raise SchemaError(f"{where}.id: {exc}") from exc
         else:
-            if not isinstance(game, RepeatedGame):
+            if game.kind != "repeated":
                 raise SchemaError(f"{where}: null id is only valid for repeated games")
             try:
                 contract = game.synthesize_contract((u, v))

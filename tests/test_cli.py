@@ -198,6 +198,13 @@ class TestSolveExternal:
         assert rc == 2
         assert captured.err.startswith("error:")
 
+    def test_zero_denominator_eps_is_a_usage_error(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", CLASSIC)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-external", inst, "--eps", "1/0"])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_stable_profile_holds(self, tmp_path, capsys):
@@ -360,6 +367,13 @@ class TestSpe:
         captured = capsys.readouterr()
         assert rc == 0
         assert "admissible=true" in captured.out
+
+    def test_zero_denominator_outs_is_exit_2(self, tmp_path, capsys):
+        tree = write(tmp_path, "tree.json", TREE)
+        rc = main(["spe", tree, "--outs", "1/0", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:") and "1/0" in captured.err
 
     def test_malformed_tree_is_exit_2(self, tmp_path, capsys):
         bad = dict(TREE, nodes=dict(TREE["nodes"], **{"4": {"payoffs": [3]}}))

@@ -274,6 +274,13 @@ class TestReEvaluation:
             ),
             TransferGame(0, 4, F(1, 2), PiecewiseLinear([(0, 0), (1, 1)]), PiecewiseLinear([(0, 0), (1, 1)])),
             RepeatedGame(PD_U, PD_V, F(1, 2)),
+            # kinked maps: the u-scale grid maps back to levels off the g grid
+            StrictlyCompetitiveGame(
+                [[2, 0], [1, 3]],
+                F(1, 2),
+                PiecewiseLinear([(0, 0), (1, 3), (3, 4)]),
+                PiecewiseLinear([(-3, -1), (-1, 0), (0, 2)]),
+            ),
         ]
         for g in games:
             assert g.menu()
@@ -284,6 +291,54 @@ class TestReEvaluation:
         g = ZeroSumGame([[2, 0], [1, 3]], F(1, 4))
         for c in g.menu():
             assert c.v == -c.u
+
+
+# Each class's text for one contract, as the menus spelled it before
+# descriptions were built on demand.
+IDENTITY = [(0, 0), (1, 1)]
+
+
+def zero_sum_game():
+    return ZeroSumGame([[2, 0], [1, 3]], F(1, 2))
+
+
+def repeated_game():
+    return RepeatedGame(PD_U, PD_V, F(1, 2))
+
+
+DESCRIPTIONS = [
+    ("bimatrix", lambda: BimatrixGame([[2, 0], [3, 1]], [[1, 0], [0, 2]]), 2, "cell(1,0)"),
+    ("potential", lambda: PotentialGame(PD_U, PD_V, [[0, 2], [2, 3]]), 3, "cell(1,1)"),
+    ("zero_sum", zero_sum_game, 1, "between pure levels 0 and 1"),
+    ("zero_sum_entry", zero_sum_game, 4, "between pure levels 2 and 2"),
+    (
+        "strictly_competitive",
+        lambda: StrictlyCompetitiveGame(
+            [[1, -1], [-1, 1]],
+            F(1, 2),
+            PiecewiseLinear([(-2, -2), (2, 2)]),
+            PiecewiseLinear([(-2, -4), (2, 4)]),
+        ),
+        2,
+        "between pure levels -1 and 1",
+    ),
+    (
+        "transfer",
+        lambda: TransferGame(0, 4, F(1, 3), PiecewiseLinear(IDENTITY), PiecewiseLinear(IDENTITY)),
+        4,
+        "transfer 4/3",
+    ),
+    ("repeated", repeated_game, 0, "hull grid point"),
+    # a synthesized contract: a hull point off the menu grid
+    ("repeated_off_grid", repeated_game, (F(9, 4), F(9, 4)), "synthesized hull point"),
+]
+
+
+@pytest.mark.parametrize("make, pick, text", [pytest.param(*d[1:], id=d[0]) for d in DESCRIPTIONS])
+def test_describe(make, pick, text):
+    g = make()
+    c = g.synthesize_contract(pick) if isinstance(pick, tuple) else g.menu()[pick]
+    assert g.describe(c) == text
 
 
 class TestInstance:

@@ -157,6 +157,12 @@ class TestInstanceParsing:
         with pytest.raises(SchemaError, match="exactly the men"):
             parse_instance(data)
 
+    def test_zero_denominators_rejected(self):
+        with pytest.raises(SchemaError, match=r"u\[0\]\[0\]"):
+            parse_instance(minimal_data(u=[["1/0"]]), eps=1)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_instance(minimal_data(), eps="1/0")
+
     def test_booleans_are_not_numbers(self):
         with pytest.raises(SchemaError, match="expected an integer"):
             parse_instance(minimal_data(u=[[True]]), eps=1)
