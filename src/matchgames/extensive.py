@@ -107,13 +107,21 @@ def constrained_spe(tree: GameTree, outs) -> Optional[Dict[int, int]]:
         return None
     choices: Dict[int, int] = {}
     outcomes: Dict[int, Tuple[Fraction, ...]] = {}
-
-    def reduce(nid: int) -> Tuple[Fraction, ...]:
+    # Post-order walk on an explicit stack, so depth is not bounded by the
+    # recursion limit; children are pushed reversed, so nodes are decided
+    # children first, left to right.
+    stack = [(tree.root, False)]
+    while stack:
+        nid, expanded = stack.pop()
         node = tree.nodes[nid]
         if isinstance(node, TerminalNode):
             outcomes[nid] = node.payoffs
-            return node.payoffs
-        child_outcomes = [(cid, reduce(cid)) for cid in node.children]
+            continue
+        if not expanded:
+            stack.append((nid, True))
+            stack.extend((cid, False) for cid in reversed(node.children))
+            continue
+        child_outcomes = [(cid, outcomes[cid]) for cid in node.children]
         admissible = [
             (cid, out)
             for cid, out in child_outcomes
@@ -126,9 +134,6 @@ def constrained_spe(tree: GameTree, outs) -> Optional[Dict[int, int]]:
                 best_cid, best_out = cid, out
         choices[nid] = best_cid
         outcomes[nid] = best_out
-        return best_out
-
-    reduce(tree.root)
     return choices
 
 

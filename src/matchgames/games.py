@@ -10,9 +10,11 @@ every downstream comparison stays exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import List, Mapping, Sequence, Tuple
 
 from .exactlp import matrix_game_value
@@ -63,17 +65,31 @@ def _transpose(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     return [list(col) for col in zip(*m)]
 
 
-def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> List[Fraction]:
-    """Ascending grid lo, lo+step, ... with hi appended exactly."""
+# Largest menu one couple game may have; beyond it construction fails
+# before any contract is built, so a small file cannot ask for unbounded
+# memory through a fine resolution.
+MAX_MENU = 100_000
+
+
+def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
+    """Number of points ``_grid(lo, hi, step)`` returns."""
     if step <= 0:
         raise GameError("grid step must be positive")
     if lo > hi:
         raise GameError("grid has empty range")
-    levels = []
-    k = 0
-    while lo + k * step < hi:
-        levels.append(lo + k * step)
-        k += 1
+    return 1 - (lo - hi) // step
+
+
+def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> List[Fraction]:
+    """Ascending grid lo, lo+step, ... (all below hi) with hi appended exactly."""
+    count = _grid_count(lo, hi, step)
+    if count > MAX_MENU:
+        raise GameError(f"menu of {count} contracts exceeds the limit of {MAX_MENU}")
+    # point k is lo + k*step = (a + k*b) / d over the common denominator d
+    d = lcm(lo.denominator, step.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = step.numerator * (d // step.denominator)
+    levels = [Fraction(a + k * b, d) for k in range(count - 1)]
     levels.append(hi)
     return levels
 
@@ -83,8 +99,11 @@ class PiecewiseLinear:
 
     Evaluation and inversion are exact.  Outside the breakpoint range
     the first/last segment is extended with its own slope, keeping the
-    map a bijection on the rationals.
+    map a bijection on the rationals.  An input lying on an interior
+    breakpoint is evaluated on the segment to its left (both agree there).
     """
+
+    __slots__ = ("points", "_x_inner", "_y_inner", "_forward", "_backward")
 
     def __init__(self, breakpoints: Sequence[Tuple[RationalLike, RationalLike]]):
         pts = [(rat(x), rat(y)) for x, y in breakpoints]
@@ -97,27 +116,35 @@ class PiecewiseLinear:
         ):
             raise GameError("piecewise-linear map must be strictly increasing")
         self.points: Tuple[Tuple[Fraction, Fraction], ...] = tuple(pts)
-
-    def _segment(self, x: Fraction, coord: int) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        pts = self.points
-        if x <= pts[0][coord]:
-            return pts[0], pts[1]
-        for a, b in zip(pts, pts[1:]):
-            if x <= b[coord]:
-                return a, b
-        return pts[-2], pts[-1]
+        self._x_inner = tuple(xs[1:-1])
+        self._y_inner = tuple(ys[1:-1])
+        segments = list(zip(pts, pts[1:]))
+        self._forward = tuple(_line(a, b) for a, b in segments)
+        self._backward = tuple(_line(a[::-1], b[::-1]) for a, b in segments)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
-        a, b = self._segment(x, 0)
-        slope = (b[1] - a[1]) / (b[0] - a[0])
-        return a[1] + (x - a[0]) * slope
+        A, B, C = self._forward[bisect_left(self._x_inner, x)]
+        n, d = x.numerator, x.denominator
+        return Fraction(A * n + B * d, C * d)
 
     def inverse(self, y: RationalLike) -> Fraction:
         y = rat(y)
-        a, b = self._segment(y, 1)
-        slope = (b[0] - a[0]) / (b[1] - a[1])
-        return a[0] + (y - a[1]) * slope
+        A, B, C = self._backward[bisect_left(self._y_inner, y)]
+        n, d = y.numerator, y.denominator
+        return Fraction(A * n + B * d, C * d)
+
+
+def _line(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> Tuple[int, int, int]:
+    """Integers (A, B, C) with (A*x + B) / C the line through points a and b."""
+    slope = (b[1] - a[1]) / (b[0] - a[0])
+    offset = a[1] - slope * a[0]
+    C = lcm(slope.denominator, offset.denominator)
+    return (
+        slope.numerator * (C // slope.denominator),
+        offset.numerator * (C // offset.denominator),
+        C,
+    )
 
 
 class Game:
@@ -221,26 +248,29 @@ def validate_potential(
     and the potential with the same sign, column deviations likewise for
     V.  Dimension mismatches are rejected.
     """
-
-    def _sign(x: Fraction) -> int:
-        return (x > 0) - (x < 0)
-
     U = _matrix(u_matrix, "U")
     V = _matrix(v_matrix, "V")
     phi = _matrix(phi_matrix, "phi")
     if not (len(U) == len(V) == len(phi)) or not (len(U[0]) == len(V[0]) == len(phi[0])):
         raise GameError("U, V, phi must share dimensions")
-    rows, cols = len(U), len(U[0])
-    for c in range(cols):
-        for r1 in range(rows):
-            for r2 in range(rows):
-                if _sign(U[r2][c] - U[r1][c]) != _sign(phi[r2][c] - phi[r1][c]):
-                    return False
-    for r in range(rows):
-        for c1 in range(cols):
-            for c2 in range(cols):
-                if _sign(V[r][c2] - V[r][c1]) != _sign(phi[r][c2] - phi[r][c1]):
-                    return False
+    return _is_potential(U, V, phi)
+
+
+def _is_potential(U: List[List[Fraction]], V: List[List[Fraction]], phi: List[List[Fraction]]) -> bool:
+    return all(_same_order(u, p) for u, p in zip(zip(*U), zip(*phi))) and all(
+        _same_order(v, p) for v, p in zip(V, phi)
+    )
+
+
+def _same_order(xs: Sequence[Fraction], ps: Sequence[Fraction]) -> bool:
+    """Each pair of positions compares alike (<, = or >) in xs and in ps."""
+    n = len(xs)
+    for i in range(n):
+        x, p = xs[i], ps[i]
+        for j in range(i + 1, n):
+            y, q = xs[j], ps[j]
+            if (y > x) != (q > p) or (y < x) != (q < p):
+                return False
     return True
 
 
@@ -254,7 +284,7 @@ class PotentialGame(BimatrixGame):
         self.phi = _matrix(phi_matrix, "phi")
         if len(self.phi) != self.rows or len(self.phi[0]) != self.cols:
             raise GameError("phi must share dimensions with U and V")
-        if not validate_potential(self.U, self.V, self.phi):
+        if not _is_potential(self.U, self.V, self.phi):
             raise GameError("phi is not an ordinal potential for (U, V)")
 
     def potential_of(self, contract: Contract) -> Fraction:
@@ -440,11 +470,19 @@ class RepeatedGame(Game):
         self.hull = feasible_payoff_hull(stage)
         self.alpha, self.beta = punishment_levels(stage)
         xs = [p[0] for p in self.hull]
-        points = [
-            (u, v)
-            for u in _grid(min(xs), max(xs), self.resolution)
-            for v in _grid(*self._slice(u), self.resolution)
-        ]
+        us = _grid(min(xs), max(xs), self.resolution)
+        slices = []
+        total = 0
+        for u in us:
+            lo, hi = self._slice(u)
+            total += _grid_count(lo, hi, self.resolution)
+            if total > MAX_MENU:
+                raise GameError(
+                    f"menu of more than {MAX_MENU} contracts: {total} in its first "
+                    f"{len(slices) + 1} of {len(us)} grid columns"
+                )
+            slices.append((u, lo, hi))
+        points = [(u, v) for u, lo, hi in slices for v in _grid(lo, hi, self.resolution)]
         self._menu = tuple(Contract(k, p, p, p[0], p[1]) for k, p in enumerate(points))
 
     def _slice(self, u: Fraction) -> Tuple[Fraction, Fraction]:

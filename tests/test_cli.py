@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,20 @@ class TestSolveExternal:
             main(["solve-external", inst, "--eps", "1/0"])
         assert exc.value.code == 2
         assert "--eps" in capsys.readouterr().err
+
+    def test_oversized_menu_rejected_before_building(self, tmp_path, capsys):
+        # payoff range 10 at resolution 1/20000 would be 200,001 contracts
+        data = dict(ZERO_SUM_COUPLE)
+        data["games"] = {"m0": {"w0": {"class": "zero_sum", "g": [[0, 10]], "resolution": "1/20000"}}}
+        inst = write(tmp_path, "inst.json", data)
+        start = time.perf_counter()
+        rc = main(["solve-external", inst, "--eps", "1"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert elapsed < 1.0
+        assert "m0" in err and "w0" in err
+        assert "200001" in err
 
 
 class TestVerify:

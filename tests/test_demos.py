@@ -2,10 +2,14 @@
 
 Each demo runs in a child process against the imported ``matchgames``
 package, and its stdout must equal ``tests/demo_stdout/<demo>.txt`` byte
-for byte.  The CLI tour writes its artifacts to a ``mktemp -d`` directory
-whose path varies by run; it is replaced by ``$out`` before comparing.
+for byte.  The Python demos also run under every other CPython >= 3.10
+found on ``PATH`` (``python3.10``, ``python3.11``, ...), so the exact
+arithmetic is checked against each interpreter's own ``fractions``.  The
+CLI tour writes its artifacts to a ``mktemp -d`` directory whose path
+varies by run; it is replaced by ``$out`` before comparing.
 """
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,10 +34,44 @@ def expected(demo):
     return (EXPECTED / (Path(demo).stem + ".txt")).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("demo", PY_DEMOS)
-def test_python_demo(demo):
+def other_interpreters():
+    """Other CPythons >= 3.10 on PATH that start (broken shims are dropped)."""
+    found = []
+    for minor in range(10, 20):
+        if (3, minor) == sys.version_info[:2]:
+            continue
+        path = shutil.which(f"python3.{minor}")
+        if path is None:
+            continue
+        probe = subprocess.run(
+            [path, "-c", "import sys; print(sys.version_info[:2])"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == str((3, minor)):
+            found.append((f"python3.{minor}", path))
+    return found
+
+
+def demo_runs():
+    runs = [pytest.param(demo, sys.executable, id=demo) for demo in PY_DEMOS]
+    others = other_interpreters()
+    for name, path in others:
+        runs += [pytest.param(demo, path, id=f"{demo}-{name}") for demo in PY_DEMOS]
+    if not others:
+        runs.append(
+            pytest.param(
+                None, None, id="other-interpreters", marks=pytest.mark.skip(reason="no other CPython >= 3.10 found")
+            )
+        )
+    return runs
+
+
+@pytest.mark.parametrize("demo,python", demo_runs())
+def test_python_demo(demo, python):
     run = subprocess.run(
-        [sys.executable, str(DEMOS / demo)],
+        [python, str(DEMOS / demo)],
         capture_output=True,
         text=True,
         env=checkout_env(),

@@ -158,6 +158,23 @@ class TestConstrainedSpe:
         )
         assert constrained_spe(t, (0, 0)) == {0: 1}
 
+    def test_deep_chain(self):
+        # 1,500 decisions in a row: each mover may stop at a side leaf that
+        # pays the mover 5 but leaves the other player below the outside
+        # option, or pass on toward the final leaf (1, 1).
+        depth = 1500
+        nodes = {2 * depth: TerminalNode((F(1), F(1)))}
+        for i in range(depth):
+            mover = i % 2
+            side = (F(5), F(-1)) if mover == 0 else (F(-1), F(5))
+            nodes[2 * i] = InternalNode(mover, (2 * i + 1, 2 * i + 2))
+            nodes[2 * i + 1] = TerminalNode(side)
+        t = GameTree(["one", "two"], nodes)
+        assert len(t.nodes) == 3001
+        choices = constrained_spe(t, (0, 0))
+        assert choices == {2 * i: 2 * i + 2 for i in range(depth)}
+        assert play(t, choices) == (F(1), F(1))
+
     def test_leaf_only_empty_profile(self):
         t = GameTree(["one", "two"], {0: TerminalNode((F(2), F(0)))})
         assert constrained_spe(t, (0, 0)) == {}

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchgames import (
@@ -24,6 +24,8 @@ from matchgames import (
     validate_potential,
     zero_sum_value,
 )
+from matchgames import games
+from matchgames.games import _grid
 from matchgames.geometry import hull_contains
 
 from helpers import frac, support_value
@@ -370,3 +372,110 @@ def test_zero_sum_value_bounds_property(g):
     flat = [x for row in g for x in row]
     assert min(flat) <= v <= max(flat)
     assert v == support_value(g)
+
+
+# Reference implementations for the exact kernels: the direct Fraction
+# formulas, which the integer-coefficient versions must reproduce exactly.
+
+
+def reference_map(points, x, coord):
+    """Slope formula on the first segment whose right end (on axis coord) is >= x."""
+    pts = [p if coord == 0 else p[::-1] for p in points]
+    a, b = next(((a, b) for a, b in zip(pts, pts[1:]) if x <= b[0]), (pts[-2], pts[-1]))
+    return a[1] + (x - a[0]) * (b[1] - a[1]) / (b[0] - a[0])
+
+
+def reference_grid(lo, hi, step):
+    levels = []
+    k = 0
+    while lo + k * step < hi:
+        levels.append(lo + k * step)
+        k += 1
+    levels.append(hi)
+    return levels
+
+
+def reference_potential(U, V, phi):
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    rows, cols = len(U), len(U[0])
+    return all(
+        sign(U[r2][c] - U[r1][c]) == sign(phi[r2][c] - phi[r1][c])
+        for c in range(cols)
+        for r1 in range(rows)
+        for r2 in range(rows)
+    ) and all(
+        sign(V[r][c2] - V[r][c1]) == sign(phi[r][c2] - phi[r][c1])
+        for r in range(rows)
+        for c1 in range(cols)
+        for c2 in range(cols)
+    )
+
+
+@st.composite
+def breakpoint_lists(draw):
+    n = draw(st.integers(2, 6))
+    axis = st.lists(
+        st.fractions(-50, 50, max_denominator=1000), min_size=n, max_size=n, unique=True
+    ).map(sorted)
+    return list(zip(draw(axis), draw(axis)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(breakpoint_lists(), st.lists(st.fractions(-200, 200, max_denominator=10**15), max_size=8))
+def test_piecewise_linear_matches_reference(points, extra):
+    pl = PiecewiseLinear(points)
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    probes = xs + ys + [xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + F(1, 3)] + extra
+    for x in probes:
+        y = pl(x)
+        assert type(y) is Fraction and y == reference_map(points, x, 0)
+        assert pl.inverse(x) == reference_map(points, x, 1)
+        assert pl.inverse(y) == x
+    assert pl(int(xs[0]) - 7) == reference_map(points, F(int(xs[0]) - 7), 0)
+    assert pl.inverse("-301/7") == reference_map(points, F(-301, 7), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(-50, 50, max_denominator=500),
+    st.fractions(0, 30, max_denominator=500),
+    st.fractions(F(1, 50), 40, max_denominator=500),
+)
+@example(F(3, 2), F(0), F(1, 3))  # lo == hi
+@example(F(-1, 3), F(2, 5), F(7, 4))  # step larger than the range
+@example(F(0), F(10), F(1))  # hi on the grid
+def test_grid_matches_reference(lo, span, step):
+    grid = _grid(lo, lo + span, step)
+    assert grid == reference_grid(lo, lo + span, step)
+    assert all(type(x) is Fraction for x in grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_potential_matches_reference(rows, cols, data):
+    def matrix():
+        cell = st.integers(-2, 2).map(F)
+        return data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    U, V, phi = matrix(), matrix(), matrix()
+    assert validate_potential(U, V, phi) == reference_potential(U, V, phi)
+
+
+class TestMenuCap:
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(games, "MAX_MENU", 9)
+        assert len(ZeroSumGame([[0, 8]], 1).menu()) == 9
+        with pytest.raises(GameError, match="menu of 10 contracts"):
+            ZeroSumGame([[0, 9]], 1)
+
+    def test_transfer_grid_capped(self):
+        with pytest.raises(GameError, match="menu of 1000001 contracts"):
+            TransferGame(0, 10, F(1, 100000), PiecewiseLinear(IDENTITY), PiecewiseLinear(IDENTITY))
+
+    def test_repeated_total_capped(self):
+        # 801 u-columns over the prisoners' dilemma hull, most holding hundreds of v points
+        with pytest.raises(GameError, match="more than 100000 contracts"):
+            RepeatedGame(PD_U, PD_V, F(1, 200))
