@@ -97,6 +97,7 @@ def is_cne(game: Game, contract: Contract, oo: OutsideOptions) -> bool:
 
 
 class CnePolicy(Enum):
+    AUTO = "auto"
     ANY = "any"
     PREFER_NASH = "prefer-nash"
     MAX_POTENTIAL = "max-potential"
@@ -206,11 +207,27 @@ def _solve_max_potential(game: PotentialGame, oo: OutsideOptions) -> CneResult:
 def solve_cne(game: Game, oo: OutsideOptions, policy: CnePolicy = CnePolicy.ANY) -> CneResult:
     """Find a constrained equilibrium contract under the given policy.
 
+    AUTO picks per class: the repeated-game and level-game solvers (the
+    former prefers self-enforcing points by construction, the latter's
+    median lands on a Nash level whenever a feasible one exists);
+    for matrix classes a feasible Nash contract first, then the
+    potential argmax or, for plain bimatrix games, the ANY scan.
     ANY and PREFER_NASH work on every class (menu scans); the class
     solvers are validated against their class: MAX_POTENTIAL needs a
     potential game, ZERO_SUM_MEDIAN a payoff-level class, and
     REPEATED_ORACLE a repeated game.
     """
+    if policy is CnePolicy.AUTO:
+        if isinstance(game, RepeatedGame):
+            return _solve_repeated(game, oo)
+        if isinstance(game, LevelGame):
+            return _solve_level(game, oo)
+        for c in game.menu():
+            if is_feasible(game, c, oo) and game.is_nash_contract(c):
+                return CneResult(c)
+        if isinstance(game, PotentialGame):
+            return _solve_max_potential(game, oo)
+        return _scan(game, oo, prefer_nash=False)
     if policy in (CnePolicy.ANY, CnePolicy.PREFER_NASH):
         return _scan(game, oo, prefer_nash=policy is CnePolicy.PREFER_NASH)
     if policy is CnePolicy.MAX_POTENTIAL:

@@ -85,6 +85,11 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> List[Fraction]:
     count = _grid_count(lo, hi, step)
     if count > MAX_MENU:
         raise GameError(f"menu of {count} contracts exceeds the limit of {MAX_MENU}")
+    return _grid_points(lo, hi, step, count)
+
+
+def _grid_points(lo: Fraction, hi: Fraction, step: Fraction, count: int) -> List[Fraction]:
+    """``_grid(lo, hi, step)`` given its ``_grid_count``, without the menu cap."""
     # point k is lo + k*step = (a + k*b) / d over the common denominator d
     d = lcm(lo.denominator, step.denominator)
     a = lo.numerator * (d // lo.denominator)
@@ -475,14 +480,17 @@ class RepeatedGame(Game):
         total = 0
         for u in us:
             lo, hi = self._slice(u)
-            total += _grid_count(lo, hi, self.resolution)
+            count = _grid_count(lo, hi, self.resolution)
+            total += count
             if total > MAX_MENU:
                 raise GameError(
                     f"menu of more than {MAX_MENU} contracts: {total} in its first "
                     f"{len(slices) + 1} of {len(us)} grid columns"
                 )
-            slices.append((u, lo, hi))
-        points = [(u, v) for u, lo, hi in slices for v in _grid(lo, hi, self.resolution)]
+            slices.append((u, lo, hi, count))
+        points = [
+            (u, v) for u, lo, hi, count in slices for v in _grid_points(lo, hi, self.resolution, count)
+        ]
         self._menu = tuple(Contract(k, p, p, p[0], p[1]) for k, p in enumerate(points))
 
     def _slice(self, u: Fraction) -> Tuple[Fraction, Fraction]:

@@ -47,16 +47,6 @@ def genericity_holds(
     return True
 
 
-def _assignment_of_man(profile: MatchingProfile, i: int) -> Tuple[Optional[int], Optional[Contract]]:
-    j = profile.matches[i]
-    return (j, profile.chosen[(i, j)] if j is not None else None)
-
-
-def _assignment_of_woman(profile: MatchingProfile, j: int) -> Tuple[Optional[int], Optional[Contract]]:
-    i = profile.partner_of_woman(j)
-    return (i, profile.chosen[(i, j)] if i is not None else None)
-
-
 def extremal_profile(
     inst: Instance,
     p1: MatchingProfile,
@@ -72,28 +62,22 @@ def extremal_profile(
     same partner in both.  Raises when the selections collide on a
     partner, which the join theorem rules out for stable inputs.
     """
-    if side is Side.MAN:
-        matches: List[Optional[int]] = [None] * inst.n_men
-        chosen: Dict[Tuple[int, int], Contract] = {}
-        for i in range(inst.n_men):
-            pay1, pay2 = man_payoff(inst, p1, i), man_payoff(inst, p2, i)
-            pick_first = pay1 >= pay2 if best else pay1 <= pay2
-            j, contract = _assignment_of_man(p1 if pick_first else p2, i)
-            if j is not None:
-                matches[i] = j
-                chosen[(i, j)] = contract
-        return MatchingProfile(tuple(matches), chosen)
-    matches = [None] * inst.n_men
-    chosen = {}
-    for j in range(inst.n_women):
-        pay1, pay2 = woman_payoff(inst, p1, j), woman_payoff(inst, p2, j)
-        pick_first = pay1 >= pay2 if best else pay1 <= pay2
-        i, contract = _assignment_of_woman(p1 if pick_first else p2, j)
-        if i is not None:
-            if matches[i] is not None:
-                raise MatchingError("two women selected the same man")
-            matches[i] = j
-            chosen[(i, j)] = contract
+    men = side is Side.MAN
+    payoff = man_payoff if men else woman_payoff
+    matches: List[Optional[int]] = [None] * inst.n_men
+    chosen: Dict[Tuple[int, int], Contract] = {}
+    for a in range(inst.n_men if men else inst.n_women):
+        pay1, pay2 = payoff(inst, p1, a), payoff(inst, p2, a)
+        source = p1 if (pay1 >= pay2 if best else pay1 <= pay2) else p2
+        b = source.matches[a] if men else source.partner_of_woman(a)
+        if b is None:
+            continue
+        i, j = (a, b) if men else (b, a)
+        # Two men picking one woman is caught by MatchingProfile itself.
+        if matches[i] is not None:
+            raise MatchingError("two women selected the same man")
+        matches[i] = j
+        chosen[(i, j)] = source.chosen[(i, j)]
     return MatchingProfile(tuple(matches), chosen)
 
 

@@ -35,24 +35,36 @@ def enumerate_matchings(n_men: int, n_women: int) -> Iterator[Tuple[Optional[int
     """
     if n_men < 0 or n_women < 0:
         raise ValueError("agent counts must be nonnegative")
-
-    def rec(i: int, taken: List[bool], acc: List[Optional[int]]) -> Iterator[Tuple[Optional[int], ...]]:
-        if i == n_men:
-            yield tuple(acc)
-            return
-        acc.append(None)
-        yield from rec(i + 1, taken, acc)
-        acc.pop()
-        for j in range(n_women):
-            if taken[j]:
-                continue
-            taken[j] = True
+    if n_men == 0:
+        yield ()
+        return
+    # Depth-first with an explicit stack: acc holds the choices of men
+    # 0..k, and nxt[i] is man i's next option (-1 single, else a woman).
+    taken = [False] * n_women
+    acc: List[Optional[int]] = []
+    nxt = [-1]
+    while nxt:
+        i = len(nxt) - 1
+        if len(acc) > i:
+            prev = acc.pop()
+            if prev is not None:
+                taken[prev] = False
+        j = nxt[i]
+        while 0 <= j < n_women and taken[j]:
+            j += 1
+        if j == n_women:
+            nxt.pop()
+            continue
+        nxt[i] = j + 1
+        if j < 0:
+            acc.append(None)
+        else:
             acc.append(j)
-            yield from rec(i + 1, taken, acc)
-            acc.pop()
-            taken[j] = False
-
-    yield from rec(0, [False] * n_women, [])
+            taken[j] = True
+        if i + 1 == n_men:
+            yield tuple(acc)
+        else:
+            nxt.append(-1)
 
 
 def count_profiles(inst: Instance) -> int:
@@ -62,18 +74,22 @@ def count_profiles(inst: Instance) -> int:
         [len(inst.game(i, j).menu()) for j in range(inst.n_women)]
         for i in range(inst.n_men)
     ]
-
-    def rec(i: int, taken: int) -> int:
-        if i == len(sizes):
-            return 1
-        total = rec(i + 1, taken)  # man i stays single
-        for j in range(inst.n_women):
-            if taken >> j & 1:
-                continue
-            total += sizes[i][j] * rec(i + 1, taken | 1 << j)
-        return total
-
-    return rec(0, 0)
+    if inst.n_women > inst.n_men:
+        sizes = [list(column) for column in zip(*sizes)]
+    # ways[mask]: weighted count of the partial matchings of the rows seen
+    # so far that use exactly the columns in mask (columns: the smaller side).
+    ways = [0] * (1 << min(inst.n_men, inst.n_women))
+    ways[0] = 1
+    for row in sizes:
+        # Descending masks: each update goes to a larger mask, already
+        # visited in this row, so every row matches at most once.
+        for mask in range(len(ways) - 1, -1, -1):
+            w = ways[mask]
+            if w:
+                for j, size in enumerate(row):
+                    if not mask >> j & 1:
+                        ways[mask | 1 << j] += w * size
+    return sum(ways)
 
 
 def enumerate_profiles(inst: Instance, cap: int = 10**7) -> Iterator[MatchingProfile]:

@@ -15,49 +15,52 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .games import Contract, Instance, Side
-from .rational import NEG_INF, fmt, rat
+from .rational import NEG_INF, rat, render_event
 from .stability import MatchingError, MatchingProfile, find_blocking_pair
 
 
-class _View:
-    """Orients an instance so the proposing side always reads as 'men'."""
+# One menu contract read from the proposing side: (own payoff, partner payoff, contract).
+_Entry = Tuple[Fraction, Fraction, Contract]
 
-    def __init__(self, inst: Instance, proposing: Side):
-        self.inst = inst
-        self.proposing = proposing
 
-    @property
-    def n_proposers(self) -> int:
-        return self.inst.n_men if self.proposing is Side.MAN else self.inst.n_women
+class _Market(NamedTuple):
+    """An instance read from the proposing side: p indexes proposers, r responders.
 
-    @property
-    def n_responders(self) -> int:
-        return self.inst.n_women if self.proposing is Side.MAN else self.inst.n_men
+    ``menus[p][r]`` holds the couple's contracts as entries, in id order.
+    """
 
-    def proposer_name(self, p: int) -> str:
-        return self.inst.men[p] if self.proposing is Side.MAN else self.inst.women[p]
+    proposers: Tuple[str, ...]
+    responders: Tuple[str, ...]
+    irp_proposers: Tuple[Fraction, ...]
+    irp_responders: Tuple[Fraction, ...]
+    menus: List[List[List[_Entry]]]
 
-    def responder_name(self, r: int) -> str:
-        return self.inst.women[r] if self.proposing is Side.MAN else self.inst.men[r]
 
-    def proposer_irp(self, p: int) -> Fraction:
-        return self.inst.irp_men[p] if self.proposing is Side.MAN else self.inst.irp_women[p]
-
-    def responder_irp(self, r: int) -> Fraction:
-        return self.inst.irp_women[r] if self.proposing is Side.MAN else self.inst.irp_men[r]
-
-    def menu(self, p: int, r: int) -> Tuple[Contract, ...]:
-        i, j = (p, r) if self.proposing is Side.MAN else (r, p)
-        return self.inst.game(i, j).menu()
-
-    def own(self, c: Contract) -> Fraction:
-        return c.u if self.proposing is Side.MAN else c.v
-
-    def partner(self, c: Contract) -> Fraction:
-        return c.v if self.proposing is Side.MAN else c.u
+def _orient(inst: Instance, proposing: Side) -> _Market:
+    if proposing is Side.MAN:
+        return _Market(
+            inst.men,
+            inst.women,
+            inst.irp_men,
+            inst.irp_women,
+            [
+                [[(c.u, c.v, c) for c in inst.game(i, j).menu()] for j in range(inst.n_women)]
+                for i in range(inst.n_men)
+            ],
+        )
+    return _Market(
+        inst.women,
+        inst.men,
+        inst.irp_women,
+        inst.irp_men,
+        [
+            [[(c.v, c.u, c) for c in inst.game(i, j).menu()] for i in range(inst.n_men)]
+            for j in range(inst.n_women)
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -74,28 +77,37 @@ class ProposalSolution:
     objective: Fraction
 
 
-def _best_with(
-    view: _View, p: int, r: int, payoffs: List[Fraction], eps: Fraction
-) -> Optional[Tuple[Fraction, Contract]]:
-    """Best own payoff against responder r subject to raising r by > eps - 0.
+def _best_with(m: _Market, p: int, r: int, floor) -> Optional[_Entry]:
+    """Best own payoff against responder r among contracts paying r >= floor.
 
-    The attractiveness constraint is weak at payoffs[r] + eps; ties on
-    own payoff keep the lowest contract id.
+    Ties on own payoff keep the lowest contract id.
     """
-    floor = payoffs[r] + eps
-    best: Optional[Tuple[Fraction, Contract]] = None
-    for c in view.menu(p, r):
-        if view.partner(c) >= floor:
-            own = view.own(c)
-            if best is None or own > best[0]:
-                best = (own, c)
+    best: Optional[_Entry] = None
+    for entry in m.menus[p][r]:
+        if entry[1] >= floor and (best is None or entry[0] > best[0]):
+            best = entry
     return best
 
 
+def _best_proposal(
+    m: _Market, p: int, payoffs: List[Fraction], eps: Fraction, exclude: Optional[int] = None
+) -> Tuple[Optional[int], Tuple[Fraction, Optional[Fraction], Optional[Contract]]]:
+    """p's best target and entry; (None, (reservation payoff, None, None)) for staying single."""
+    target, best = None, (m.irp_proposers[p], None, None)
+    for r in range(len(m.responders)):
+        if r == exclude:
+            continue
+        # The attractiveness constraint is weak at payoffs[r] + eps.
+        cand = _best_with(m, p, r, payoffs[r] + eps)
+        if cand is not None and (cand[0] > best[0] or (cand[0] == best[0] and target is None)):
+            target, best = r, cand
+    return target, best
+
+
 def best_proposal(
-    view_or_inst, p: int, payoffs: List[Fraction], eps, exclude: Optional[int] = None
+    inst: Instance, p: int, payoffs: List[Fraction], eps, exclude: Optional[int] = None
 ) -> ProposalSolution:
-    """Solve the proposer's problem: max own payoff over responders and exit.
+    """Solve man p's problem: max own payoff over the women and exit.
 
     Staying single yields the reservation payoff and is chosen only
     when strictly better than every responder option; responder ties
@@ -103,47 +115,37 @@ def best_proposal(
     ``exclude`` removes one responder from consideration (used when
     computing a bidder's fallback).
     """
-    view = view_or_inst if isinstance(view_or_inst, _View) else _View(view_or_inst, Side.MAN)
-    eps = rat(eps)
-    best = ProposalSolution(target=None, contract=None, objective=view.proposer_irp(p))
-    for r in range(view.n_responders):
-        if r == exclude:
-            continue
-        cand = _best_with(view, p, r, payoffs, eps)
-        if cand is None:
-            continue
-        own, contract = cand
-        if own > best.objective or (own == best.objective and best.target is None):
-            best = ProposalSolution(target=r, contract=contract, objective=own)
+    target, (own, _, contract) = _best_proposal(_orient(inst, Side.MAN), p, payoffs, rat(eps), exclude)
+    return ProposalSolution(target=target, contract=contract, objective=own)
+
+
+def _max_offer(m: _Market, p: int, r: int, beta) -> Fraction:
+    best = NEG_INF
+    for own, partner, _ in m.menus[p][r]:
+        if own >= beta and partner > best:
+            best = partner
     return best
 
 
-def max_offer(view_or_inst, p: int, r: int, beta) -> Fraction:
-    """Highest responder payoff p can concede while keeping own payoff >= beta.
+def max_offer(inst: Instance, p: int, r: int, beta) -> Fraction:
+    """Highest payoff man p can concede to woman r while keeping own payoff >= beta.
 
     Returns the minus-infinity sentinel when no contract meets the
     fallback threshold (the bidder forfeits).
     """
-    view = view_or_inst if isinstance(view_or_inst, _View) else _View(view_or_inst, Side.MAN)
-    best = NEG_INF
-    for c in view.menu(p, r):
-        if view.own(c) >= beta and view.partner(c) > best:
-            best = view.partner(c)
+    return _max_offer(_orient(inst, Side.MAN), p, r, beta)
+
+
+def _settle(m: _Market, p: int, r: int, lam_loser) -> _Entry:
+    best = _best_with(m, p, r, lam_loser)
+    if best is None:
+        raise MatchingError("no contract clears the losing bid; bidding invariant broken")
     return best
 
 
-def settle_contract(view_or_inst, p: int, r: int, lam_loser) -> Contract:
+def settle_contract(inst: Instance, p: int, r: int, lam_loser) -> Contract:
     """Winner's contract: max own payoff with responder payoff >= loser's bid."""
-    view = view_or_inst if isinstance(view_or_inst, _View) else _View(view_or_inst, Side.MAN)
-    best: Optional[Tuple[Fraction, Contract]] = None
-    for c in view.menu(p, r):
-        if view.partner(c) >= lam_loser:
-            own = view.own(c)
-            if best is None or own > best[0]:
-                best = (own, c)
-    if best is None:
-        raise MatchingError("no contract clears the losing bid; bidding invariant broken")
-    return best[1]
+    return _settle(_orient(inst, Side.MAN), p, r, lam_loser)[2]
 
 
 @dataclass
@@ -157,12 +159,12 @@ class MarketState:
     trace: List[str]
 
 
-def _responder_ceiling(view: _View, r: int) -> Fraction:
-    top = view.responder_irp(r)
-    for p in range(view.n_proposers):
-        for c in view.menu(p, r):
-            if view.partner(c) > top:
-                top = view.partner(c)
+def _responder_ceiling(m: _Market, r: int) -> Fraction:
+    top = m.irp_responders[r]
+    for row in m.menus:
+        for _, partner, _ in row[r]:
+            if partner > top:
+                top = partner
     return top
 
 
@@ -177,11 +179,11 @@ def run_propose_dispose(
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("the margin eps must be positive")
-    view = _View(inst, proposing_side)
-    payoffs = [view.responder_irp(r) for r in range(view.n_responders)]
-    gaps = [_responder_ceiling(view, r) - payoffs[r] for r in range(view.n_responders)]
-    bound = math.ceil(sum(gaps, Fraction(0)) / eps) + view.n_proposers
-    queue: Deque[int] = deque(range(view.n_proposers))
+    m = _orient(inst, proposing_side)
+    payoffs = list(m.irp_responders)
+    gaps = [_responder_ceiling(m, r) - payoffs[r] for r in range(len(m.responders))]
+    bound = math.ceil(sum(gaps, Fraction(0)) / eps) + len(m.proposers)
+    queue: Deque[int] = deque(range(len(m.proposers)))
     partner: Dict[int, int] = {}
     partner_rev: Dict[int, int] = {}
     contracts: Dict[int, Contract] = {}
@@ -193,14 +195,12 @@ def run_propose_dispose(
         trace=[],
     )
 
-    def log(event: str, **kv) -> None:
-        parts = [f"event={event}", f"iter={state.iterations}"]
-        parts += [f"{k}={v}" for k, v in kv.items()]
-        state.trace.append(" ".join(parts))
+    def log(event: str, **fields) -> None:
+        state.trace.append(render_event(event, iter=state.iterations, **fields))
 
-    def responder_accepts(p: int, r: int, contract: Contract, event: str) -> None:
+    def responder_accepts(p: int, r: int, entry: _Entry, event: str) -> None:
+        own, new, contract = entry
         old = payoffs[r]
-        new = view.partner(contract)
         if new < old + eps:
             raise MatchingError("accepted proposal fails to raise the responder")
         partner[p] = r
@@ -209,15 +209,14 @@ def run_propose_dispose(
         payoffs[r] = new
         log(
             event,
-            proposer=view.proposer_name(p),
-            responder=view.responder_name(r),
+            proposer=m.proposers[p],
+            responder=m.responders[r],
             contract=contract.id,
-            own=fmt(view.own(contract)),
-            offer_old=fmt(old),
-            offer_new=fmt(new),
+            own=own,
+            offer_old=old,
+            offer_new=new,
         )
 
-    singles = set()
     while queue:
         state.iterations += 1
         if state.iterations > bound:
@@ -225,70 +224,64 @@ def run_propose_dispose(
                 f"iteration bound {bound} exceeded; termination invariant broken"
             )
         p = queue.popleft()
-        sol = best_proposal(view, p, payoffs, eps)
-        if sol.target is None:
-            singles.add(p)
-            log("exit", proposer=view.proposer_name(p), own=fmt(sol.objective))
+        r, entry = _best_proposal(m, p, payoffs, eps)
+        own, offer, contract = entry
+        if r is None:
+            log("exit", proposer=m.proposers[p], own=own)
             continue
-        r = sol.target
         log(
             "propose",
-            proposer=view.proposer_name(p),
-            responder=view.responder_name(r),
-            contract=sol.contract.id,
-            own=fmt(sol.objective),
-            offer=fmt(view.partner(sol.contract)),
+            proposer=m.proposers[p],
+            responder=m.responders[r],
+            contract=contract.id,
+            own=own,
+            offer=offer,
         )
         if r not in partner_rev:
-            responder_accepts(p, r, sol.contract, "accept")
+            responder_accepts(p, r, entry, "accept")
             continue
         q = partner_rev[r]
         # Does the incumbent still pick r once she must be raised by eps?
-        re_solved = best_proposal(view, q, payoffs, eps)
-        held = _best_with(view, q, r, payoffs, eps)
-        if held is None or held[0] < re_solved.objective:
+        _, (re_solved, _, _) = _best_proposal(m, q, payoffs, eps)
+        held = _best_with(m, q, r, payoffs[r] + eps)
+        if held is None or held[0] < re_solved:
             del partner[q], contracts[q]
-            responder_accepts(p, r, sol.contract, "auto_replace")
+            responder_accepts(p, r, entry, "auto_replace")
             queue.appendleft(q)
-            log("requeue", proposer=view.proposer_name(q))
+            log("requeue", proposer=m.proposers[q])
             continue
-        beta_p = best_proposal(view, p, payoffs, eps, exclude=r).objective
-        beta_q = best_proposal(view, q, payoffs, eps, exclude=r).objective
-        lam_p = max_offer(view, p, r, beta_p)
-        lam_q = max_offer(view, q, r, beta_q)
+        _, (beta_p, _, _) = _best_proposal(m, p, payoffs, eps, exclude=r)
+        _, (beta_q, _, _) = _best_proposal(m, q, payoffs, eps, exclude=r)
+        lam_p = _max_offer(m, p, r, beta_p)
+        lam_q = _max_offer(m, q, r, beta_q)
         log(
             "compete",
-            proposer=view.proposer_name(p),
-            incumbent=view.proposer_name(q),
-            responder=view.responder_name(r),
-            fallback_p=fmt(beta_p),
-            fallback_inc=fmt(beta_q),
-            bid_p=fmt(lam_p),
-            bid_inc=fmt(lam_q),
+            proposer=m.proposers[p],
+            incumbent=m.proposers[q],
+            responder=m.responders[r],
+            fallback_p=beta_p,
+            fallback_inc=beta_q,
+            bid_p=lam_p,
+            bid_inc=lam_q,
         )
         if lam_p > lam_q:
-            contract = settle_contract(view, p, r, lam_q)
             del partner[q], contracts[q]
-            responder_accepts(p, r, contract, "replace")
+            responder_accepts(p, r, _settle(m, p, r, lam_q), "replace")
             queue.appendleft(q)
-            log("requeue", proposer=view.proposer_name(q))
+            log("requeue", proposer=m.proposers[q])
         else:
             # Draws keep the incumbent, who re-settles at the losing bid.
-            contract = settle_contract(view, q, r, lam_p)
             del partner[q], contracts[q]
-            responder_accepts(q, r, contract, "resettle")
+            responder_accepts(q, r, _settle(m, q, r, lam_p), "resettle")
             queue.appendleft(p)
-            log("reject", proposer=view.proposer_name(p))
+            log("reject", proposer=m.proposers[p])
 
-    if proposing_side is Side.MAN:
-        matches: List[Optional[int]] = [partner.get(p) for p in range(inst.n_men)]
-        chosen = {(p, r): contracts[p] for p, r in partner.items()}
-    else:
-        matches = [None] * inst.n_men
-        chosen = {}
-        for p, r in partner.items():
-            matches[r] = p
-            chosen[(r, p)] = contracts[p]
+    matches: List[Optional[int]] = [None] * inst.n_men
+    chosen = {}
+    for p, r in partner.items():
+        i, j = (p, r) if proposing_side is Side.MAN else (r, p)
+        matches[i] = j
+        chosen[(i, j)] = contracts[p]
     profile = MatchingProfile(tuple(matches), chosen)
     return profile, state
 

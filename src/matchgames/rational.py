@@ -2,7 +2,9 @@
 
 Every payoff, threshold, and resolution in this library is a
 ``fractions.Fraction``.  Floats are rejected at the boundary (parsing)
-so exactness can't silently degrade mid-computation.
+so exactness can't silently degrade mid-computation.  ``render_event``
+writes the trace lines of propose-dispose and refinement with these
+scalars in canonical form.
 """
 
 from __future__ import annotations
@@ -55,6 +57,25 @@ def fmt(value) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def render_event(name: str, **fields) -> str:
+    """One trace line: ``event=<name>`` then ``key=value`` per field, in order.
+
+    Rationals (and the minus-infinity sentinel) go through ``fmt``, bools
+    read ``true``/``false``, other values through ``str``; a field whose
+    value is None is left out.
+    """
+    parts = [f"event={name}"]
+    for key, value in fields.items():
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, (Fraction, float)):
+            value = fmt(value)
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
 def is_neg_inf(value) -> bool:

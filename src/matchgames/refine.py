@@ -22,21 +22,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Mapping, Optional, Set, Tuple
 
-from .cne import (
-    CnePolicy,
-    CneResult,
-    OutsideOptions,
-    _scan,
-    _solve_level,
-    _solve_max_potential,
-    _solve_repeated,
-    is_cne,
-    is_feasible,
-    outside_options,
-    solve_cne,
-)
-from .games import Game, Instance, LevelGame, PotentialGame, RepeatedGame
-from .rational import fmt, rat
+from .cne import CnePolicy, OutsideOptions, is_cne, is_feasible, outside_options, solve_cne
+from .games import Instance
+from .rational import rat, render_event
 from .stability import MatchingError, MatchingProfile, find_blocking_pair, validate_profile
 
 
@@ -62,25 +50,6 @@ def _effective_oo(inst: Instance, raw: OutsideOptions, i: int, j: int, eps: Frac
     )
 
 
-def _class_solve(game: Game, oo: OutsideOptions, policy: Optional[CnePolicy]) -> CneResult:
-    if policy is not None:
-        return solve_cne(game, oo, policy)
-    # Default: a feasible Nash contract first (matrix classes), then the
-    # class solver. For level games the median already lands on a Nash
-    # level whenever a feasible one exists, and the repeated-game solver
-    # prefers self-enforcing points by construction.
-    if isinstance(game, RepeatedGame):
-        return _solve_repeated(game, oo)
-    if isinstance(game, LevelGame):
-        return _solve_level(game, oo)
-    for c in game.menu():
-        if is_feasible(game, c, oo) and game.is_nash_contract(c):
-            return CneResult(c)
-    if isinstance(game, PotentialGame):
-        return _solve_max_potential(game, oo)
-    return _scan(game, oo, prefer_nash=False)
-
-
 def refine(
     inst: Instance,
     profile: MatchingProfile,
@@ -91,13 +60,12 @@ def refine(
     """Drive every matched couple to a constrained equilibrium contract.
 
     ``policies`` maps a game kind (e.g. "potential") to an explicit
-    CnePolicy; unmapped kinds use the default described in
-    ``_class_solve``.  The profile must be externally stable at margin
-    eps on entry; external stability is re-asserted after every
-    replacement, and the returned status tells whether a full pass made
-    no change (Converged), the pass budget ran out (PassLimit), or some
-    couple has no constrained equilibrium in its menu (Infeasible,
-    possible for plain bimatrix games).
+    CnePolicy; unmapped kinds use CnePolicy.AUTO.  The profile must be
+    externally stable at margin eps on entry; external stability is
+    re-asserted after every replacement, and the returned status tells
+    whether a full pass made no change (Converged), the pass budget ran
+    out (PassLimit), or some couple has no constrained equilibrium in its
+    menu (Infeasible, possible for plain bimatrix games).
     """
     eps = rat(eps)
     if eps < 0:
@@ -114,29 +82,29 @@ def refine(
     frozen: Set[Tuple[int, int]] = set()
     current = profile
     passes = 0
+
+    def log(event: str, i: int, j: int, **fields) -> None:
+        # "pass" is a keyword, so it cannot be passed by name
+        fields = {"pass": passes, "man": inst.men[i], "woman": inst.women[j], **fields}
+        trace.append(render_event(event, **fields))
+
     while passes < max_passes:
         passes += 1
         changes = 0
         for i, j in couples:
             if (i, j) in frozen:
-                trace.append(f"event=skip pass={passes} man={inst.men[i]} woman={inst.women[j]} frozen=true")
+                log("skip", i, j, frozen=True)
                 continue
             game = inst.game(i, j)
             raw = outside_options(inst, current, i, j, eps)
             oo = _effective_oo(inst, raw, i, j, eps)
             contract = current.chosen[(i, j)]
             if is_cne(game, contract, oo):
-                trace.append(
-                    f"event=visit pass={passes} man={inst.men[i]} woman={inst.women[j]} "
-                    f"u0={fmt(oo.u0)} v0={fmt(oo.v0)} contract={contract.id} cne=true"
-                )
+                log("visit", i, j, u0=oo.u0, v0=oo.v0, contract=contract.id, cne=True)
                 continue
-            result = _class_solve(game, oo, policies.get(game.kind))
+            result = solve_cne(game, oo, policies.get(game.kind, CnePolicy.AUTO))
             if result.contract is None:
-                trace.append(
-                    f"event=stuck pass={passes} man={inst.men[i]} woman={inst.women[j]} "
-                    f"reason={result.reason}"
-                )
+                log("stuck", i, j, reason=result.reason)
                 return RefineResult(current, RefineStatus.INFEASIBLE, passes, trace, (i, j))
             new_contract = result.contract
             current = current.with_contract(i, j, new_contract)
@@ -144,19 +112,24 @@ def refine(
             nash = game.is_nash_contract(new_contract)
             if nash and is_feasible(game, new_contract, oo):
                 frozen.add((i, j))
-            trace.append(
-                f"event=replace pass={passes} man={inst.men[i]} woman={inst.women[j]} "
-                f"old={contract.id} new={new_contract.id} u={fmt(new_contract.u)} "
-                f"v={fmt(new_contract.v)} nash={'true' if nash else 'false'}"
-                + (" frozen=true" if (i, j) in frozen else "")
+            log(
+                "replace",
+                i,
+                j,
+                old=contract.id,
+                new=new_contract.id,
+                u=new_contract.u,
+                v=new_contract.v,
+                nash=nash,
+                frozen=True if (i, j) in frozen else None,
             )
             if find_blocking_pair(inst, current, eps) is not None:
                 raise MatchingError(
                     "replacement broke external stability; refinement invariant violated"
                 )
-        trace.append(f"event=pass pass={passes} changes={changes}")
+        trace.append(render_event("pass", **{"pass": passes}, changes=changes))
         if changes == 0:
-            trace.append(f"event=status status=Converged passes={passes}")
+            trace.append(render_event("status", status=RefineStatus.CONVERGED.value, passes=passes))
             return RefineResult(current, RefineStatus.CONVERGED, passes, trace)
-    trace.append(f"event=status status=PassLimit passes={passes}")
+    trace.append(render_event("status", status=RefineStatus.PASS_LIMIT.value, passes=passes))
     return RefineResult(current, RefineStatus.PASS_LIMIT, passes, trace)

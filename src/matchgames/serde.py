@@ -49,6 +49,8 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path} nests too deeply to parse") from None
 
 
 def dump_json(path: str, data: Any) -> None:

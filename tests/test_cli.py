@@ -220,6 +220,13 @@ class TestSolveExternal:
         assert "m0" in err and "w0" in err
         assert "200001" in err
 
+    def test_deeply_nested_json_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        rc = main(["solve-external", str(path)])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestVerify:
     def test_stable_profile_holds(self, tmp_path, capsys):
@@ -320,6 +327,41 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert rc == 0
         assert "count=" in captured.out
+
+
+    def test_tall_market(self, tmp_path, capsys):
+        # one man per recursion level used to overflow the stack
+        men = [f"m{i}" for i in range(1200)]
+        data = {
+            "men": men,
+            "women": ["w0"],
+            "irp": {"men": [0] * len(men), "women": [0]},
+            "games": {m: {"w0": {"class": "bimatrix", "u": [[0]], "v": [[0]]}} for m in men},
+        }
+        inst = write(tmp_path, "inst.json", data)
+        rc = main(["enumerate", inst, "--eps", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith("count=1201\n")
+
+    def test_cap_refused_without_visiting_matchings(self, tmp_path):
+        # 12x12 has about 3.7e12 partial matchings; counting must not walk them
+        men, women = [f"m{i}" for i in range(12)], [f"w{j}" for j in range(12)]
+        game = {"class": "bimatrix", "u": [[0, 1]], "v": [[1, 0]]}
+        data = {
+            "men": men,
+            "women": women,
+            "irp": {"men": [0] * 12, "women": [0] * 12},
+            "games": {m: {w: game for w in women} for m in men},
+        }
+        inst = write(tmp_path, "inst.json", data)
+        result = subprocess.run(
+            [sys.executable, "-m", "matchgames.cli", "enumerate", inst, "--cap", "10"],
+            capture_output=True,
+            env=checkout_env(),
+            timeout=30,
+        )
+        assert result.returncode == 3
+        assert b"exceeding cap 10" in result.stderr
 
 
 class TestJoin:

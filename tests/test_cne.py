@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from matchgames import (
     ZeroSumGame,
     brute_force_cne,
     build_instance,
+    fmt,
     is_cne,
     is_externally_stable,
     is_feasible,
@@ -28,6 +30,7 @@ from matchgames import (
     woman_payoff,
 )
 from matchgames.geometry import hull_contains
+from matchgames.serde import load_instance_file
 
 from helpers import random_bimatrix_instance, random_zero_sum_game
 
@@ -39,6 +42,14 @@ PENNIES = [[1, -1], [-1, 1]]
 
 SOLAN_U = [[2, -10, 3], [3, 2, -10], [-10, 3, 2]]
 SOLAN_V = [[1, -10, 0], [0, 1, -10], [-10, 0, 1]]
+
+
+MIXED_CLASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "mixed_classes.json"
+AUTO_OPTIONS = [
+    (NEG_INF, NEG_INF), (F(-1), F(-1)), (F(-1, 2), F(1, 2)), (F(1, 2), F(-1, 2)), (F(0), F(0)),
+    (F(1), F(1)), (F(2), F(0)), (F(0), F(2)), (F(2), F(3)), (F(3), F(3)), (F(-1), F(4)),
+    (F(4), NEG_INF), (F(5), F(5)),
+]
 
 
 def pd():
@@ -166,6 +177,46 @@ class TestSolveCne:
             solve_cne(pd(), OutsideOptions(F(0), F(0)), CnePolicy.MAX_POTENTIAL)
         with pytest.raises(GameError):
             solve_cne(pd(), OutsideOptions(F(0), F(0)), CnePolicy.REPEATED_ORACLE)
+
+    @pytest.mark.parametrize(
+        "couple,expected",
+        [
+            # One couple game per class from demos/data/mixed_classes.json, plus
+            # Solan's game, where AUTO falls back to the ANY scan, and the
+            # prisoner's dilemma, where a feasible Nash contract beats the
+            # scan's first equilibrium. Each entry is "id u v" of the contract
+            # the default refine dispatch picked before it moved into
+            # CnePolicy.AUTO, or the reason for no contract, for the outside
+            # options in AUTO_OPTIONS.
+            (("m0", "w0"), ["2 0 9", "2 0 9", "2 0 9", "1 2 4", "2 0 9", "1 2 4", "1 2 4",
+                            "2 0 9", "1 2 4", "infeasible", "2 0 9", "infeasible", "infeasible"]),
+            (("m0", "w1"), ["0 2 2"] * 8 + ["infeasible"] * 5),
+            (("m0", "w2"), ["2 0 0", "2 0 0", "1 -1/2 1/2", "3 1/2 -1/2", "2 0 0"] + ["infeasible"] * 8),
+            (("m1", "w0"), ["2 0 0", "2 0 0", "1 -1/2 1/2", "3 1/2 -1/2", "2 0 0"] + ["infeasible"] * 8),
+            (("m1", "w1"), ["0 -2 4", "1 -1 3", "2 0 2", "3 1 1", "2 0 2", "3 1 1", "4 2 0",
+                            "2 0 2", "infeasible", "infeasible", "infeasible", "6 4 -2", "infeasible"]),
+            (("m1", "w2"), ["11 1 11/3"] * 6 + ["25 2 10/3", "11 1 11/3", "25 2 10/3", "39 3 3",
+                                                 "0 0 4", "44 4 0", "infeasible"]),
+            ("solan", ["not_feasible_game", "not_feasible_game", "0 2 1", "not_feasible_game",
+                       "not_feasible_game", "0 2 1", "not_feasible_game"] + ["infeasible"] * 6),
+            ("pd", ["3 1 1"] * 6 + ["2 4 0", "1 0 4", "0 3 3", "0 3 3", "1 0 4", "2 4 0", "infeasible"]),
+        ],
+        ids=["bimatrix", "potential", "zero_sum", "strictly_competitive", "transfer", "repeated", "solan", "pd"],
+    )
+    def test_auto_keeps_the_default_refine_choice(self, couple, expected):
+        if couple == "solan":
+            game = BimatrixGame(SOLAN_U, SOLAN_V)
+        elif couple == "pd":
+            game = pd()
+        else:
+            inst, _ = load_instance_file(str(MIXED_CLASSES), eps="1/2")
+            game = inst.game(inst.men.index(couple[0]), inst.women.index(couple[1]))
+        got = []
+        for u0, v0 in AUTO_OPTIONS:
+            res = solve_cne(game, OutsideOptions(u0, v0), CnePolicy.AUTO)
+            c = res.contract
+            got.append(res.reason if c is None else f"{c.id} {fmt(c.u)} {fmt(c.v)}")
+        assert got == expected
 
     def test_returned_contracts_verify(self):
         rng = random.Random(41)

@@ -48,7 +48,29 @@ def partial_injection_count(n, m):
     )
 
 
+def reference_matchings(n, m, taken=()):
+    """The documented order, recursively: man 0 single first, then the free
+    women in ascending order, the later men varying fastest."""
+    if n == 0:
+        yield ()
+        return
+    for j in [None] + [w for w in range(m) if w not in taken]:
+        for rest in reference_matchings(n - 1, m, taken if j is None else taken + (j,)):
+            yield (j,) + rest
+
+
 class TestEnumerateMatchings:
+    def test_order_matches_reference(self):
+        for n in range(5):
+            for m in range(5):
+                assert list(enumerate_matchings(n, m)) == list(reference_matchings(n, m))
+
+    def test_deep_market(self):
+        got = list(enumerate_matchings(1500, 1))
+        assert got[0] == (None,) * 1500
+        # the woman goes to the last man first, then to each earlier one
+        assert [m.index(0) if 0 in m else None for m in got] == [None] + list(range(1499, -1, -1))
+
     def test_counts(self):
         for n, m in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 1)]:
             got = list(enumerate_matchings(n, m))
@@ -79,6 +101,25 @@ class TestCountAndCap:
         for _ in range(8):
             inst = random_bimatrix_instance(rng, max_agents=2, max_cells=4)
             assert count_profiles(inst) == sum(1 for _ in enumerate_profiles(inst))
+
+    @pytest.mark.parametrize(
+        "n_men,n_women,menu",
+        [(0, 3, 2), (3, 0, 2), (1, 1, 1), (3, 5, 2), (5, 3, 3), (7, 7, 1), (12, 4, 3), (2, 12, 1), (12, 12, 2)],
+    )
+    def test_uniform_menus_closed_form(self, n_men, n_women, menu):
+        game = BimatrixGame([[0] * menu], [[0] * menu])
+        inst = build_instance(
+            [f"m{i}" for i in range(n_men)],
+            [f"w{j}" for j in range(n_women)],
+            [0] * n_men,
+            [0] * n_women,
+            {(i, j): game for i in range(n_men) for j in range(n_women)},
+        )
+        expected = sum(
+            math.comb(n_men, k) * math.comb(n_women, k) * math.factorial(k) * menu**k
+            for k in range(min(n_men, n_women) + 1)
+        )
+        assert count_profiles(inst) == expected
 
     def test_cap_exceeded_reports_exact_size(self):
         rng = random.Random(137)

@@ -238,6 +238,63 @@ class TestRunInvariants:
             assert key in stable_keys
 
 
+
+def distinct_payoff_market(rng):
+    """Random bimatrix market whose menus repeat no u and no v value."""
+    n_men, n_women = rng.randint(1, 4), rng.randint(1, 4)
+    games = {}
+    for i in range(n_men):
+        for j in range(n_women):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            u, v = (rng.sample(range(-20, 21), rows * cols) for _ in range(2))
+            games[(i, j)] = BimatrixGame(
+                [[F(x, 2) for x in u[r * cols : (r + 1) * cols]] for r in range(rows)],
+                [[F(x, 2) for x in v[r * cols : (r + 1) * cols]] for r in range(rows)],
+            )
+    return build_instance(
+        [f"m{i}" for i in range(n_men)],
+        [f"w{j}" for j in range(n_women)],
+        [F(rng.randint(-6, 2)) for _ in range(n_men)],
+        [F(rng.randint(-6, 2)) for _ in range(n_women)],
+        games,
+    )
+
+
+def mirrored(inst):
+    """Men and women swapped; each couple's (U, V) becomes (V^T, U^T)."""
+    games = {
+        (j, i): BimatrixGame([list(col) for col in zip(*g.V)], [list(col) for col in zip(*g.U)])
+        for (i, j), g in inst.games.items()
+    }
+    return build_instance(inst.women, inst.men, inst.irp_women, inst.irp_men, games)
+
+
+class TestOrientation:
+    def test_women_proposing_is_men_proposing_on_the_mirror(self):
+        # Contract ids differ between a game and its transpose, so the
+        # payoffs and the traces without their contract= fields are compared.
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(40):
+            inst = distinct_payoff_market(rng)
+            women_run, w_state = run_propose_dispose(inst, F(1, 2), Side.WOMAN)
+            men_run, m_state = run_propose_dispose(mirrored(inst), F(1, 2), Side.MAN)
+            pairs = {(j, i): (c.v, c.u) for (i, j), c in women_run.chosen.items()}
+            assert {k: (c.u, c.v) for k, c in men_run.chosen.items()} == pairs
+            assert (w_state.iterations, w_state.iteration_bound) == (
+                m_state.iterations,
+                m_state.iteration_bound,
+            )
+
+            def strip(trace):
+                return [" ".join(f for f in line.split() if not f.startswith("contract=")) for line in trace]
+
+            assert strip(w_state.trace) == strip(m_state.trace)
+            seen.update(line.split(" ", 1)[0] for line in w_state.trace)
+        # every branch of the run loop was taken
+        assert seen >= {f"event={e}" for e in ("exit", "accept", "auto_replace", "compete", "replace", "resettle")}
+
+
 class TestVanishingMargin:
     def test_classic_ordinal_reaches_exact_stability(self):
         inst = from_ordinal(CLASSIC_MEN, CLASSIC_WOMEN)

@@ -208,6 +208,12 @@ class TestFloatRejection:
         with pytest.raises(SchemaError, match="cannot read"):
             load_json(str(tmp_path / "absent.json"))
 
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(SchemaError, match="nested.json nests too deeply"):
+            load_json(str(path))
+
 
 class TestProfileRoundTrip:
     def test_solver_output_round_trips(self):
