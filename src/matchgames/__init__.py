@@ -46,15 +46,7 @@ from .stability import (
     validate_profile,
     woman_payoff,
 )
-from .propose import (
-    MarketState,
-    ProposalSolution,
-    best_proposal,
-    max_offer,
-    run_propose_dispose,
-    run_with_vanishing_margin,
-    settle_contract,
-)
+from .propose import MarketState, run_propose_dispose, run_with_vanishing_margin
 from .cne import (
     CnePolicy,
     CneResult,

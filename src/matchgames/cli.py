@@ -100,17 +100,9 @@ def _cmd_solve_external(args) -> int:
     return 0
 
 
-# --policy names mapped to per-game-class solver policies; games of other
-# classes keep the automatic dispatch.
-_POLICY_NAMES = {
-    "max-potential": {"potential": CnePolicy.MAX_POTENTIAL},
-    "zero-sum": {
-        "zero_sum": CnePolicy.ZERO_SUM_MEDIAN,
-        "strictly_competitive": CnePolicy.ZERO_SUM_MEDIAN,
-        "transfer": CnePolicy.ZERO_SUM_MEDIAN,
-    },
-    "repeated": {"repeated": CnePolicy.REPEATED_ORACLE},
-}
+# --policy names mapped to refine's per-game-class policies; games of
+# other classes keep the automatic dispatch.
+_POLICY_NAMES = {"auto": None, "max-potential": {"potential": CnePolicy.MAX_POTENTIAL}}
 
 
 def _cmd_solve_stable(args) -> int:
@@ -118,8 +110,7 @@ def _cmd_solve_stable(args) -> int:
     if eps <= 0:
         raise SchemaError("solve-stable needs a positive eps")
     profile, _state = run_propose_dispose(inst, eps, Side.MAN)
-    policies = None if args.policy == "auto" else _POLICY_NAMES[args.policy]
-    result = refine(inst, profile, eps, policies=policies, max_passes=args.max_passes)
+    result = refine(inst, profile, eps, policies=_POLICY_NAMES[args.policy], max_passes=args.max_passes)
     _emit_profile(inst, result.profile, args.out)
     line = f"status={result.status.value} passes={result.passes}"
     if result.failed_couple is not None:
@@ -233,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-stable", help="propose-dispose, then in-couple refinement")
     p.add_argument("file")
     eps_arg(p)
-    p.add_argument("--policy", choices=["auto"] + sorted(_POLICY_NAMES), default="auto")
+    p.add_argument("--policy", choices=list(_POLICY_NAMES), default="auto")
     p.add_argument("--max-passes", type=int, default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_solve_stable)

@@ -6,7 +6,8 @@ would strictly accept (margin included), floored at the reservation
 payoff.  A contract is a constrained equilibrium when it clears both
 outside options and every improving unilateral deviation would drop
 the partner strictly below theirs, so the deviation would break the
-couple.  Solvers per game class find such contracts directly.
+couple.  ``solve_cne`` finds one with a single solver per game class
+(AUTO), or by the potential argmax on request (MAX_POTENTIAL).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from enum import Enum
 from typing import Optional
 
 from .games import (
-    BimatrixGame,
     Contract,
     Game,
     GameError,
@@ -28,7 +28,7 @@ from .games import (
 )
 from .geometry import Point, clip_ge, vertex_argmax
 from .rational import is_neg_inf, rat
-from .stability import MatchingProfile, man_payoff, validate_profile, woman_payoff
+from .stability import MatchingProfile, _payoffs, validate_profile
 
 
 @dataclass(frozen=True)
@@ -53,21 +53,22 @@ def outside_options(
     validate_profile(inst, profile)
     if profile.matches[i] != j:
         raise ValueError(f"couple ({i},{j}) is not matched in this profile")
-    women_pay = [woman_payoff(inst, profile, w) for w in range(inst.n_women)]
-    men_pay = [man_payoff(inst, profile, m) for m in range(inst.n_men)]
+    men_pay, women_pay = _payoffs(inst, profile)
     u0 = inst.irp_men[i]
     for b in range(inst.n_women):
         if b == j:
             continue
+        bar = women_pay[b] + eps
         for c in inst.game(i, b).menu():
-            if c.v > women_pay[b] + eps and c.u > u0:
+            if c.v > bar and c.u > u0:
                 u0 = c.u
     v0 = inst.irp_women[j]
     for a in range(inst.n_men):
         if a == i:
             continue
+        bar = men_pay[a] + eps
         for c in inst.game(a, j).menu():
-            if c.u > men_pay[a] + eps and c.v > v0:
+            if c.u > bar and c.v > v0:
                 v0 = c.v
     return OutsideOptions(u0=u0, v0=v0)
 
@@ -98,11 +99,7 @@ def is_cne(game: Game, contract: Contract, oo: OutsideOptions) -> bool:
 
 class CnePolicy(Enum):
     AUTO = "auto"
-    ANY = "any"
-    PREFER_NASH = "prefer-nash"
     MAX_POTENTIAL = "max-potential"
-    ZERO_SUM_MEDIAN = "zero-sum-median"
-    REPEATED_ORACLE = "repeated-oracle"
 
 
 @dataclass(frozen=True)
@@ -120,20 +117,6 @@ class CneResult:
 
 def _median3(a, b, c):
     return sorted([a, b, c])[1]
-
-
-def _scan(game: Game, oo: OutsideOptions, prefer_nash: bool) -> CneResult:
-    feasible = [c for c in game.menu() if is_feasible(game, c, oo)]
-    if not feasible:
-        return CneResult(None, "infeasible")
-    if prefer_nash:
-        for c in feasible:
-            if game.is_nash_contract(c):
-                return CneResult(c)
-    for c in feasible:
-        if is_cne(game, c, oo):
-            return CneResult(c)
-    return CneResult(None, "not_feasible_game")
 
 
 def _solve_level(game: LevelGame, oo: OutsideOptions) -> CneResult:
@@ -194,52 +177,38 @@ def _solve_repeated(game: RepeatedGame, oo: OutsideOptions) -> CneResult:
     return CneResult(contract)
 
 
-def _solve_max_potential(game: PotentialGame, oo: OutsideOptions) -> CneResult:
+def solve_cne(game: Game, oo: OutsideOptions, policy: CnePolicy = CnePolicy.AUTO) -> CneResult:
+    """Find a constrained equilibrium contract under the given policy.
+
+    AUTO picks one solver per class: the hull point for repeated games,
+    the median level for level games (it lands on a Nash level whenever
+    a feasible one exists), and for matrix classes a feasible Nash
+    contract first, then the potential argmax or, for plain bimatrix
+    games, the first constrained equilibrium in id order.
+    MAX_POTENTIAL takes the potential argmax directly and requires a
+    potential game.
+    """
+    if not isinstance(policy, CnePolicy):
+        raise GameError(f"unknown policy {policy!r}")
+    if policy is CnePolicy.MAX_POTENTIAL and not isinstance(game, PotentialGame):
+        raise GameError("max-potential policy requires a potential game")
+    if isinstance(game, RepeatedGame):
+        return _solve_repeated(game, oo)
+    if isinstance(game, LevelGame):
+        return _solve_level(game, oo)
     feasible = [c for c in game.menu() if is_feasible(game, c, oo)]
     if not feasible:
         return CneResult(None, "infeasible")
-    best = max(feasible, key=lambda c: (game.potential_of(c), -c.id))
-    if not is_cne(game, best, oo):
-        raise GameError("potential argmax failed the equilibrium check; solver bug")
-    return CneResult(best)
-
-
-def solve_cne(game: Game, oo: OutsideOptions, policy: CnePolicy = CnePolicy.ANY) -> CneResult:
-    """Find a constrained equilibrium contract under the given policy.
-
-    AUTO picks per class: the repeated-game and level-game solvers (the
-    former prefers self-enforcing points by construction, the latter's
-    median lands on a Nash level whenever a feasible one exists);
-    for matrix classes a feasible Nash contract first, then the
-    potential argmax or, for plain bimatrix games, the ANY scan.
-    ANY and PREFER_NASH work on every class (menu scans); the class
-    solvers are validated against their class: MAX_POTENTIAL needs a
-    potential game, ZERO_SUM_MEDIAN a payoff-level class, and
-    REPEATED_ORACLE a repeated game.
-    """
     if policy is CnePolicy.AUTO:
-        if isinstance(game, RepeatedGame):
-            return _solve_repeated(game, oo)
-        if isinstance(game, LevelGame):
-            return _solve_level(game, oo)
-        for c in game.menu():
-            if is_feasible(game, c, oo) and game.is_nash_contract(c):
+        for c in feasible:
+            if game.is_nash_contract(c):
                 return CneResult(c)
-        if isinstance(game, PotentialGame):
-            return _solve_max_potential(game, oo)
-        return _scan(game, oo, prefer_nash=False)
-    if policy in (CnePolicy.ANY, CnePolicy.PREFER_NASH):
-        return _scan(game, oo, prefer_nash=policy is CnePolicy.PREFER_NASH)
-    if policy is CnePolicy.MAX_POTENTIAL:
-        if not isinstance(game, PotentialGame):
-            raise GameError("max-potential policy requires a potential game")
-        return _solve_max_potential(game, oo)
-    if policy is CnePolicy.ZERO_SUM_MEDIAN:
-        if not isinstance(game, LevelGame):
-            raise GameError("median policy requires a payoff-level game class")
-        return _solve_level(game, oo)
-    if policy is CnePolicy.REPEATED_ORACLE:
-        if not isinstance(game, RepeatedGame):
-            raise GameError("repeated-oracle policy requires a repeated game")
-        return _solve_repeated(game, oo)
-    raise GameError(f"unknown policy {policy!r}")
+    if isinstance(game, PotentialGame):
+        best = max(feasible, key=lambda c: (game.potential_of(c), -c.id))
+        if not is_cne(game, best, oo):
+            raise GameError("potential argmax failed the equilibrium check; solver bug")
+        return CneResult(best)
+    for c in feasible:
+        if is_cne(game, c, oo):
+            return CneResult(c)
+    return CneResult(None, "not_feasible_game")

@@ -63,20 +63,6 @@ def _orient(inst: Instance, proposing: Side) -> _Market:
     )
 
 
-@dataclass(frozen=True)
-class ProposalSolution:
-    """Outcome of one proposer optimization.
-
-    target None means staying single is strictly best; objective is the
-    proposer's own payoff at the optimum (his reservation payoff when
-    target is None).
-    """
-
-    target: Optional[int]
-    contract: Optional[Contract]
-    objective: Fraction
-
-
 def _best_with(m: _Market, p: int, r: int, floor) -> Optional[_Entry]:
     """Best own payoff against responder r among contracts paying r >= floor.
 
@@ -92,7 +78,12 @@ def _best_with(m: _Market, p: int, r: int, floor) -> Optional[_Entry]:
 def _best_proposal(
     m: _Market, p: int, payoffs: List[Fraction], eps: Fraction, exclude: Optional[int] = None
 ) -> Tuple[Optional[int], Tuple[Fraction, Optional[Fraction], Optional[Contract]]]:
-    """p's best target and entry; (None, (reservation payoff, None, None)) for staying single."""
+    """p's best target and entry; (None, (reservation payoff, None, None)) for staying single.
+
+    Staying single wins only when strictly better than every responder
+    option; ties break toward the lowest responder index, then the lowest
+    contract id.  ``exclude`` drops one responder (a bidder's fallback).
+    """
     target, best = None, (m.irp_proposers[p], None, None)
     for r in range(len(m.responders)):
         if r == exclude:
@@ -104,22 +95,12 @@ def _best_proposal(
     return target, best
 
 
-def best_proposal(
-    inst: Instance, p: int, payoffs: List[Fraction], eps, exclude: Optional[int] = None
-) -> ProposalSolution:
-    """Solve man p's problem: max own payoff over the women and exit.
-
-    Staying single yields the reservation payoff and is chosen only
-    when strictly better than every responder option; responder ties
-    break toward the lowest index, contract ties toward the lowest id.
-    ``exclude`` removes one responder from consideration (used when
-    computing a bidder's fallback).
-    """
-    target, (own, _, contract) = _best_proposal(_orient(inst, Side.MAN), p, payoffs, rat(eps), exclude)
-    return ProposalSolution(target=target, contract=contract, objective=own)
-
-
 def _max_offer(m: _Market, p: int, r: int, beta) -> Fraction:
+    """Highest payoff p can concede to r while keeping own payoff >= beta.
+
+    The minus-infinity sentinel means no contract meets the fallback
+    threshold (the bidder forfeits).
+    """
     best = NEG_INF
     for own, partner, _ in m.menus[p][r]:
         if own >= beta and partner > best:
@@ -127,25 +108,12 @@ def _max_offer(m: _Market, p: int, r: int, beta) -> Fraction:
     return best
 
 
-def max_offer(inst: Instance, p: int, r: int, beta) -> Fraction:
-    """Highest payoff man p can concede to woman r while keeping own payoff >= beta.
-
-    Returns the minus-infinity sentinel when no contract meets the
-    fallback threshold (the bidder forfeits).
-    """
-    return _max_offer(_orient(inst, Side.MAN), p, r, beta)
-
-
 def _settle(m: _Market, p: int, r: int, lam_loser) -> _Entry:
+    """Winner's entry: max own payoff with responder payoff >= loser's bid."""
     best = _best_with(m, p, r, lam_loser)
     if best is None:
         raise MatchingError("no contract clears the losing bid; bidding invariant broken")
     return best
-
-
-def settle_contract(inst: Instance, p: int, r: int, lam_loser) -> Contract:
-    """Winner's contract: max own payoff with responder payoff >= loser's bid."""
-    return _settle(_orient(inst, Side.MAN), p, r, lam_loser)[2]
 
 
 @dataclass

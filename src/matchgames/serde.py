@@ -223,13 +223,8 @@ def _build_game(codec: _Codec, fields: Dict[str, Any], where: str, default_resol
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def parse_game(payload: Any, where: str, default_resolution: Optional[Fraction]) -> Game:
-    """Build one couple game from its tagged payload."""
-    return _build_game(*_read_game(payload, where), where, default_resolution)
-
-
 def dump_game(game: Game) -> dict:
-    """Tagged payload for one couple game; inverse of parse_game."""
+    """Tagged payload for one couple game; read back by parse_instance."""
     codec = _CODECS.get(game.kind)
     if codec is None:
         raise SchemaError(f"cannot serialize game of kind {game.kind!r}")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .games import Contract, Game, GameError, Instance, Side
+from .games import Contract, GameError, Instance, Side
 from .rational import rat
 
 SINGLE = None
@@ -86,6 +86,13 @@ def woman_payoff(inst: Instance, profile: MatchingProfile, j: int) -> Fraction:
     return profile.chosen[(i, j)].v
 
 
+def _payoffs(inst: Instance, profile: MatchingProfile) -> Tuple[List[Fraction], List[Fraction]]:
+    """Every man's and every woman's payoff, in index order."""
+    men_pay = [man_payoff(inst, profile, i) for i in range(inst.n_men)]
+    women_pay = [woman_payoff(inst, profile, j) for j in range(inst.n_women)]
+    return men_pay, women_pay
+
+
 @dataclass(frozen=True)
 class BlockingPair:
     """A blocking witness; a None agent stands for the empty player.
@@ -133,8 +140,10 @@ def find_blocking_pair(
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     validate_profile(inst, profile)
-    men_pay = [man_payoff(inst, profile, i) for i in range(inst.n_men)]
-    women_pay = [woman_payoff(inst, profile, j) for j in range(inst.n_women)]
+    men_pay, women_pay = _payoffs(inst, profile)
+    # A blocking contract must beat each payoff plus the margin; sum it once per agent.
+    men_bar = [pay + eps for pay in men_pay] if eps else men_pay
+    women_bar = [pay + eps for pay in women_pay] if eps else women_pay
     for i in range(inst.n_men):
         if men_pay[i] < inst.irp_men[i]:
             return BlockingPair(man=i, woman=None, contract=None)
@@ -142,7 +151,7 @@ def find_blocking_pair(
             if profile.matches[i] == j:
                 continue
             for contract in inst.game(i, j).menu():
-                if contract.u > men_pay[i] + eps and contract.v > women_pay[j] + eps:
+                if contract.v > women_bar[j] and contract.u > men_bar[i]:
                     return BlockingPair(man=i, woman=j, contract=contract)
     for j in range(inst.n_women):
         if women_pay[j] < inst.irp_women[j]:
@@ -157,16 +166,21 @@ def is_externally_stable(inst: Instance, profile: MatchingProfile, eps) -> Stabi
     return StabilityReport(notion=notion, holds=witness is None, witness=witness, eps=eps)
 
 
+def _ir_witness(inst: Instance, men_pay, women_pay) -> Optional[BlockingPair]:
+    for i, pay in enumerate(men_pay):
+        if pay < inst.irp_men[i]:
+            return BlockingPair(i, None, None)
+    for j, pay in enumerate(women_pay):
+        if pay < inst.irp_women[j]:
+            return BlockingPair(None, j, None)
+    return None
+
+
 def is_individually_rational(inst: Instance, profile: MatchingProfile) -> StabilityReport:
     """Reservation-payoff check alone (condition shared by every notion)."""
     validate_profile(inst, profile)
-    for i in range(inst.n_men):
-        if man_payoff(inst, profile, i) < inst.irp_men[i]:
-            return StabilityReport("IR", False, BlockingPair(i, None, None))
-    for j in range(inst.n_women):
-        if woman_payoff(inst, profile, j) < inst.irp_women[j]:
-            return StabilityReport("IR", False, BlockingPair(None, j, None))
-    return StabilityReport("IR", True)
+    witness = _ir_witness(inst, *_payoffs(inst, profile))
+    return StabilityReport("IR", witness is None, witness)
 
 
 def is_stable_variant(inst: Instance, profile: MatchingProfile, mode: str) -> StabilityReport:
@@ -182,11 +196,11 @@ def is_stable_variant(inst: Instance, profile: MatchingProfile, mode: str) -> St
     if mode not in ("weak", "unilateral"):
         raise ValueError(f"unknown variant {mode!r}")
     notion = "Weak" if mode == "weak" else "Unilateral"
-    ir = is_individually_rational(inst, profile)
-    if not ir.holds:
-        return StabilityReport(notion, False, ir.witness)
-    men_pay = [man_payoff(inst, profile, i) for i in range(inst.n_men)]
-    women_pay = [woman_payoff(inst, profile, j) for j in range(inst.n_women)]
+    validate_profile(inst, profile)
+    men_pay, women_pay = _payoffs(inst, profile)
+    witness = _ir_witness(inst, men_pay, women_pay)
+    if witness is not None:
+        return StabilityReport(notion, False, witness)
     for i in range(inst.n_men):
         j_cur = profile.matches[i]
         if j_cur is None:

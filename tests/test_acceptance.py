@@ -216,7 +216,7 @@ def test_c05_zero_sum_cne_level_obeys_the_median_law():
         # outside options that leave at least the [lo, hi] grid window open
         u0 = lo - F(rng.randint(0, 8), rng.randint(1, 5))
         v0 = -hi - F(rng.randint(0, 8), rng.randint(1, 5))
-        out = solve_cne(game, OutsideOptions(u0, v0), CnePolicy.ZERO_SUM_MEDIAN)
+        out = solve_cne(game, OutsideOptions(u0, v0), CnePolicy.AUTO)
         assert out.contract is not None
         value = support_value(game.g)
         assert value == game.value_level
@@ -250,7 +250,7 @@ def test_c06_class_solvers_return_certified_cne():
         assert point is not None
         assert hull_contains(list(game.hull), point)
         assert point[0] >= oo.u0 and point[1] >= oo.v0
-        out = solve_cne(game, oo, CnePolicy.REPEATED_ORACLE)
+        out = solve_cne(game, oo, CnePolicy.AUTO)
         assert out.contract is not None
         assert (out.contract.u, out.contract.v) == tuple(point)
         assert is_cne(game, out.contract, oo)

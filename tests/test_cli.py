@@ -38,6 +38,22 @@ ZERO_SUM_COUPLE = {
     "games": {"m0": {"w0": {"class": "zero_sum", "g": [[1, -1], [-1, 1]]}}},
 }
 
+POTENTIAL_COUPLE = {
+    "men": ["m0"],
+    "women": ["w0"],
+    "irp": {"men": [0], "women": [0]},
+    "games": {
+        "m0": {
+            "w0": {
+                "class": "potential",
+                "u": [[1, 0], [0, 2]],
+                "v": [[1, 0], [0, 2]],
+                "phi": [[1, 0], [0, 2]],
+            }
+        }
+    },
+}
+
 SOLAN_COUPLE = {
     "men": ["m0"],
     "women": ["w0"],
@@ -273,11 +289,19 @@ class TestSolveStable:
         assert captured.out.count("holds=true") == 2
 
     def test_policy_flag(self, tmp_path, capsys):
-        inst = write(tmp_path, "inst.json", ZERO_SUM_COUPLE)
-        rc = main(["solve-stable", inst, "--policy", "zero-sum"])
+        inst = write(tmp_path, "inst.json", POTENTIAL_COUPLE)
+        rc = main(["solve-stable", inst, "--policy", "max-potential"])
         captured = capsys.readouterr()
         assert rc == 0
         assert "status=Converged" in captured.out
+
+    @pytest.mark.parametrize("name", ["zero-sum", "repeated"])
+    def test_removed_policy_exit_2(self, tmp_path, capsys, name):
+        inst = write(tmp_path, "inst.json", ZERO_SUM_COUPLE)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-stable", inst, "--policy", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_pass_limit_exit_code(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)

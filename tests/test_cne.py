@@ -144,7 +144,7 @@ class TestFeasibilityAndCne:
 class TestSolveCne:
     def test_zero_sum_median_example(self):
         g = ZeroSumGame(PENNIES, F(1, 4))
-        res = solve_cne(g, OutsideOptions(F(-1, 2), F(-1, 4)), CnePolicy.ZERO_SUM_MEDIAN)
+        res = solve_cne(g, OutsideOptions(F(-1, 2), F(-1, 4)), CnePolicy.AUTO)
         assert g.level_of(res.contract) == F(0)
 
     def test_potential_maximizer(self):
@@ -167,22 +167,20 @@ class TestSolveCne:
 
     def test_prefer_nash_precedence(self):
         g = pd()
-        res = solve_cne(g, OutsideOptions(F(0), F(0)), CnePolicy.PREFER_NASH)
+        res = solve_cne(g, OutsideOptions(F(0), F(0)), CnePolicy.AUTO)
         assert (res.contract.u, res.contract.v) == (F(1), F(1))
 
     def test_policy_class_validation(self):
         with pytest.raises(GameError):
-            solve_cne(pd(), OutsideOptions(F(0), F(0)), CnePolicy.ZERO_SUM_MEDIAN)
-        with pytest.raises(GameError):
             solve_cne(pd(), OutsideOptions(F(0), F(0)), CnePolicy.MAX_POTENTIAL)
         with pytest.raises(GameError):
-            solve_cne(pd(), OutsideOptions(F(0), F(0)), CnePolicy.REPEATED_ORACLE)
+            solve_cne(pd(), OutsideOptions(F(0), F(0)), "auto")
 
     @pytest.mark.parametrize(
         "couple,expected",
         [
             # One couple game per class from demos/data/mixed_classes.json, plus
-            # Solan's game, where AUTO falls back to the ANY scan, and the
+            # Solan's game, where AUTO falls back to the first-CNE scan, and the
             # prisoner's dilemma, where a feasible Nash contract beats the
             # scan's first equilibrium. Each entry is "id u v" of the contract
             # the default refine dispatch picked before it moved into
@@ -225,7 +223,7 @@ class TestSolveCne:
             lo = rng.choice(g.levels)
             hi = rng.choice([lev for lev in g.levels if lev >= lo])
             oo = OutsideOptions(lo, -hi)
-            res = solve_cne(g, oo, CnePolicy.ZERO_SUM_MEDIAN)
+            res = solve_cne(g, oo, CnePolicy.AUTO)
             assert res.contract is not None
             assert is_cne(g, res.contract, oo)
             assert is_feasible(g, res.contract, oo)
@@ -236,7 +234,7 @@ class TestSolveCne:
             g = random_zero_sum_game(rng, F(1, 4))
             lo = rng.choice(g.levels)
             hi = rng.choice([lev for lev in g.levels if lev >= lo])
-            res = solve_cne(g, OutsideOptions(lo, -hi), CnePolicy.ZERO_SUM_MEDIAN)
+            res = solve_cne(g, OutsideOptions(lo, -hi), CnePolicy.AUTO)
             level = g.level_of(res.contract)
             target = sorted([lo, hi, g.value_level])[1]
             assert abs(level - target) <= g.resolution
@@ -283,7 +281,7 @@ class TestRepeatedPayoff:
     def test_oracle_policy_wraps_point(self):
         g = self.game()
         oo = OutsideOptions(F(2), F(2))
-        res = solve_cne(g, oo, CnePolicy.REPEATED_ORACLE)
+        res = solve_cne(g, oo, CnePolicy.AUTO)
         assert res.contract is not None
         assert is_cne(g, res.contract, oo)
         assert (res.contract.u, res.contract.v) == repeated_cne_payoff(g, oo)

@@ -11,18 +11,16 @@ from matchgames import (
     PiecewiseLinear,
     Side,
     TransferGame,
-    best_proposal,
     build_instance,
     enumerate_stable,
     find_blocking_pair,
     from_ordinal,
     from_shapley_shubik,
     is_externally_stable,
-    max_offer,
     run_propose_dispose,
     run_with_vanishing_margin,
-    settle_contract,
 )
+from matchgames.propose import _best_proposal, _max_offer, _orient, _settle
 
 from helpers import random_bimatrix_instance
 
@@ -49,72 +47,74 @@ def one_couple(game, irp_m=0, irp_w=0):
 
 
 class TestBestProposal:
+    # _best_proposal returns (target, (own payoff, offer, contract)).
+
     def test_single_feasible_contract(self):
         inst = one_couple(BimatrixGame([[5]], [[5]]))
-        sol = best_proposal(inst, 0, [F(0)], 1)
-        assert (sol.target, sol.objective) == (0, F(5))
-        assert sol.contract.v == 5
+        target, (own, _, contract) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0)], F(1))
+        assert (target, own) == (0, F(5))
+        assert contract.v == 5
 
     def test_margin_blocks_and_exit_wins(self):
         inst = one_couple(BimatrixGame([[5]], [[5]]))
-        sol = best_proposal(inst, 0, [F(5)], 1)
-        assert sol.target is None and sol.contract is None
-        assert sol.objective == F(0)
+        target, (own, _, contract) = _best_proposal(_orient(inst, Side.MAN), 0, [F(5)], F(1))
+        assert target is None and contract is None
+        assert own == F(0)
 
     def test_ordinal_man_proposes_top_choice(self):
         inst = from_ordinal(CLASSIC_MEN, CLASSIC_WOMEN)
-        sol = best_proposal(inst, 0, [F(0), F(0)], 1)
-        assert sol.target == 0 and sol.objective == F(2)
+        target, (own, _, _) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1))
+        assert target == 0 and own == F(2)
 
     def test_tie_prefers_matching_over_exit(self):
         # own payoff equals the reservation payoff: matching still wins
         inst = one_couple(BimatrixGame([[0]], [[5]]))
-        sol = best_proposal(inst, 0, [F(0)], 1)
-        assert sol.target == 0 and sol.objective == F(0)
+        target, (own, _, _) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0)], F(1))
+        assert target == 0 and own == F(0)
 
     def test_tie_prefers_lowest_woman_then_lowest_id(self):
         g = BimatrixGame([[7, 7]], [[3, 9]])
         inst = build_instance(["m"], ["w0", "w1"], [0], [0, 0], {(0, 0): g, (0, 1): g})
-        sol = best_proposal(inst, 0, [F(0), F(0)], 1)
-        assert sol.target == 0
-        assert sol.contract.id == 0
+        target, (_, _, contract) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1))
+        assert target == 0
+        assert contract.id == 0
 
     def test_exclude_removes_responder(self):
         g = BimatrixGame([[7]], [[3]])
         h = BimatrixGame([[2]], [[3]])
         inst = build_instance(["m"], ["w0", "w1"], [0], [0, 0], {(0, 0): g, (0, 1): h})
-        assert best_proposal(inst, 0, [F(0), F(0)], 1).target == 0
-        assert best_proposal(inst, 0, [F(0), F(0)], 1, exclude=0).target == 1
+        assert _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1))[0] == 0
+        assert _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1), exclude=0)[0] == 1
 
 
 class TestMaxOffer:
     def test_filter_then_max(self):
         inst = one_couple(menu_game())
-        assert max_offer(inst, 0, 0, 2) == F(4)
+        assert _max_offer(_orient(inst, Side.MAN), 0, 0, 2) == F(4)
 
     def test_forfeit_sentinel(self):
         inst = one_couple(BimatrixGame([[3]], [[1]]))
-        assert max_offer(inst, 0, 0, 5) == NEG_INF
+        assert _max_offer(_orient(inst, Side.MAN), 0, 0, 5) == NEG_INF
 
     def test_transfer_grid(self):
         inst = one_couple(transfer_game())
-        assert max_offer(inst, 0, 0, 0) == F(4)
+        assert _max_offer(_orient(inst, Side.MAN), 0, 0, 0) == F(4)
 
 
 class TestSettleContract:
     def test_second_price_pick(self):
         inst = one_couple(menu_game())
-        c = settle_contract(inst, 0, 0, 2)
+        _, _, c = _settle(_orient(inst, Side.MAN), 0, 0, 2)
         assert (c.u, c.v) == (F(2), F(4))
 
     def test_boundary_feasibility(self):
         inst = one_couple(BimatrixGame([[5]], [[5]]))
-        c = settle_contract(inst, 0, 0, 5)
+        _, _, c = _settle(_orient(inst, Side.MAN), 0, 0, 5)
         assert (c.u, c.v) == (F(5), F(5))
 
     def test_transfer_grid(self):
         inst = one_couple(transfer_game())
-        c = settle_contract(inst, 0, 0, 3)
+        _, _, c = _settle(_orient(inst, Side.MAN), 0, 0, 3)
         assert (c.u, c.v) == (F(1), F(3))
 
 

@@ -10,6 +10,7 @@ from matchgames import (
     CnePolicy,
     MatchingError,
     MatchingProfile,
+    PotentialGame,
     RefineStatus,
     build_instance,
     is_externally_stable,
@@ -173,6 +174,25 @@ class TestMonotonicity:
                 vs = [v for _, v in seq]
                 assert all(a <= b for a, b in zip(vs, vs[1:]))
                 assert all(v <= game.beta for v in vs)
+
+
+class TestPolicies:
+    def test_auto_and_max_potential_pick_different_contracts(self):
+        # Coordination with phi = u = v, started from the miscoordinated cell
+        # (0,1): AUTO adopts the first feasible Nash cell (0,0), while
+        # MAX_POTENTIAL adopts the potential argmax (1,1).
+        m = [[1, 0], [0, 2]]
+        game = PotentialGame(m, m, m)
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): game})
+        start = next(c for c in game.menu() if (c.strategy_a, c.strategy_b) == (0, 1))
+        profile = MatchingProfile((0,), {(0, 0): start})
+        picks = []
+        for policies in (None, {"potential": CnePolicy.MAX_POTENTIAL}):
+            result = refine(inst, profile, 1, policies)
+            assert result.status is RefineStatus.CONVERGED
+            chosen = result.profile.chosen[(0, 0)]
+            picks.append((chosen.strategy_a, chosen.strategy_b))
+        assert picks == [(0, 0), (1, 1)]
 
 
 class TestFailureModes:
