@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from ._market import market_index
 from .games import (
     Contract,
     Game,
@@ -28,7 +29,7 @@ from .games import (
 )
 from .geometry import Point, clip_ge, vertex_argmax
 from .rational import is_neg_inf, rat
-from .stability import MatchingProfile, _payoffs, validate_profile
+from .stability import MatchingProfile, validate_profile
 
 
 @dataclass(frozen=True)
@@ -50,26 +51,26 @@ def outside_options(
     payoffs.
     """
     eps = rat(eps)
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     validate_profile(inst, profile)
     if profile.matches[i] != j:
         raise ValueError(f"couple ({i},{j}) is not matched in this profile")
-    men_pay, women_pay = _payoffs(inst, profile)
-    u0 = inst.irp_men[i]
-    for b in range(inst.n_women):
-        if b == j:
-            continue
-        bar = women_pay[b] + eps
-        for c in inst.game(i, b).menu():
-            if c.v > bar and c.u > u0:
-                u0 = c.u
-    v0 = inst.irp_women[j]
-    for a in range(inst.n_men):
-        if a == i:
-            continue
-        bar = men_pay[a] + eps
-        for c in inst.game(a, j).menu():
-            if c.u > bar and c.v > v0:
-                v0 = c.v
+    index = market_index(inst)
+    men_pay, women_pay = index.payoffs(profile)
+    men_bar, women_bar = index.bars(men_pay, eps), index.bars(women_pay, eps)
+    u0, best = inst.irp_men[i], index.irp_men[i]
+    for b, couple in enumerate(index.couples[i]):
+        if b != j:
+            c = couple.by_v.above(women_bar[b])
+            if c is not None and couple.u[c.id] > best:
+                best, u0 = couple.u[c.id], c.u
+    v0, best = inst.irp_women[j], index.irp_women[j]
+    for a, row in enumerate(index.couples):
+        if a != i:
+            c = row[j].by_u.above(men_bar[a])
+            if c is not None and row[j].v[c.id] > best:
+                best, v0 = row[j].v[c.id], c.v
     return OutsideOptions(u0=u0, v0=v0)
 
 

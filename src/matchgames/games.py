@@ -169,10 +169,16 @@ class Game:
             raise GameError(f"no contract with id {contract_id} in this menu")
         return menu[contract_id]
 
+    def _in_menu(self, contract: Contract) -> bool:
+        menu = self.menu()
+        if not 0 <= contract.id < len(menu):
+            return False
+        listed = menu[contract.id]
+        return listed is contract or listed == contract
+
     def validate_contract(self, contract: Contract) -> None:
         """Raise unless the contract belongs to this game."""
-        menu = self.menu()
-        if not (0 <= contract.id < len(menu) and menu[contract.id] == contract):
+        if not self._in_menu(contract):
             raise GameError(f"foreign contract {contract!r} for {self.kind} game")
 
     def payoff(self, contract: Contract) -> Tuple[Fraction, Fraction]:
@@ -521,8 +527,7 @@ class RepeatedGame(Game):
         return (rat(u), rat(v))
 
     def validate_contract(self, contract: Contract) -> None:
-        menu = self.menu()
-        if 0 <= contract.id < len(menu) and menu[contract.id] == contract:
+        if self._in_menu(contract):
             return
         # Synthesized contracts (off-grid feasible points) are accepted
         # when the point really lies in the hull.
@@ -591,7 +596,12 @@ def feasible_payoff_hull(stage: BimatrixGame) -> Tuple[Point, ...]:
 
 @dataclass(frozen=True)
 class Instance:
-    """A two-sided market: agents, reservation payoffs, one game per pair."""
+    """A two-sided market: agents, reservation payoffs, one game per pair.
+
+    The first blocking check, outside-option query or propose-dispose
+    run builds an integer index of every menu and caches it on the
+    instance, so ``games`` must not be mutated after that.
+    """
 
     men: Tuple[str, ...]
     women: Tuple[str, ...]

@@ -11,109 +11,108 @@ bounds the number of iterations.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ._market import Couple, market_index
 from .games import Contract, Instance, Side
-from .rational import NEG_INF, rat, render_event
+from .rational import NEG_INF, is_neg_inf, rat, render_event
 from .stability import MatchingError, MatchingProfile, find_blocking_pair
-
-
-# One menu contract read from the proposing side: (own payoff, partner payoff, contract).
-_Entry = Tuple[Fraction, Fraction, Contract]
 
 
 class _Market(NamedTuple):
     """An instance read from the proposing side: p indexes proposers, r responders.
 
-    ``menus[p][r]`` holds the couple's contracts as entries, in id order.
+    Payoffs are integers on the instance's index, scaled by ``scale``.
+    ``couples[p][r]`` is the couple's index entry oriented so that ``u``
+    is p's own payoff and ``v`` r's: ``by_v`` answers "best own payoff
+    above a bar on r's", ``by_u`` "best payoff for r above a bar on p's".
+    ``own`` and ``partner`` read a contract's exact payoffs in this
+    orientation, for the trace.
     """
 
     proposers: Tuple[str, ...]
     responders: Tuple[str, ...]
-    irp_proposers: Tuple[Fraction, ...]
-    irp_responders: Tuple[Fraction, ...]
-    menus: List[List[List[_Entry]]]
+    irp_proposers: Tuple[int, ...]
+    irp_responders: Tuple[int, ...]
+    scale: int
+    couples: Sequence[Sequence[Couple]]
+    own: Callable[[Contract], Fraction]
+    partner: Callable[[Contract], Fraction]
 
 
 def _orient(inst: Instance, proposing: Side) -> _Market:
+    index = market_index(inst)
     if proposing is Side.MAN:
         return _Market(
             inst.men,
             inst.women,
-            inst.irp_men,
-            inst.irp_women,
-            [
-                [[(c.u, c.v, c) for c in inst.game(i, j).menu()] for j in range(inst.n_women)]
-                for i in range(inst.n_men)
-            ],
+            index.irp_men,
+            index.irp_women,
+            index.scale,
+            index.couples,
+            attrgetter("u"),
+            attrgetter("v"),
         )
     return _Market(
         inst.women,
         inst.men,
-        inst.irp_women,
-        inst.irp_men,
-        [
-            [[(c.v, c.u, c) for c in inst.game(i, j).menu()] for i in range(inst.n_men)]
-            for j in range(inst.n_women)
-        ],
+        index.irp_women,
+        index.irp_men,
+        index.scale,
+        [[c.mirror() for c in column] for column in zip(*index.couples)],
+        attrgetter("v"),
+        attrgetter("u"),
     )
 
 
-def _best_with(m: _Market, p: int, r: int, floor) -> Optional[_Entry]:
-    """Best own payoff against responder r among contracts paying r >= floor.
-
-    Ties on own payoff keep the lowest contract id.
-    """
-    best: Optional[_Entry] = None
-    for entry in m.menus[p][r]:
-        if entry[1] >= floor and (best is None or entry[0] > best[0]):
-            best = entry
-    return best
-
-
 def _best_proposal(
-    m: _Market, p: int, payoffs: List[Fraction], eps: Fraction, exclude: Optional[int] = None
-) -> Tuple[Optional[int], Tuple[Fraction, Optional[Fraction], Optional[Contract]]]:
-    """p's best target and entry; (None, (reservation payoff, None, None)) for staying single.
+    m: _Market, p: int, bars: List[int], exclude: Optional[int] = None
+) -> Tuple[Optional[int], int, Optional[Contract]]:
+    """p's best (target, own payoff, contract); (None, reservation payoff, None) for staying single.
 
+    Only contracts paying responder r more than ``bars[r]`` count.
     Staying single wins only when strictly better than every responder
     option; ties break toward the lowest responder index, then the lowest
     contract id.  ``exclude`` drops one responder (a bidder's fallback).
     """
-    target, best = None, (m.irp_proposers[p], None, None)
-    for r in range(len(m.responders)):
+    target, own, best = None, m.irp_proposers[p], None
+    for r, couple in enumerate(m.couples[p]):
         if r == exclude:
             continue
-        # The attractiveness constraint is weak at payoffs[r] + eps.
-        cand = _best_with(m, p, r, payoffs[r] + eps)
-        if cand is not None and (cand[0] > best[0] or (cand[0] == best[0] and target is None)):
-            target, best = r, cand
-    return target, best
+        c = couple.by_v.above(bars[r])
+        if c is not None:
+            pay = couple.u[c.id]
+            if pay > own or (pay == own and target is None):
+                target, own, best = r, pay, c
+    return target, own, best
 
 
-def _max_offer(m: _Market, p: int, r: int, beta) -> Fraction:
-    """Highest payoff p can concede to r while keeping own payoff >= beta.
+def _max_offer(m: _Market, p: int, r: int, beta: int):
+    """Highest scaled payoff p can concede to r while keeping own payoff >= beta.
 
     The minus-infinity sentinel means no contract meets the fallback
     threshold (the bidder forfeits).
     """
-    best = NEG_INF
-    for own, partner, _ in m.menus[p][r]:
-        if own >= beta and partner > best:
-            best = partner
-    return best
+    couple = m.couples[p][r]
+    c = couple.by_u.above(beta - 1)
+    return NEG_INF if c is None else couple.v[c.id]
 
 
-def _settle(m: _Market, p: int, r: int, lam_loser) -> _Entry:
-    """Winner's entry: max own payoff with responder payoff >= loser's bid."""
-    best = _best_with(m, p, r, lam_loser)
+def _settle(m: _Market, p: int, r: int, lam_loser) -> Contract:
+    """Winner's contract: max own payoff with responder payoff >= the loser's bid."""
+    best = m.couples[p][r].by_v.above(lam_loser if is_neg_inf(lam_loser) else lam_loser - 1)
     if best is None:
         raise MatchingError("no contract clears the losing bid; bidding invariant broken")
     return best
+
+
+def _exact(m: _Market, x):
+    """A scaled payoff (or the minus-infinity sentinel) as the exact payoff."""
+    return x if is_neg_inf(x) else Fraction(x, m.scale)
 
 
 @dataclass
@@ -127,12 +126,12 @@ class MarketState:
     trace: List[str]
 
 
-def _responder_ceiling(m: _Market, r: int) -> Fraction:
+def _responder_ceiling(m: _Market, r: int) -> int:
     top = m.irp_responders[r]
-    for row in m.menus:
-        for _, partner, _ in row[r]:
-            if partner > top:
-                top = partner
+    for row in m.couples:
+        c = row[r].by_u.above(NEG_INF)
+        if c is not None and row[r].v[c.id] > top:
+            top = row[r].v[c.id]
     return top
 
 
@@ -148,9 +147,13 @@ def run_propose_dispose(
     if eps <= 0:
         raise ValueError("the margin eps must be positive")
     m = _orient(inst, proposing_side)
-    payoffs = list(m.irp_responders)
-    gaps = [_responder_ceiling(m, r) - payoffs[r] for r in range(len(m.responders))]
-    bound = math.ceil(sum(gaps, Fraction(0)) / eps) + len(m.proposers)
+    payoffs = [_exact(m, x) for x in m.irp_responders]
+    # Responder payoffs are menu or reservation payoffs, so scaled they are
+    # integers x, and a scaled payoff reaches x + eps exactly when it exceeds x + lift.
+    lift = -(-m.scale * eps.numerator // eps.denominator) - 1
+    bars = [x + lift for x in m.irp_responders]
+    gap = sum(_responder_ceiling(m, r) - x for r, x in enumerate(m.irp_responders))
+    bound = -(-gap * eps.denominator // (m.scale * eps.numerator)) + len(m.proposers)
     queue: Deque[int] = deque(range(len(m.proposers)))
     partner: Dict[int, int] = {}
     partner_rev: Dict[int, int] = {}
@@ -166,23 +169,24 @@ def run_propose_dispose(
     def log(event: str, **fields) -> None:
         state.trace.append(render_event(event, iter=state.iterations, **fields))
 
-    def responder_accepts(p: int, r: int, entry: _Entry, event: str) -> None:
-        own, new, contract = entry
-        old = payoffs[r]
-        if new < old + eps:
+    def responder_accepts(p: int, r: int, contract: Contract, event: str) -> None:
+        new = m.couples[p][r].v[contract.id]
+        if new <= bars[r]:
             raise MatchingError("accepted proposal fails to raise the responder")
+        old = payoffs[r]
         partner[p] = r
         partner_rev[r] = p
         contracts[p] = contract
-        payoffs[r] = new
+        payoffs[r] = m.partner(contract)
+        bars[r] = new + lift
         log(
             event,
             proposer=m.proposers[p],
             responder=m.responders[r],
             contract=contract.id,
-            own=own,
+            own=m.own(contract),
             offer_old=old,
-            offer_new=new,
+            offer_new=payoffs[r],
         )
 
     while queue:
@@ -192,34 +196,33 @@ def run_propose_dispose(
                 f"iteration bound {bound} exceeded; termination invariant broken"
             )
         p = queue.popleft()
-        r, entry = _best_proposal(m, p, payoffs, eps)
-        own, offer, contract = entry
+        r, own, contract = _best_proposal(m, p, bars)
         if r is None:
-            log("exit", proposer=m.proposers[p], own=own)
+            log("exit", proposer=m.proposers[p], own=_exact(m, own))
             continue
         log(
             "propose",
             proposer=m.proposers[p],
             responder=m.responders[r],
             contract=contract.id,
-            own=own,
-            offer=offer,
+            own=m.own(contract),
+            offer=m.partner(contract),
         )
         if r not in partner_rev:
-            responder_accepts(p, r, entry, "accept")
+            responder_accepts(p, r, contract, "accept")
             continue
         q = partner_rev[r]
         # Does the incumbent still pick r once she must be raised by eps?
-        _, (re_solved, _, _) = _best_proposal(m, q, payoffs, eps)
-        held = _best_with(m, q, r, payoffs[r] + eps)
-        if held is None or held[0] < re_solved:
+        _, re_solved, _ = _best_proposal(m, q, bars)
+        held = m.couples[q][r].by_v.above(bars[r])
+        if held is None or m.couples[q][r].u[held.id] < re_solved:
             del partner[q], contracts[q]
-            responder_accepts(p, r, entry, "auto_replace")
+            responder_accepts(p, r, contract, "auto_replace")
             queue.appendleft(q)
             log("requeue", proposer=m.proposers[q])
             continue
-        _, (beta_p, _, _) = _best_proposal(m, p, payoffs, eps, exclude=r)
-        _, (beta_q, _, _) = _best_proposal(m, q, payoffs, eps, exclude=r)
+        _, beta_p, _ = _best_proposal(m, p, bars, exclude=r)
+        _, beta_q, _ = _best_proposal(m, q, bars, exclude=r)
         lam_p = _max_offer(m, p, r, beta_p)
         lam_q = _max_offer(m, q, r, beta_q)
         log(
@@ -227,10 +230,10 @@ def run_propose_dispose(
             proposer=m.proposers[p],
             incumbent=m.proposers[q],
             responder=m.responders[r],
-            fallback_p=beta_p,
-            fallback_inc=beta_q,
-            bid_p=lam_p,
-            bid_inc=lam_q,
+            fallback_p=_exact(m, beta_p),
+            fallback_inc=_exact(m, beta_q),
+            bid_p=_exact(m, lam_p),
+            bid_inc=_exact(m, lam_q),
         )
         if lam_p > lam_q:
             del partner[q], contracts[q]

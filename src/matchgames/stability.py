@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ._market import market_index
 from .games import Contract, GameError, Instance, Side
 from .rational import rat
 
@@ -62,8 +63,9 @@ def validate_profile(inst: Instance, profile: MatchingProfile) -> None:
     """Check the profile against the instance (sizes, contract membership)."""
     if len(profile.matches) != inst.n_men:
         raise MatchingError("profile size differs from the number of men")
+    n_women = inst.n_women
     for i, j in enumerate(profile.matches):
-        if j is not None and not 0 <= j < inst.n_women:
+        if j is not None and not 0 <= j < n_women:
             raise MatchingError(f"man {i} matched to unknown woman {j}")
     for (i, j), contract in profile.chosen.items():
         try:
@@ -140,21 +142,19 @@ def find_blocking_pair(
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     validate_profile(inst, profile)
-    men_pay, women_pay = _payoffs(inst, profile)
-    # A blocking contract must beat each payoff plus the margin; sum it once per agent.
-    men_bar = [pay + eps for pay in men_pay] if eps else men_pay
-    women_bar = [pay + eps for pay in women_pay] if eps else women_pay
-    for i in range(inst.n_men):
-        if men_pay[i] < inst.irp_men[i]:
+    index = market_index(inst)
+    men_pay, women_pay = index.payoffs(profile)
+    men_bar, women_bar = index.bars(men_pay, eps), index.bars(women_pay, eps)
+    for i, row in enumerate(index.couples):
+        if men_pay[i] < index.irp_men[i]:
             return BlockingPair(man=i, woman=None, contract=None)
-        for j in range(inst.n_women):
-            if profile.matches[i] == j:
-                continue
-            for contract in inst.game(i, j).menu():
-                if contract.v > women_bar[j] and contract.u > men_bar[i]:
+        for j, couple in enumerate(row):
+            if profile.matches[i] != j:
+                contract = couple.first_blocking(men_bar[i], women_bar[j])
+                if contract is not None:
                     return BlockingPair(man=i, woman=j, contract=contract)
-    for j in range(inst.n_women):
-        if women_pay[j] < inst.irp_women[j]:
+    for j, pay in enumerate(women_pay):
+        if pay < index.irp_women[j]:
             return BlockingPair(man=None, woman=j, contract=None)
     return None
 

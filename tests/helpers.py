@@ -3,26 +3,40 @@
 The zero-sum value oracle here deliberately avoids the library's
 simplex; it enumerates square kernels and certifies the candidate
 value against the full matrix, so a returned value is provably correct
-regardless of how it was found.
+regardless of how it was found.  The ``reference_*`` functions are the
+plain ``Fraction`` menu scans the integer market index replaced, kept
+as the ground truth of its differential test, and ``max_weight_assignment``
+is an exact Hungarian solver for assignment markets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import deque
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import sympy
 
 from matchgames import (
+    NEG_INF,
     BimatrixGame,
+    BlockingPair,
     Instance,
+    MatchingError,
+    MatchingProfile,
+    OutsideOptions,
     PotentialGame,
     RepeatedGame,
+    Side,
     ZeroSumGame,
     build_instance,
+    man_payoff,
+    woman_payoff,
 )
+from matchgames.rational import render_event
 
 
 def support_value(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -215,3 +229,204 @@ def gale_shapley(prefs_men: dict, prefs_women: dict) -> dict:
             else:
                 free.append(m)
     return {m: w for w, m in engaged.items()}
+
+
+# ---------------------------------------------------------------------------
+# Reference menu scans: every contract compared in Fractions, in id order.
+
+
+def reference_find_blocking_pair(inst: Instance, profile: MatchingProfile, eps):
+    """First reservation violation or margin-blocking pair, by a full scan."""
+    eps = Fraction(eps)
+    men_pay = [man_payoff(inst, profile, i) for i in range(inst.n_men)]
+    women_pay = [woman_payoff(inst, profile, j) for j in range(inst.n_women)]
+    for i in range(inst.n_men):
+        if men_pay[i] < inst.irp_men[i]:
+            return BlockingPair(man=i, woman=None, contract=None)
+        for j in range(inst.n_women):
+            if profile.matches[i] == j:
+                continue
+            for c in inst.game(i, j).menu():
+                if c.u > men_pay[i] + eps and c.v > women_pay[j] + eps:
+                    return BlockingPair(man=i, woman=j, contract=c)
+    for j in range(inst.n_women):
+        if women_pay[j] < inst.irp_women[j]:
+            return BlockingPair(man=None, woman=j, contract=None)
+    return None
+
+
+def reference_outside_options(inst: Instance, profile: MatchingProfile, i: int, j: int, eps):
+    """Outside options of the matched couple (i, j), by a full scan."""
+    eps = Fraction(eps)
+    u0 = inst.irp_men[i]
+    for b in range(inst.n_women):
+        if b != j:
+            bar = woman_payoff(inst, profile, b) + eps
+            for c in inst.game(i, b).menu():
+                if c.v > bar and c.u > u0:
+                    u0 = c.u
+    v0 = inst.irp_women[j]
+    for a in range(inst.n_men):
+        if a != i:
+            bar = man_payoff(inst, profile, a) + eps
+            for c in inst.game(a, j).menu():
+                if c.u > bar and c.v > v0:
+                    v0 = c.v
+    return OutsideOptions(u0=u0, v0=v0)
+
+
+def reference_propose_dispose(inst: Instance, eps, side: Side = Side.MAN):
+    """Propose-dispose by full menu scans: (profile, iterations, bound, trace)."""
+    eps = Fraction(eps)
+    men_side = side is Side.MAN
+    proposers, responders = (inst.men, inst.women) if men_side else (inst.women, inst.men)
+    irp_p, irp_r = (inst.irp_men, inst.irp_women) if men_side else (inst.irp_women, inst.irp_men)
+    # menus[p][r]: (own payoff, partner payoff, contract) in id order
+    menus = [
+        [
+            [(c.u, c.v, c) if men_side else (c.v, c.u, c)
+             for c in inst.game(*((p, r) if men_side else (r, p))).menu()]
+            for r in range(len(responders))
+        ]
+        for p in range(len(proposers))
+    ]
+
+    def best_with(p, r, floor):
+        best = None
+        for entry in menus[p][r]:
+            if entry[1] >= floor and (best is None or entry[0] > best[0]):
+                best = entry
+        return best
+
+    def best_proposal(p, exclude=None):
+        target, best = None, (irp_p[p], None, None)
+        for r in range(len(responders)):
+            if r == exclude:
+                continue
+            cand = best_with(p, r, payoffs[r] + eps)
+            if cand is not None and (cand[0] > best[0] or (cand[0] == best[0] and target is None)):
+                target, best = r, cand
+        return target, best
+
+    def max_offer(p, r, beta):
+        best = NEG_INF
+        for own, partner_pay, _ in menus[p][r]:
+            if own >= beta and partner_pay > best:
+                best = partner_pay
+        return best
+
+    def settle(p, r, lam):
+        best = best_with(p, r, lam)
+        if best is None:
+            raise MatchingError("no contract clears the losing bid")
+        return best
+
+    payoffs = list(irp_r)
+    ceilings = [
+        max([irp_r[r]] + [e[1] for row in menus for e in row[r]]) for r in range(len(responders))
+    ]
+    bound = math.ceil(sum((ceilings[r] - payoffs[r] for r in range(len(responders))), Fraction(0)) / eps)
+    bound += len(proposers)
+    queue = deque(range(len(proposers)))
+    partner, partner_rev, contracts, trace = {}, {}, {}, []
+    iterations = 0
+
+    def log(event, **fields):
+        trace.append(render_event(event, iter=iterations, **fields))
+
+    def accepts(p, r, entry, event):
+        own, new, contract = entry
+        old = payoffs[r]
+        if new < old + eps:
+            raise MatchingError("accepted proposal fails to raise the responder")
+        partner[p], partner_rev[r], contracts[p], payoffs[r] = r, p, contract, new
+        log(event, proposer=proposers[p], responder=responders[r], contract=contract.id,
+            own=own, offer_old=old, offer_new=new)
+
+    while queue:
+        iterations += 1
+        if iterations > bound:
+            raise MatchingError("iteration bound exceeded")
+        p = queue.popleft()
+        r, entry = best_proposal(p)
+        own, offer, contract = entry
+        if r is None:
+            log("exit", proposer=proposers[p], own=own)
+            continue
+        log("propose", proposer=proposers[p], responder=responders[r], contract=contract.id,
+            own=own, offer=offer)
+        if r not in partner_rev:
+            accepts(p, r, entry, "accept")
+            continue
+        q = partner_rev[r]
+        _, (re_solved, _, _) = best_proposal(q)
+        held = best_with(q, r, payoffs[r] + eps)
+        if held is None or held[0] < re_solved:
+            del partner[q], contracts[q]
+            accepts(p, r, entry, "auto_replace")
+            queue.appendleft(q)
+            log("requeue", proposer=proposers[q])
+            continue
+        _, (beta_p, _, _) = best_proposal(p, exclude=r)
+        _, (beta_q, _, _) = best_proposal(q, exclude=r)
+        lam_p, lam_q = max_offer(p, r, beta_p), max_offer(q, r, beta_q)
+        log("compete", proposer=proposers[p], incumbent=proposers[q], responder=responders[r],
+            fallback_p=beta_p, fallback_inc=beta_q, bid_p=lam_p, bid_inc=lam_q)
+        del partner[q], contracts[q]
+        if lam_p > lam_q:
+            accepts(p, r, settle(p, r, lam_q), "replace")
+            queue.appendleft(q)
+            log("requeue", proposer=proposers[q])
+        else:
+            accepts(q, r, settle(q, r, lam_p), "resettle")
+            queue.appendleft(p)
+            log("reject", proposer=proposers[p])
+
+    matches: List[Optional[int]] = [None] * inst.n_men
+    chosen = {}
+    for p, r in partner.items():
+        i, j = (p, r) if men_side else (r, p)
+        matches[i] = j
+        chosen[(i, j)] = contracts[p]
+    return MatchingProfile(tuple(matches), chosen), iterations, bound, trace
+
+
+def max_weight_assignment(weights: Sequence[Sequence[int]]) -> int:
+    """Maximum total weight of a matching, exactly (Hungarian method, O(n^3)).
+
+    weights[i][j] >= 0 is the weight of pair (i, j); the matrix may be
+    rectangular, and leaving an agent unmatched is worth 0.
+    """
+    n = max(len(weights), len(weights[0]))
+    cost = [
+        [-weights[i][j] if i < len(weights) and j < len(weights[i]) else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    inf = 1 + sum(abs(x) for row in cost for x in row) * 2
+    # row potentials u, column potentials v, column j's row p[j] (1-based, 0 = none)
+    u, v, p, way = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0], j0 = i, 0
+        minv, used = [inf] * (n + 1), [False] * (n + 1)
+        while p[j0] != 0:
+            used[j0] = True
+            i0, delta, j1 = p[j0], inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return -sum(cost[p[j] - 1][j - 1] for j in range(1, n + 1))

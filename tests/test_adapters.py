@@ -16,6 +16,7 @@ from matchgames import (
     EMPTY_CONTRACT,
     GameError,
     MatchingProfile,
+    Side,
     enumerate_stable,
     find_blocking_pair,
     from_gale_demange,
@@ -26,7 +27,7 @@ from matchgames import (
     run_propose_dispose,
 )
 
-from helpers import gale_shapley, random_ordinal_prefs, textbook_stable
+from helpers import gale_shapley, max_weight_assignment, random_ordinal_prefs, textbook_stable
 
 F = Fraction
 
@@ -176,6 +177,41 @@ class TestShapleyShubik:
         assert stable
         # surplus 10 + 3 beats 4 + 5: only the assortative assignment survives
         assert all(p.matches == (0, 1) for p in stable)
+
+    @staticmethod
+    def surplus(profile):
+        return sum(c.u + c.v for c in profile.chosen.values())
+
+    @pytest.mark.parametrize("side", [Side.MAN, Side.WOMAN])
+    def test_fine_grid_reaches_the_optimal_surplus(self, side):
+        # Demange-Gale-Sotomayor: an auction with increment below 1/n ends at
+        # an optimal assignment when values and costs are integers.  Price
+        # step and margin 1/(n+1) must do the same, whichever side proposes.
+        for n in range(2, 11):
+            for seed in range(2):
+                rng = random.Random(f"assignment:{n}:{seed}")
+                costs = {f"s{i}": rng.randint(0, 5) for i in range(n)}
+                values = {s: {f"b{j}": rng.randint(0, 12) for j in range(n)} for s in costs}
+                weights = [[max(0, values[s][b] - costs[s]) for b in values[s]] for s in costs]
+                inst = from_shapley_shubik(costs, values, (0, 12, F(1, n + 1)))
+                profile, _ = run_propose_dispose(inst, F(1, n + 1), side)
+                assert self.surplus(profile) == max_weight_assignment(weights), (n, seed)
+
+    def test_coarse_grid_stable_but_not_efficient(self):
+        # Documented example: on a price grid of step 1, exact stability does
+        # not imply efficiency.  Assigning s0-b1 and s1-b0 yields 1 + 1, but
+        # the solver's s0-b0 at price 2 (surplus 1) has no blocking pair:
+        # s1-b0 and s0-b1 would each need a price strictly between 2 and 3.
+        costs = {"s0": 2, "s1": 2}
+        values = {"s0": {"b0": 3, "b1": 3}, "s1": {"b0": 3, "b1": 1}}
+        inst = from_shapley_shubik(costs, values, (0, 12, 1))
+        profile, _ = run_propose_dispose(inst, F(1, 3))
+        assert profile.matches == (0, None)
+        assert find_blocking_pair(inst, profile, 0) is None
+        assert self.surplus(profile) == 1
+        assert max_weight_assignment([[1, 1], [1, 0]]) == 2
+        fine = from_shapley_shubik(costs, values, (0, 12, F(1, 3)))
+        assert self.surplus(run_propose_dispose(fine, F(1, 3))[0]) == 2
 
     def test_validation(self):
         with pytest.raises(GameError):

@@ -92,6 +92,13 @@ class TestOutsideOptions:
         with pytest.raises(ValueError):
             outside_options(inst, prof, 0, 0, 1)
 
+    def test_negative_margin_rejected(self):
+        # as find_blocking_pair, refine and is_internally_stable do
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[2]], [[2]])})
+        prof = MatchingProfile((0,), {(0, 0): inst.game(0, 0).menu()[0]})
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            outside_options(inst, prof, 0, 0, -1)
+
     def test_stable_profile_bounds_outside_options(self):
         rng = random.Random(31)
         eps = F(1, 2)

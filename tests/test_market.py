@@ -1,0 +1,239 @@
+"""The integer market index against the plain Fraction menu scans it replaced.
+
+Markets have 1-3 agents per side and couples of all six classes, with
+payoffs drawn from a small shared pool (so payoff ties are common) of
+denominators 1, up to 3, or up to 10^15.  Profiles mix menu contracts, equal
+copies of them and synthesized repeated-game contracts off the menu
+grid, and margins may have a denominator coprime to the index's scale.  Blocking
+witnesses, outside options and whole propose-dispose runs (profile,
+iteration count and bound, trace lines) must equal the reference scans
+in ``helpers``.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from matchgames import (
+    BimatrixGame,
+    MatchingProfile,
+    PiecewiseLinear,
+    PotentialGame,
+    RepeatedGame,
+    Side,
+    StrictlyCompetitiveGame,
+    TransferGame,
+    ZeroSumGame,
+    build_instance,
+    find_blocking_pair,
+    outside_options,
+    run_propose_dispose,
+)
+from matchgames._market import market_index
+
+from helpers import (
+    reference_find_blocking_pair,
+    reference_outside_options,
+    reference_propose_dispose,
+)
+
+F = Fraction
+KINDS = ["bimatrix", "potential", "zero_sum", "strictly_competitive", "transfer", "repeated"]
+# primes for margin denominators; the first one not dividing the scale is used
+PRIMES = (1_000_000_007, 998_244_353, 1_000_003, 7)
+EXAMPLES = settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@st.composite
+def markets(draw):
+    # Most markets keep denominators at 1 or at most 3, so the index scale
+    # stays small and payoffs one scaled unit apart are common; the rest use
+    # denominators up to 10^15.
+    width = draw(st.sampled_from([1, 3, 10**15]))
+
+    def fractions(lo, hi):
+        return st.fractions(lo, hi, max_denominator=width)
+
+    pool = draw(st.lists(fractions(-4, 4), min_size=1, max_size=4))
+    value = st.sampled_from(pool)
+    steps = st.one_of(st.sampled_from([F(1), F(3, 2), F(2)]), fractions(1, 3))
+
+    def matrix(rows, cols):
+        return [[draw(value) for _ in range(cols)] for _ in range(rows)]
+
+    def increasing():
+        start = draw(value)
+        return PiecewiseLinear([(0, start), (1, start + draw(fractions(1, 2)))])
+
+    n_men, n_women = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    games = {}
+    for i in range(n_men):
+        for j in range(n_women):
+            kind = draw(st.sampled_from(KINDS))
+            rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+            if kind == "bimatrix":
+                games[(i, j)] = BimatrixGame(matrix(rows, cols), matrix(rows, cols))
+            elif kind == "potential":
+                phi = matrix(rows, cols)
+                col_off, row_off = matrix(1, cols)[0], matrix(1, rows)[0]
+                u = [[phi[r][c] + col_off[c] for c in range(cols)] for r in range(rows)]
+                v = [[phi[r][c] + row_off[r] for c in range(cols)] for r in range(rows)]
+                games[(i, j)] = PotentialGame(u, v, phi)
+            elif kind == "zero_sum":
+                games[(i, j)] = ZeroSumGame(matrix(rows, cols), draw(steps))
+            elif kind == "strictly_competitive":
+                games[(i, j)] = StrictlyCompetitiveGame(
+                    matrix(rows, cols), draw(steps), increasing(), increasing()
+                )
+            elif kind == "transfer":
+                lo = draw(value)
+                hi = lo + draw(st.integers(0, 4))
+                games[(i, j)] = TransferGame(lo, hi, draw(steps), increasing(), increasing())
+            else:
+                games[(i, j)] = RepeatedGame(matrix(2, 2), matrix(2, 2), draw(steps))
+    irp = st.one_of(value, fractions(-5, 1))
+    return build_instance(
+        [f"m{i}" for i in range(n_men)],
+        [f"w{j}" for j in range(n_women)],
+        [draw(irp) for _ in range(n_men)],
+        [draw(irp) for _ in range(n_women)],
+        games,
+    )
+
+
+def coprime_margin(draw, inst, low):
+    """A margin in [low, 2] whose denominator does not divide the index scale."""
+    scale = market_index(inst).scale
+    q = next((p for p in PRIMES if scale % p), 1)
+    return F(draw(st.integers(-(-low * q // 1), 2 * q)), q)
+
+
+@st.composite
+def profiles(draw):
+    """(instance, profile, eps) with menu, copied and synthesized contracts.
+
+    Half the profiles start from a propose-dispose result, which is stable
+    at its own margin, so blocking pairs there sit close to the bars.
+    """
+    inst = draw(markets())
+    if draw(st.booleans()):
+        side = draw(st.sampled_from([Side.MAN, Side.WOMAN]))
+        start = run_propose_dispose(inst, draw(st.sampled_from([F(1, 2), F(1)])), side)[0]
+        matches, start_chosen = start.matches, start.chosen
+    else:
+        women = draw(st.permutations(range(max(inst.n_men, inst.n_women))))
+        matches = tuple(
+            j if j < inst.n_women and draw(st.booleans()) else None for j in women[: inst.n_men]
+        )
+        start_chosen = {}
+    chosen = {}
+    for i, j in enumerate(matches):
+        if j is None:
+            continue
+        game = inst.game(i, j)
+        contract = start_chosen.get((i, j))
+        if contract is None:
+            contract = game.menu()[draw(st.integers(0, len(game.menu()) - 1))]
+        how = draw(st.sampled_from(["menu", "copy", "hull"]))
+        if how == "hull" and isinstance(game, RepeatedGame):
+            a, b = draw(st.sampled_from(game.hull)), draw(st.sampled_from(game.hull))
+            contract = game.synthesize_contract(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+        elif how == "copy":
+            contract = dataclasses.replace(contract)
+        chosen[(i, j)] = contract
+    eps = draw(st.one_of(st.sampled_from([F(0), F(1, 2), F(1)]), st.just(None)))
+    if eps is None:
+        eps = coprime_margin(draw, inst, 0)
+    return inst, MatchingProfile(matches, chosen), eps
+
+
+@EXAMPLES
+@given(profiles())
+def test_blocking_witness_and_outside_options_match_the_scans(case):
+    inst, profile, eps = case
+    assert find_blocking_pair(inst, profile, eps) == reference_find_blocking_pair(
+        inst, profile, eps
+    )
+    for i, j in profile.matched_pairs():
+        assert outside_options(inst, profile, i, j, eps) == reference_outside_options(
+            inst, profile, i, j, eps
+        )
+
+
+def outcome(run):
+    try:
+        return run()
+    except ValueError as exc:  # MatchingError included
+        return type(exc), str(exc)
+
+
+@EXAMPLES
+@given(st.data())
+def test_propose_dispose_matches_the_scans(data):
+    inst = data.draw(markets())
+    eps = coprime_margin(data.draw, inst, F(1, 4))
+    for side in (Side.MAN, Side.WOMAN):
+
+        def indexed():
+            profile, state = run_propose_dispose(inst, eps, side)
+            return profile, state.iterations, state.iteration_bound, state.trace
+
+        assert outcome(indexed) == outcome(lambda: reference_propose_dispose(inst, eps, side))
+
+
+def test_the_index_is_built_once_per_instance():
+    inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[1, 2]], [[2, 1]])})
+    assert market_index(inst) is market_index(inst)
+    assert market_index(inst).scale == 1
+
+
+def single_man_market(alternative, eps):
+    """Man m single at reservation 1/3 facing a contract that pays him 1/3 + eps."""
+    zero = BimatrixGame([[0]], [[0]])
+    game = BimatrixGame([[F(1, 3) + eps, F(1, 3) + eps + alternative]], [[5, 5]])
+    inst = build_instance(["m", "n"], ["w", "x"], [F(1, 3), 0], [0, 0], {
+        (0, 0): game, (0, 1): zero, (1, 0): zero, (1, 1): zero,
+    })
+    return inst, MatchingProfile((None, None), {})
+
+
+@pytest.mark.parametrize("eps", [F(1, 3), F(1, 1_000_000_007)])
+def test_off_grid_margin_bar_is_exact(eps):
+    # "> pay + eps" fails at exactly 1/3 + eps and holds one step of 10^-15 above it.
+    inst, profile = single_man_market(F(1, 10**15), eps)
+    witness = find_blocking_pair(inst, profile, eps)
+    assert witness == reference_find_blocking_pair(inst, profile, eps)
+    assert witness.contract.id == 1
+
+
+@pytest.mark.parametrize("how", ["hull", "copy"])
+def test_bars_of_contracts_outside_the_index_are_exact(how):
+    # Man m holds a contract the index does not own: a synthesized hull point
+    # paying 1/2 each, or an equal copy of the menu contract paying 0 each.
+    # His other couple pays (1, 1), the smallest scaled payoff above his own,
+    # so it blocks at margin 0.
+    hull = RepeatedGame([[0, 1], [0, 1]], [[0, 1], [0, 1]], 1)
+    inst = build_instance(["m"], ["w0", "w1"], [0], [0, 0], {
+        (0, 0): hull, (0, 1): BimatrixGame([[1]], [[1]]),
+    })
+    if how == "hull":
+        held = hull.synthesize_contract((F(1, 2), F(1, 2)))
+        assert held.id == len(hull.menu())
+    else:
+        held = dataclasses.replace(hull.menu()[0])
+        assert (held.u, held.v) == (0, 0)
+    profile = MatchingProfile((0,), {(0, 0): held})
+    witness = find_blocking_pair(inst, profile, 0)
+    assert witness == reference_find_blocking_pair(inst, profile, 0)
+    assert (witness.man, witness.woman) == (0, 1)
+    assert outside_options(inst, profile, 0, 0, 0) == reference_outside_options(
+        inst, profile, 0, 0, 0
+    )

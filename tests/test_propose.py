@@ -1,5 +1,6 @@
 """Propose-dispose solver: subproblems, competitions, traces, termination."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -46,36 +47,43 @@ def one_couple(game, irp_m=0, irp_w=0):
     return build_instance(["m"], ["w"], [irp_m], [irp_w], {(0, 0): game})
 
 
-class TestBestProposal:
-    # _best_proposal returns (target, (own payoff, offer, contract)).
+def best_proposal(inst, payoffs, eps, exclude=None):
+    """Man 0's _best_proposal at exact responder payoffs: (target, own, contract)."""
+    m = _orient(inst, Side.MAN)
+    # a scaled payoff reaches x + eps exactly when it exceeds ceil(D(x + eps)) - 1
+    bars = [math.ceil(m.scale * (x + eps)) - 1 for x in payoffs]
+    target, own, contract = _best_proposal(m, 0, bars, exclude)
+    return target, F(own, m.scale), contract
 
+
+class TestBestProposal:
     def test_single_feasible_contract(self):
         inst = one_couple(BimatrixGame([[5]], [[5]]))
-        target, (own, _, contract) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0)], F(1))
+        target, own, contract = best_proposal(inst, [F(0)], F(1))
         assert (target, own) == (0, F(5))
         assert contract.v == 5
 
     def test_margin_blocks_and_exit_wins(self):
         inst = one_couple(BimatrixGame([[5]], [[5]]))
-        target, (own, _, contract) = _best_proposal(_orient(inst, Side.MAN), 0, [F(5)], F(1))
+        target, own, contract = best_proposal(inst, [F(5)], F(1))
         assert target is None and contract is None
         assert own == F(0)
 
     def test_ordinal_man_proposes_top_choice(self):
         inst = from_ordinal(CLASSIC_MEN, CLASSIC_WOMEN)
-        target, (own, _, _) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1))
+        target, own, _ = best_proposal(inst, [F(0), F(0)], F(1))
         assert target == 0 and own == F(2)
 
     def test_tie_prefers_matching_over_exit(self):
         # own payoff equals the reservation payoff: matching still wins
         inst = one_couple(BimatrixGame([[0]], [[5]]))
-        target, (own, _, _) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0)], F(1))
+        target, own, _ = best_proposal(inst, [F(0)], F(1))
         assert target == 0 and own == F(0)
 
     def test_tie_prefers_lowest_woman_then_lowest_id(self):
         g = BimatrixGame([[7, 7]], [[3, 9]])
         inst = build_instance(["m"], ["w0", "w1"], [0], [0, 0], {(0, 0): g, (0, 1): g})
-        target, (_, _, contract) = _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1))
+        target, _, contract = best_proposal(inst, [F(0), F(0)], F(1))
         assert target == 0
         assert contract.id == 0
 
@@ -83,38 +91,40 @@ class TestBestProposal:
         g = BimatrixGame([[7]], [[3]])
         h = BimatrixGame([[2]], [[3]])
         inst = build_instance(["m"], ["w0", "w1"], [0], [0, 0], {(0, 0): g, (0, 1): h})
-        assert _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1))[0] == 0
-        assert _best_proposal(_orient(inst, Side.MAN), 0, [F(0), F(0)], F(1), exclude=0)[0] == 1
+        assert best_proposal(inst, [F(0), F(0)], F(1))[0] == 0
+        assert best_proposal(inst, [F(0), F(0)], F(1), exclude=0)[0] == 1
 
 
 class TestMaxOffer:
+    # _max_offer takes and returns payoffs scaled by the market's D, _settle takes one.
+
     def test_filter_then_max(self):
-        inst = one_couple(menu_game())
-        assert _max_offer(_orient(inst, Side.MAN), 0, 0, 2) == F(4)
+        m = _orient(one_couple(menu_game()), Side.MAN)
+        assert _max_offer(m, 0, 0, 2 * m.scale) == 4 * m.scale
 
     def test_forfeit_sentinel(self):
-        inst = one_couple(BimatrixGame([[3]], [[1]]))
-        assert _max_offer(_orient(inst, Side.MAN), 0, 0, 5) == NEG_INF
+        m = _orient(one_couple(BimatrixGame([[3]], [[1]])), Side.MAN)
+        assert _max_offer(m, 0, 0, 5 * m.scale) == NEG_INF
 
     def test_transfer_grid(self):
-        inst = one_couple(transfer_game())
-        assert _max_offer(_orient(inst, Side.MAN), 0, 0, 0) == F(4)
+        m = _orient(one_couple(transfer_game()), Side.MAN)
+        assert _max_offer(m, 0, 0, 0) == 4 * m.scale
 
 
 class TestSettleContract:
     def test_second_price_pick(self):
-        inst = one_couple(menu_game())
-        _, _, c = _settle(_orient(inst, Side.MAN), 0, 0, 2)
+        m = _orient(one_couple(menu_game()), Side.MAN)
+        c = _settle(m, 0, 0, 2 * m.scale)
         assert (c.u, c.v) == (F(2), F(4))
 
     def test_boundary_feasibility(self):
-        inst = one_couple(BimatrixGame([[5]], [[5]]))
-        _, _, c = _settle(_orient(inst, Side.MAN), 0, 0, 5)
+        m = _orient(one_couple(BimatrixGame([[5]], [[5]])), Side.MAN)
+        c = _settle(m, 0, 0, 5 * m.scale)
         assert (c.u, c.v) == (F(5), F(5))
 
     def test_transfer_grid(self):
-        inst = one_couple(transfer_game())
-        _, _, c = _settle(_orient(inst, Side.MAN), 0, 0, 3)
+        m = _orient(one_couple(transfer_game()), Side.MAN)
+        c = _settle(m, 0, 0, 3 * m.scale)
         assert (c.u, c.v) == (F(1), F(3))
 
 
