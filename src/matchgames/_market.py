@@ -1,15 +1,18 @@
-"""One integer index over an instance's menus, shared by every menu query.
+"""One integer index over an instance's menus, read from either side.
 
 Every menu payoff and reservation payoff of an instance is a multiple of
 1/D, D the lcm of their denominators, so scaled by D each is an integer.
 For every couple the index keeps those integers in id order and two
 staircases, so that "the best payoff of one side among the contracts
-whose other payoff clears a bar" is one bisect.  A bar folds an agent's
-payoff and the margin into one integer, exactly for any denominator of
-either, so the index never depends on the margin: one build serves
-every blocking check, outside option and propose-dispose run on the
-instance.  Only the comparisons move to integers; every payoff the
-library returns or prints is still the contract's own ``Fraction``.
+whose other payoff clears a bar" is one bisect.  The index holds the
+market read from the men's side and, mirrored once, from the women's:
+one query, ``Oriented.best``, then answers every best-alternative
+question of either side, whether a proposal, an outside option or a
+responder's ceiling.  A bar folds an agent's payoff and the margin into
+one integer, exactly for any denominator of either, so the index never
+depends on the margin: one build serves every blocking check, outside
+option and propose-dispose run on the instance.  Only the comparisons
+move to integers; every payoff the library returns or prints is exact.
 """
 
 from __future__ import annotations
@@ -64,13 +67,50 @@ class Couple(NamedTuple):
 Scaled = Union[int, Fraction]
 
 
+class Oriented(NamedTuple):
+    """The market read from one side: p indexes that side, r the other.
+
+    ``couples[p][r]`` is the couple's entry with p's payoff as ``u`` and
+    r's as ``v``: ``by_v`` answers "best payoff for p above a bar on r's",
+    ``by_u`` "best payoff for r above a bar on p's".
+    """
+
+    own_irp: Tuple[int, ...]
+    couples: Tuple[Tuple[Couple, ...], ...]
+
+    def best(
+        self, p: int, bars: Sequence, exclude: Optional[int] = None
+    ) -> Tuple[Optional[int], int, Optional[Contract]]:
+        """p's best (partner, scaled own payoff, contract), or (None, reservation payoff, None).
+
+        Only contracts paying partner r more than ``bars[r]`` (an int, or
+        NEG_INF for any contract) count.  Staying single wins only when
+        strictly better than every option; ties break toward the lowest
+        partner index, then the lowest contract id.  ``exclude`` drops
+        one partner.
+        """
+        target, own, best = None, self.own_irp[p], None
+        for r, couple in enumerate(self.couples[p]):
+            if r == exclude:
+                continue
+            c = couple.by_v.above(bars[r])
+            if c is not None:
+                pay = couple.u[c.id]
+                if pay > own or (pay == own and target is None):
+                    target, own, best = r, pay, c
+        return target, own, best
+
+
 class MarketIndex(NamedTuple):
-    """``couples[i][j]`` indexes the menu of man i and woman j at scale D."""
+    """The market at scale D, read from the men's side and from the women's.
+
+    ``men.couples[i][j]`` indexes the menu of man i and woman j, and
+    ``women.couples[j][i]`` is the same entry mirrored.
+    """
 
     scale: int
-    irp_men: Tuple[int, ...]
-    irp_women: Tuple[int, ...]
-    couples: Tuple[Tuple[Couple, ...], ...]
+    men: Oriented
+    women: Oriented
 
     def payoffs(self, profile) -> Tuple[List[Scaled], List[Scaled]]:
         """Every man's and woman's payoff under a validated profile, scaled by D.
@@ -78,9 +118,9 @@ class MarketIndex(NamedTuple):
         A contract that is not the menu's own object (a synthesized
         hull point, or an equal copy) is scaled as an exact Fraction.
         """
-        men, women = list(self.irp_men), list(self.irp_women)
+        men, women = list(self.men.own_irp), list(self.women.own_irp)
         for (i, j), c in profile.chosen.items():
-            couple = self.couples[i][j]
+            couple = self.men.couples[i][j]
             if c.id < len(couple.menu) and couple.menu[c.id] is c:
                 men[i], women[j] = couple.u[c.id], couple.v[c.id]
             else:
@@ -126,7 +166,8 @@ def _build(inst: Instance) -> MarketIndex:
         couples.append(tuple(out))
     irp_men = tuple(x.numerator * factor[x.denominator] for x in inst.irp_men)
     irp_women = tuple(x.numerator * factor[x.denominator] for x in inst.irp_women)
-    return MarketIndex(scale, irp_men, irp_women, tuple(couples))
+    mirrored = tuple(tuple(c.mirror() for c in column) for column in zip(*couples))
+    return MarketIndex(scale, Oriented(irp_men, tuple(couples)), Oriented(irp_women, mirrored))
 
 
 def market_index(inst: Instance) -> MarketIndex:

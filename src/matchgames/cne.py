@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional
 
 from ._market import market_index
@@ -58,20 +59,9 @@ def outside_options(
         raise ValueError(f"couple ({i},{j}) is not matched in this profile")
     index = market_index(inst)
     men_pay, women_pay = index.payoffs(profile)
-    men_bar, women_bar = index.bars(men_pay, eps), index.bars(women_pay, eps)
-    u0, best = inst.irp_men[i], index.irp_men[i]
-    for b, couple in enumerate(index.couples[i]):
-        if b != j:
-            c = couple.by_v.above(women_bar[b])
-            if c is not None and couple.u[c.id] > best:
-                best, u0 = couple.u[c.id], c.u
-    v0, best = inst.irp_women[j], index.irp_women[j]
-    for a, row in enumerate(index.couples):
-        if a != i:
-            c = row[j].by_u.above(men_bar[a])
-            if c is not None and row[j].v[c.id] > best:
-                best, v0 = row[j].v[c.id], c.v
-    return OutsideOptions(u0=u0, v0=v0)
+    _, u0, _ = index.men.best(i, index.bars(women_pay, eps), exclude=j)
+    _, v0, _ = index.women.best(j, index.bars(men_pay, eps), exclude=i)
+    return OutsideOptions(u0=Fraction(u0, index.scale), v0=Fraction(v0, index.scale))
 
 
 def is_feasible(game: Game, contract: Contract, oo: OutsideOptions) -> bool:

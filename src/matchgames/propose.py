@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ._market import Couple, market_index
 from .games import Contract, Instance, Side
@@ -23,96 +22,22 @@ from .rational import NEG_INF, is_neg_inf, rat, render_event
 from .stability import MatchingError, MatchingProfile, find_blocking_pair
 
 
-class _Market(NamedTuple):
-    """An instance read from the proposing side: p indexes proposers, r responders.
-
-    Payoffs are integers on the instance's index, scaled by ``scale``.
-    ``couples[p][r]`` is the couple's index entry oriented so that ``u``
-    is p's own payoff and ``v`` r's: ``by_v`` answers "best own payoff
-    above a bar on r's", ``by_u`` "best payoff for r above a bar on p's".
-    ``own`` and ``partner`` read a contract's exact payoffs in this
-    orientation, for the trace.
-    """
-
-    proposers: Tuple[str, ...]
-    responders: Tuple[str, ...]
-    irp_proposers: Tuple[int, ...]
-    irp_responders: Tuple[int, ...]
-    scale: int
-    couples: Sequence[Sequence[Couple]]
-    own: Callable[[Contract], Fraction]
-    partner: Callable[[Contract], Fraction]
-
-
-def _orient(inst: Instance, proposing: Side) -> _Market:
-    index = market_index(inst)
-    if proposing is Side.MAN:
-        return _Market(
-            inst.men,
-            inst.women,
-            index.irp_men,
-            index.irp_women,
-            index.scale,
-            index.couples,
-            attrgetter("u"),
-            attrgetter("v"),
-        )
-    return _Market(
-        inst.women,
-        inst.men,
-        index.irp_women,
-        index.irp_men,
-        index.scale,
-        [[c.mirror() for c in column] for column in zip(*index.couples)],
-        attrgetter("v"),
-        attrgetter("u"),
-    )
-
-
-def _best_proposal(
-    m: _Market, p: int, bars: List[int], exclude: Optional[int] = None
-) -> Tuple[Optional[int], int, Optional[Contract]]:
-    """p's best (target, own payoff, contract); (None, reservation payoff, None) for staying single.
-
-    Only contracts paying responder r more than ``bars[r]`` count.
-    Staying single wins only when strictly better than every responder
-    option; ties break toward the lowest responder index, then the lowest
-    contract id.  ``exclude`` drops one responder (a bidder's fallback).
-    """
-    target, own, best = None, m.irp_proposers[p], None
-    for r, couple in enumerate(m.couples[p]):
-        if r == exclude:
-            continue
-        c = couple.by_v.above(bars[r])
-        if c is not None:
-            pay = couple.u[c.id]
-            if pay > own or (pay == own and target is None):
-                target, own, best = r, pay, c
-    return target, own, best
-
-
-def _max_offer(m: _Market, p: int, r: int, beta: int):
-    """Highest scaled payoff p can concede to r while keeping own payoff >= beta.
+def _max_offer(couple: Couple, beta: int):
+    """Highest scaled payoff the proposer can concede while keeping own payoff >= beta.
 
     The minus-infinity sentinel means no contract meets the fallback
     threshold (the bidder forfeits).
     """
-    couple = m.couples[p][r]
     c = couple.by_u.above(beta - 1)
     return NEG_INF if c is None else couple.v[c.id]
 
 
-def _settle(m: _Market, p: int, r: int, lam_loser) -> Contract:
+def _settle(couple: Couple, lam_loser) -> Contract:
     """Winner's contract: max own payoff with responder payoff >= the loser's bid."""
-    best = m.couples[p][r].by_v.above(lam_loser if is_neg_inf(lam_loser) else lam_loser - 1)
+    best = couple.by_v.above(lam_loser if is_neg_inf(lam_loser) else lam_loser - 1)
     if best is None:
         raise MatchingError("no contract clears the losing bid; bidding invariant broken")
     return best
-
-
-def _exact(m: _Market, x):
-    """A scaled payoff (or the minus-infinity sentinel) as the exact payoff."""
-    return x if is_neg_inf(x) else Fraction(x, m.scale)
 
 
 @dataclass
@@ -126,15 +51,6 @@ class MarketState:
     trace: List[str]
 
 
-def _responder_ceiling(m: _Market, r: int) -> int:
-    top = m.irp_responders[r]
-    for row in m.couples:
-        c = row[r].by_u.above(NEG_INF)
-        if c is not None and row[r].v[c.id] > top:
-            top = row[r].v[c.id]
-    return top
-
-
 def run_propose_dispose(
     inst: Instance, eps, proposing_side: Side = Side.MAN
 ) -> Tuple[MatchingProfile, MarketState]:
@@ -146,15 +62,25 @@ def run_propose_dispose(
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("the margin eps must be positive")
-    m = _orient(inst, proposing_side)
-    payoffs = [_exact(m, x) for x in m.irp_responders]
+    index = market_index(inst)
+    # m reads the market from the proposers (p), other from the responders (r).
+    if proposing_side is Side.MAN:
+        m, other, proposers, responders = index.men, index.women, inst.men, inst.women
+    else:
+        m, other, proposers, responders = index.women, index.men, inst.women, inst.men
+
+    def exact(x):  # a scaled payoff, or the minus-infinity sentinel, as exact
+        return x if is_neg_inf(x) else Fraction(x, index.scale)
+
+    payoffs = [exact(x) for x in other.own_irp]
     # Responder payoffs are menu or reservation payoffs, so scaled they are
     # integers x, and a scaled payoff reaches x + eps exactly when it exceeds x + lift.
-    lift = -(-m.scale * eps.numerator // eps.denominator) - 1
-    bars = [x + lift for x in m.irp_responders]
-    gap = sum(_responder_ceiling(m, r) - x for r, x in enumerate(m.irp_responders))
-    bound = -(-gap * eps.denominator // (m.scale * eps.numerator)) + len(m.proposers)
-    queue: Deque[int] = deque(range(len(m.proposers)))
+    lift = -(-index.scale * eps.numerator // eps.denominator) - 1
+    bars = [x + lift for x in other.own_irp]
+    anyone = [NEG_INF] * len(proposers)
+    gap = sum(other.best(r, anyone)[1] - x for r, x in enumerate(other.own_irp))
+    bound = -(-gap * eps.denominator // (index.scale * eps.numerator)) + len(proposers)
+    queue: Deque[int] = deque(range(len(proposers)))
     partner: Dict[int, int] = {}
     partner_rev: Dict[int, int] = {}
     contracts: Dict[int, Contract] = {}
@@ -170,21 +96,22 @@ def run_propose_dispose(
         state.trace.append(render_event(event, iter=state.iterations, **fields))
 
     def responder_accepts(p: int, r: int, contract: Contract, event: str) -> None:
-        new = m.couples[p][r].v[contract.id]
+        couple = m.couples[p][r]
+        new = couple.v[contract.id]
         if new <= bars[r]:
             raise MatchingError("accepted proposal fails to raise the responder")
         old = payoffs[r]
         partner[p] = r
         partner_rev[r] = p
         contracts[p] = contract
-        payoffs[r] = m.partner(contract)
+        payoffs[r] = exact(new)
         bars[r] = new + lift
         log(
             event,
-            proposer=m.proposers[p],
-            responder=m.responders[r],
+            proposer=proposers[p],
+            responder=responders[r],
             contract=contract.id,
-            own=m.own(contract),
+            own=exact(couple.u[contract.id]),
             offer_old=old,
             offer_new=payoffs[r],
         )
@@ -196,56 +123,56 @@ def run_propose_dispose(
                 f"iteration bound {bound} exceeded; termination invariant broken"
             )
         p = queue.popleft()
-        r, own, contract = _best_proposal(m, p, bars)
+        r, own, contract = m.best(p, bars)
         if r is None:
-            log("exit", proposer=m.proposers[p], own=_exact(m, own))
+            log("exit", proposer=proposers[p], own=exact(own))
             continue
         log(
             "propose",
-            proposer=m.proposers[p],
-            responder=m.responders[r],
+            proposer=proposers[p],
+            responder=responders[r],
             contract=contract.id,
-            own=m.own(contract),
-            offer=m.partner(contract),
+            own=exact(own),
+            offer=exact(m.couples[p][r].v[contract.id]),
         )
         if r not in partner_rev:
             responder_accepts(p, r, contract, "accept")
             continue
         q = partner_rev[r]
         # Does the incumbent still pick r once she must be raised by eps?
-        _, re_solved, _ = _best_proposal(m, q, bars)
+        _, re_solved, _ = m.best(q, bars)
         held = m.couples[q][r].by_v.above(bars[r])
         if held is None or m.couples[q][r].u[held.id] < re_solved:
             del partner[q], contracts[q]
             responder_accepts(p, r, contract, "auto_replace")
             queue.appendleft(q)
-            log("requeue", proposer=m.proposers[q])
+            log("requeue", proposer=proposers[q])
             continue
-        _, beta_p, _ = _best_proposal(m, p, bars, exclude=r)
-        _, beta_q, _ = _best_proposal(m, q, bars, exclude=r)
-        lam_p = _max_offer(m, p, r, beta_p)
-        lam_q = _max_offer(m, q, r, beta_q)
+        _, beta_p, _ = m.best(p, bars, exclude=r)
+        _, beta_q, _ = m.best(q, bars, exclude=r)
+        lam_p = _max_offer(m.couples[p][r], beta_p)
+        lam_q = _max_offer(m.couples[q][r], beta_q)
         log(
             "compete",
-            proposer=m.proposers[p],
-            incumbent=m.proposers[q],
-            responder=m.responders[r],
-            fallback_p=_exact(m, beta_p),
-            fallback_inc=_exact(m, beta_q),
-            bid_p=_exact(m, lam_p),
-            bid_inc=_exact(m, lam_q),
+            proposer=proposers[p],
+            incumbent=proposers[q],
+            responder=responders[r],
+            fallback_p=exact(beta_p),
+            fallback_inc=exact(beta_q),
+            bid_p=exact(lam_p),
+            bid_inc=exact(lam_q),
         )
         if lam_p > lam_q:
             del partner[q], contracts[q]
-            responder_accepts(p, r, _settle(m, p, r, lam_q), "replace")
+            responder_accepts(p, r, _settle(m.couples[p][r], lam_q), "replace")
             queue.appendleft(q)
-            log("requeue", proposer=m.proposers[q])
+            log("requeue", proposer=proposers[q])
         else:
             # Draws keep the incumbent, who re-settles at the losing bid.
             del partner[q], contracts[q]
-            responder_accepts(q, r, _settle(m, q, r, lam_p), "resettle")
+            responder_accepts(q, r, _settle(m.couples[q][r], lam_p), "resettle")
             queue.appendleft(p)
-            log("reject", proposer=m.proposers[p])
+            log("reject", proposer=proposers[p])
 
     matches: List[Optional[int]] = [None] * inst.n_men
     chosen = {}

@@ -25,7 +25,7 @@ from typing import List, Mapping, Optional, Set, Tuple
 from .cne import CnePolicy, OutsideOptions, is_cne, is_feasible, outside_options, solve_cne
 from .games import Instance
 from .rational import rat, render_event
-from .stability import MatchingError, MatchingProfile, find_blocking_pair, validate_profile
+from .stability import MatchingError, MatchingProfile, find_blocking_pair
 
 
 class RefineStatus(Enum):
@@ -70,7 +70,6 @@ def refine(
     eps = rat(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    validate_profile(inst, profile)
     if find_blocking_pair(inst, profile, eps) is not None:
         raise MatchingError("refine requires an externally stable input profile")
     policies = dict(policies or {})

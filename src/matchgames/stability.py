@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-from ._market import market_index
+from ._market import MarketIndex, market_index
 from .games import Contract, GameError, Instance, Side
 from .rational import rat
 
@@ -88,13 +88,6 @@ def woman_payoff(inst: Instance, profile: MatchingProfile, j: int) -> Fraction:
     return profile.chosen[(i, j)].v
 
 
-def _payoffs(inst: Instance, profile: MatchingProfile) -> Tuple[List[Fraction], List[Fraction]]:
-    """Every man's and every woman's payoff, in index order."""
-    men_pay = [man_payoff(inst, profile, i) for i in range(inst.n_men)]
-    women_pay = [woman_payoff(inst, profile, j) for j in range(inst.n_women)]
-    return men_pay, women_pay
-
-
 @dataclass(frozen=True)
 class BlockingPair:
     """A blocking witness; a None agent stands for the empty player.
@@ -145,8 +138,8 @@ def find_blocking_pair(
     index = market_index(inst)
     men_pay, women_pay = index.payoffs(profile)
     men_bar, women_bar = index.bars(men_pay, eps), index.bars(women_pay, eps)
-    for i, row in enumerate(index.couples):
-        if men_pay[i] < index.irp_men[i]:
+    for i, row in enumerate(index.men.couples):
+        if men_pay[i] < index.men.own_irp[i]:
             return BlockingPair(man=i, woman=None, contract=None)
         for j, couple in enumerate(row):
             if profile.matches[i] != j:
@@ -154,7 +147,7 @@ def find_blocking_pair(
                 if contract is not None:
                     return BlockingPair(man=i, woman=j, contract=contract)
     for j, pay in enumerate(women_pay):
-        if pay < index.irp_women[j]:
+        if pay < index.women.own_irp[j]:
             return BlockingPair(man=None, woman=j, contract=None)
     return None
 
@@ -166,12 +159,12 @@ def is_externally_stable(inst: Instance, profile: MatchingProfile, eps) -> Stabi
     return StabilityReport(notion=notion, holds=witness is None, witness=witness, eps=eps)
 
 
-def _ir_witness(inst: Instance, men_pay, women_pay) -> Optional[BlockingPair]:
+def _ir_witness(index: MarketIndex, men_pay, women_pay) -> Optional[BlockingPair]:
     for i, pay in enumerate(men_pay):
-        if pay < inst.irp_men[i]:
+        if pay < index.men.own_irp[i]:
             return BlockingPair(i, None, None)
     for j, pay in enumerate(women_pay):
-        if pay < inst.irp_women[j]:
+        if pay < index.women.own_irp[j]:
             return BlockingPair(None, j, None)
     return None
 
@@ -179,7 +172,8 @@ def _ir_witness(inst: Instance, men_pay, women_pay) -> Optional[BlockingPair]:
 def is_individually_rational(inst: Instance, profile: MatchingProfile) -> StabilityReport:
     """Reservation-payoff check alone (condition shared by every notion)."""
     validate_profile(inst, profile)
-    witness = _ir_witness(inst, *_payoffs(inst, profile))
+    index = market_index(inst)
+    witness = _ir_witness(index, *index.payoffs(profile))
     return StabilityReport("IR", witness is None, witness)
 
 
@@ -197,28 +191,29 @@ def is_stable_variant(inst: Instance, profile: MatchingProfile, mode: str) -> St
         raise ValueError(f"unknown variant {mode!r}")
     notion = "Weak" if mode == "weak" else "Unilateral"
     validate_profile(inst, profile)
-    men_pay, women_pay = _payoffs(inst, profile)
-    witness = _ir_witness(inst, men_pay, women_pay)
+    index = market_index(inst)
+    men_pay, women_pay = index.payoffs(profile)
+    witness = _ir_witness(index, men_pay, women_pay)
     if witness is not None:
         return StabilityReport(notion, False, witness)
-    for i in range(inst.n_men):
+    for i, row in enumerate(index.men.couples):
         j_cur = profile.matches[i]
         if j_cur is None:
             continue
         a_desc = profile.chosen[(i, j_cur)].strategy_a
-        for j in range(inst.n_women):
+        for j, couple in enumerate(row):
             if j == j_cur:
                 continue
             i_cur = profile.partner_of_woman(j)
             if i_cur is None:
                 continue
             b_desc = profile.chosen[(i_cur, j)].strategy_b
-            for contract in inst.game(i, j).menu():
+            for contract, u, v in zip(couple.menu, couple.u, couple.v):
                 if mode == "weak":
                     usable = contract.strategy_a == a_desc and contract.strategy_b == b_desc
                 else:
                     usable = contract.strategy_a == a_desc or contract.strategy_b == b_desc
-                if usable and contract.u > men_pay[i] and contract.v > women_pay[j]:
+                if usable and u > men_pay[i] and v > women_pay[j]:
                     return StabilityReport(
                         notion, False, BlockingPair(man=i, woman=j, contract=contract)
                     )

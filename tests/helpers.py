@@ -31,6 +31,7 @@ from matchgames import (
     PotentialGame,
     RepeatedGame,
     Side,
+    StabilityReport,
     ZeroSumGame,
     build_instance,
     man_payoff,
@@ -273,6 +274,52 @@ def reference_outside_options(inst: Instance, profile: MatchingProfile, i: int, 
                 if c.u > bar and c.v > v0:
                     v0 = c.v
     return OutsideOptions(u0=u0, v0=v0)
+
+
+def _reference_ir_witness(inst: Instance, men_pay, women_pay):
+    for i, pay in enumerate(men_pay):
+        if pay < inst.irp_men[i]:
+            return BlockingPair(i, None, None)
+    for j, pay in enumerate(women_pay):
+        if pay < inst.irp_women[j]:
+            return BlockingPair(None, j, None)
+    return None
+
+
+def reference_is_individually_rational(inst: Instance, profile: MatchingProfile):
+    """Reservation-payoff report, by comparing every payoff in Fractions."""
+    men_pay = [man_payoff(inst, profile, i) for i in range(inst.n_men)]
+    women_pay = [woman_payoff(inst, profile, j) for j in range(inst.n_women)]
+    witness = _reference_ir_witness(inst, men_pay, women_pay)
+    return StabilityReport("IR", witness is None, witness)
+
+
+def reference_is_stable_variant(inst: Instance, profile: MatchingProfile, mode: str):
+    """Weak or unilateral stability report, by a full scan."""
+    notion = "Weak" if mode == "weak" else "Unilateral"
+    men_pay = [man_payoff(inst, profile, i) for i in range(inst.n_men)]
+    women_pay = [woman_payoff(inst, profile, j) for j in range(inst.n_women)]
+    witness = _reference_ir_witness(inst, men_pay, women_pay)
+    if witness is not None:
+        return StabilityReport(notion, False, witness)
+    for i in range(inst.n_men):
+        j_cur = profile.matches[i]
+        if j_cur is None:
+            continue
+        a_desc = profile.chosen[(i, j_cur)].strategy_a
+        for j in range(inst.n_women):
+            i_cur = profile.partner_of_woman(j)
+            if j == j_cur or i_cur is None:
+                continue
+            b_desc = profile.chosen[(i_cur, j)].strategy_b
+            for contract in inst.game(i, j).menu():
+                if mode == "weak":
+                    usable = contract.strategy_a == a_desc and contract.strategy_b == b_desc
+                else:
+                    usable = contract.strategy_a == a_desc or contract.strategy_b == b_desc
+                if usable and contract.u > men_pay[i] and contract.v > women_pay[j]:
+                    return StabilityReport(notion, False, BlockingPair(i, j, contract))
+    return StabilityReport(notion, True)
 
 
 def reference_propose_dispose(inst: Instance, eps, side: Side = Side.MAN):

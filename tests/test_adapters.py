@@ -186,16 +186,26 @@ class TestShapleyShubik:
     def test_fine_grid_reaches_the_optimal_surplus(self, side):
         # Demange-Gale-Sotomayor: an auction with increment below 1/n ends at
         # an optimal assignment when values and costs are integers.  Price
-        # step and margin 1/(n+1) must do the same, whichever side proposes.
+        # step and margin 1/(n+1) must do the same, whichever side proposes,
+        # and so must the same market written with the unit-slope
+        # Gale-Demange maps f(t) = t - cost and h(s) = value + s.
         for n in range(2, 11):
             for seed in range(2):
                 rng = random.Random(f"assignment:{n}:{seed}")
                 costs = {f"s{i}": rng.randint(0, 5) for i in range(n)}
                 values = {s: {f"b{j}": rng.randint(0, 12) for j in range(n)} for s in costs}
                 weights = [[max(0, values[s][b] - costs[s]) for b in values[s]] for s in costs]
-                inst = from_shapley_shubik(costs, values, (0, 12, F(1, n + 1)))
-                profile, _ = run_propose_dispose(inst, F(1, n + 1), side)
-                assert self.surplus(profile) == max_weight_assignment(weights), (n, seed)
+                optimum = max_weight_assignment(weights)
+                f_maps = {s: {b: [(0, -costs[s]), (1, 1 - costs[s])] for b in values[s]} for s in costs}
+                h_maps = {s: {b: [(0, h), (1, h + 1)] for b, h in values[s].items()} for s in costs}
+                grid = (0, 12, F(1, n + 1))
+                markets = {
+                    "shapley_shubik": from_shapley_shubik(costs, values, grid),
+                    "gale_demange": from_gale_demange(f_maps, h_maps, grid),
+                }
+                for name, inst in markets.items():
+                    profile, _ = run_propose_dispose(inst, F(1, n + 1), side)
+                    assert self.surplus(profile) == optimum, (name, n, seed)
 
     def test_coarse_grid_stable_but_not_efficient(self):
         # Documented example: on a price grid of step 1, exact stability does

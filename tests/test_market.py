@@ -5,9 +5,10 @@ payoffs drawn from a small shared pool (so payoff ties are common) of
 denominators 1, up to 3, or up to 10^15.  Profiles mix menu contracts, equal
 copies of them and synthesized repeated-game contracts off the menu
 grid, and margins may have a denominator coprime to the index's scale.  Blocking
-witnesses, outside options and whole propose-dispose runs (profile,
-iteration count and bound, trace lines) must equal the reference scans
-in ``helpers``.
+witnesses, outside options, the individual-rationality, weak and
+unilateral reports, and whole propose-dispose runs (profile, iteration
+count and bound, trace lines) must equal the reference scans in
+``helpers``.
 """
 
 import dataclasses
@@ -29,6 +30,8 @@ from matchgames import (
     ZeroSumGame,
     build_instance,
     find_blocking_pair,
+    is_individually_rational,
+    is_stable_variant,
     outside_options,
     run_propose_dispose,
 )
@@ -36,6 +39,8 @@ from matchgames._market import market_index
 
 from helpers import (
     reference_find_blocking_pair,
+    reference_is_individually_rational,
+    reference_is_stable_variant,
     reference_outside_options,
     reference_propose_dispose,
 )
@@ -53,7 +58,7 @@ EXAMPLES = settings(
 
 
 @st.composite
-def markets(draw):
+def markets(draw, complete=False):
     # Most markets keep denominators at 1 or at most 3, so the index scale
     # stays small and payoffs one scaled unit apart are common; the rest use
     # denominators up to 10^15.
@@ -73,7 +78,8 @@ def markets(draw):
         start = draw(value)
         return PiecewiseLinear([(0, start), (1, start + draw(fractions(1, 2)))])
 
-    n_men, n_women = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    low = 2 if complete else 1
+    n_men, n_women = draw(st.integers(low, 3)), draw(st.integers(low, 3))
     games = {}
     for i in range(n_men):
         for j in range(n_women):
@@ -99,7 +105,9 @@ def markets(draw):
                 games[(i, j)] = TransferGame(lo, hi, draw(steps), increasing(), increasing())
             else:
                 games[(i, j)] = RepeatedGame(matrix(2, 2), matrix(2, 2), draw(steps))
-    irp = st.one_of(value, fractions(-5, 1))
+    # Complete matchings get reservation payoffs below every payoff, so the
+    # reservation checks pass and the blocking scans run.
+    irp = st.just(F(-100)) if complete else st.one_of(value, fractions(-5, 1))
     return build_instance(
         [f"m{i}" for i in range(n_men)],
         [f"w{j}" for j in range(n_women)],
@@ -117,21 +125,24 @@ def coprime_margin(draw, inst, low):
 
 
 @st.composite
-def profiles(draw):
+def profiles(draw, complete=False):
     """(instance, profile, eps) with menu, copied and synthesized contracts.
 
     Half the profiles start from a propose-dispose result, which is stable
-    at its own margin, so blocking pairs there sit close to the bars.
+    at its own margin, so blocking pairs there sit close to the bars.  A
+    ``complete`` profile, on a market of at least two agents per side,
+    matches as many couples as it can with contracts drawn at random.
     """
-    inst = draw(markets())
-    if draw(st.booleans()):
+    inst = draw(markets(complete))
+    if not complete and draw(st.booleans()):
         side = draw(st.sampled_from([Side.MAN, Side.WOMAN]))
         start = run_propose_dispose(inst, draw(st.sampled_from([F(1, 2), F(1)])), side)[0]
         matches, start_chosen = start.matches, start.chosen
     else:
         women = draw(st.permutations(range(max(inst.n_men, inst.n_women))))
         matches = tuple(
-            j if j < inst.n_women and draw(st.booleans()) else None for j in women[: inst.n_men]
+            j if j < inst.n_women and (complete or draw(st.booleans())) else None
+            for j in women[: inst.n_men]
         )
         start_chosen = {}
     chosen = {}
@@ -156,16 +167,25 @@ def profiles(draw):
 
 
 @EXAMPLES
-@given(profiles())
-def test_blocking_witness_and_outside_options_match_the_scans(case):
-    inst, profile, eps = case
-    assert find_blocking_pair(inst, profile, eps) == reference_find_blocking_pair(
-        inst, profile, eps
-    )
-    for i, j in profile.matched_pairs():
-        assert outside_options(inst, profile, i, j, eps) == reference_outside_options(
-            inst, profile, i, j, eps
+@given(profiles(), profiles(complete=True))
+def test_blocking_witness_and_outside_options_match_the_scans(case, complete_case):
+    # Weak and unilateral blocking pairs need two matched couples, which
+    # the first kind of profile seldom has.
+    for inst, profile, eps in (case, complete_case):
+        assert find_blocking_pair(inst, profile, eps) == reference_find_blocking_pair(
+            inst, profile, eps
         )
+        for i, j in profile.matched_pairs():
+            assert outside_options(inst, profile, i, j, eps) == reference_outside_options(
+                inst, profile, i, j, eps
+            )
+        assert is_individually_rational(inst, profile) == reference_is_individually_rational(
+            inst, profile
+        )
+        for mode in ("weak", "unilateral"):
+            assert is_stable_variant(inst, profile, mode) == reference_is_stable_variant(
+                inst, profile, mode
+            )
 
 
 def outcome(run):

@@ -21,7 +21,8 @@ from matchgames import (
     run_propose_dispose,
     run_with_vanishing_margin,
 )
-from matchgames.propose import _best_proposal, _max_offer, _orient, _settle
+from matchgames._market import market_index
+from matchgames.propose import _max_offer, _settle
 
 from helpers import random_bimatrix_instance
 
@@ -48,12 +49,18 @@ def one_couple(game, irp_m=0, irp_w=0):
 
 
 def best_proposal(inst, payoffs, eps, exclude=None):
-    """Man 0's _best_proposal at exact responder payoffs: (target, own, contract)."""
-    m = _orient(inst, Side.MAN)
+    """Man 0's best proposal at exact responder payoffs: (target, own, contract)."""
+    index = market_index(inst)
     # a scaled payoff reaches x + eps exactly when it exceeds ceil(D(x + eps)) - 1
-    bars = [math.ceil(m.scale * (x + eps)) - 1 for x in payoffs]
-    target, own, contract = _best_proposal(m, 0, bars, exclude)
-    return target, F(own, m.scale), contract
+    bars = [math.ceil(index.scale * (x + eps)) - 1 for x in payoffs]
+    target, own, contract = index.men.best(0, bars, exclude)
+    return target, F(own, index.scale), contract
+
+
+def couple_at_scale(game):
+    """The index entry of a one-couple market, with the index's scale."""
+    index = market_index(one_couple(game))
+    return index.men.couples[0][0], index.scale
 
 
 class TestBestProposal:
@@ -99,32 +106,32 @@ class TestMaxOffer:
     # _max_offer takes and returns payoffs scaled by the market's D, _settle takes one.
 
     def test_filter_then_max(self):
-        m = _orient(one_couple(menu_game()), Side.MAN)
-        assert _max_offer(m, 0, 0, 2 * m.scale) == 4 * m.scale
+        couple, scale = couple_at_scale(menu_game())
+        assert _max_offer(couple, 2 * scale) == 4 * scale
 
     def test_forfeit_sentinel(self):
-        m = _orient(one_couple(BimatrixGame([[3]], [[1]])), Side.MAN)
-        assert _max_offer(m, 0, 0, 5 * m.scale) == NEG_INF
+        couple, scale = couple_at_scale(BimatrixGame([[3]], [[1]]))
+        assert _max_offer(couple, 5 * scale) == NEG_INF
 
     def test_transfer_grid(self):
-        m = _orient(one_couple(transfer_game()), Side.MAN)
-        assert _max_offer(m, 0, 0, 0) == 4 * m.scale
+        couple, scale = couple_at_scale(transfer_game())
+        assert _max_offer(couple, 0) == 4 * scale
 
 
 class TestSettleContract:
     def test_second_price_pick(self):
-        m = _orient(one_couple(menu_game()), Side.MAN)
-        c = _settle(m, 0, 0, 2 * m.scale)
+        couple, scale = couple_at_scale(menu_game())
+        c = _settle(couple, 2 * scale)
         assert (c.u, c.v) == (F(2), F(4))
 
     def test_boundary_feasibility(self):
-        m = _orient(one_couple(BimatrixGame([[5]], [[5]])), Side.MAN)
-        c = _settle(m, 0, 0, 5 * m.scale)
+        couple, scale = couple_at_scale(BimatrixGame([[5]], [[5]]))
+        c = _settle(couple, 5 * scale)
         assert (c.u, c.v) == (F(5), F(5))
 
     def test_transfer_grid(self):
-        m = _orient(one_couple(transfer_game()), Side.MAN)
-        c = _settle(m, 0, 0, 3 * m.scale)
+        couple, scale = couple_at_scale(transfer_game())
+        c = _settle(couple, 3 * scale)
         assert (c.u, c.v) == (F(1), F(3))
 
 
