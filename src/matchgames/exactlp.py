@@ -1,71 +1,65 @@
 """Exact value of a finite zero-sum matrix game.
 
-Solved as a linear program over Fractions with a dense-tableau simplex
-(Bland's rule, so no cycling).  scipy's LP solvers are float-only and
-would break the exactness contract, hence the in-house routine.
+Solved as a linear program with a dense-tableau simplex (Bland's rule,
+so no cycling) run fraction-free: the matrix is scaled to integers and
+every pivot keeps the tableau integral over one known denominator, the
+previous pivot (Edmonds' integer-preserving pivoting).  scipy's LP
+solvers are float-only and would break the exactness contract, hence the
+in-house routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import List, Sequence, Tuple
 
 from .rational import rat
 
 
-def _simplex_max(c, A, b):
-    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0 componentwise.
+def _simplex_max(A: List[List[int]]) -> Tuple[int, int]:
+    """Maximize sum(x) subject to A x <= 1, x >= 0, for a positive integer A.
 
-    Returns (optimal value, x).  All arithmetic exact.  Bland's rule for
-    both the entering and leaving choices.
+    Returns the optimum as integers (num, den).  The tableau T holds the
+    true tableau times den, the previous pivot, so each pivot updates an
+    entry x of row r to (x*piv - f*y) // den, with f = T[r][enter] and y the
+    pivot row's entry; the division is exact.  Bland's rule for both the
+    entering and leaving choices, the ratio test by cross-multiplication.
     """
     m = len(A)
-    n = len(c)
-    # tableau rows 0..m-1 constraints, row m objective; cols: n vars, m slacks, rhs
-    width = n + m + 1
-    T = []
-    for i in range(m):
-        row = [Fraction(0)] * width
-        for j in range(n):
-            row[j] = A[i][j]
-        row[n + i] = Fraction(1)
-        row[-1] = b[i]
-        T.append(row)
-    obj = [Fraction(0)] * width
-    for j in range(n):
-        obj[j] = -c[j]
-    T.append(obj)
+    n = len(A[0])
+    # rows 0..m-1 constraints, row m objective; cols: n vars, m slacks, rhs
+    T = [row + [int(k == i) for k in range(m)] + [1] for i, row in enumerate(A)]
+    T.append([-1] * n + [0] * (m + 1))
     basis = [n + i for i in range(m)]
+    den = 1
 
     while True:
         enter = next((j for j in range(n + m) if T[m][j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = T[i][-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("unbounded LP; matrix game LPs are bounded")
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
+        prow = T[leave]
+        piv = prow[enter]
         for r in range(m + 1):
-            if r != leave and T[r][enter] != 0:
+            if r != leave:
                 f = T[r][enter]
-                T[r] = [a - f * b_ for a, b_ in zip(T[r], T[leave])]
+                T[r] = [(x * piv - f * y) // den for x, y in zip(T[r], prow)]
+        den = piv
         basis[leave] = enter
-
-    x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = T[i][-1]
-    return T[m][-1], x
+    return T[m][-1], den
 
 
 def matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
@@ -73,7 +67,8 @@ def matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
 
     Standard reciprocal transformation: shift all entries positive, then
     the column player's LP  max sum(q) s.t. A q <= 1, q >= 0  has optimum
-    1/value of the shifted game.
+    1/value of the shifted game.  Solving it for D*A, with D the lcm of
+    the entries' denominators, gives the optimum divided by D.
     """
     A = [[rat(v) for v in row] for row in matrix]
     if not A or not A[0]:
@@ -82,12 +77,12 @@ def matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
     if any(len(row) != n_cols for row in A):
         raise ValueError("ragged matrix")
 
-    shift = Fraction(1) - min(min(row) for row in A)
-    shifted = [[v + shift for v in row] for row in A]
-
-    c = [Fraction(1)] * n_cols
-    b = [Fraction(1)] * len(shifted)
-    total, _q = _simplex_max(c, shifted, b)
-    if total <= 0:
+    D = lcm(*(v.denominator for row in A for v in row))
+    low = min(min(row) for row in A)
+    shift = D - low.numerator * (D // low.denominator)  # D * (1 - low)
+    scaled = [[v.numerator * (D // v.denominator) + shift for v in row] for row in A]
+    num, den = _simplex_max(scaled)
+    if num <= 0:
         raise ArithmeticError("degenerate matrix game LP")
-    return Fraction(1) / total - shift
+    # 1/(D*num/den) is the shifted value; the shift is shift/D
+    return Fraction(den - shift * num, D * num)

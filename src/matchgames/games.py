@@ -10,11 +10,10 @@ every downstream comparison stays exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Mapping, Sequence, Tuple
 
 from .exactlp import matrix_game_value
@@ -82,21 +81,21 @@ def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
 
 def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> List[Fraction]:
     """Ascending grid lo, lo+step, ... (all below hi) with hi appended exactly."""
+    return [Fraction(n, d) for n, d in _grid_pairs(lo, hi, step)[:-1]] + [hi]
+
+
+def _grid_pairs(lo: Fraction, hi: Fraction, step: Fraction) -> List[Tuple[int, int]]:
+    """``_grid(lo, hi, step)`` as (numerator, denominator) integer pairs."""
     count = _grid_count(lo, hi, step)
     if count > MAX_MENU:
         raise GameError(f"menu of {count} contracts exceeds the limit of {MAX_MENU}")
-    return _grid_points(lo, hi, step, count)
-
-
-def _grid_points(lo: Fraction, hi: Fraction, step: Fraction, count: int) -> List[Fraction]:
-    """``_grid(lo, hi, step)`` given its ``_grid_count``, without the menu cap."""
     # point k is lo + k*step = (a + k*b) / d over the common denominator d
     d = lcm(lo.denominator, step.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = step.numerator * (d // step.denominator)
-    levels = [Fraction(a + k * b, d) for k in range(count - 1)]
-    levels.append(hi)
-    return levels
+    pairs = [(a + k * b, d) for k in range(count - 1)]
+    pairs.append((hi.numerator, hi.denominator))
+    return pairs
 
 
 class PiecewiseLinear:
@@ -129,27 +128,40 @@ class PiecewiseLinear:
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
-        A, B, C = self._forward[bisect_left(self._x_inner, x)]
-        n, d = x.numerator, x.denominator
-        return Fraction(A * n + B * d, C * d)
+        return self.walk([(x.numerator, x.denominator)])[0]
 
     def inverse(self, y: RationalLike) -> Fraction:
         y = rat(y)
-        A, B, C = self._backward[bisect_left(self._y_inner, y)]
-        n, d = y.numerator, y.denominator
-        return Fraction(A * n + B * d, C * d)
+        return self.walk([(y.numerator, y.denominator)], inverse=True)[0]
+
+    def walk(self, pairs: Sequence[Tuple[int, int]], inverse: bool = False) -> List[Fraction]:
+        """The map (or its inverse) at each n/d of integer pairs (d > 0).
+
+        One walk over the segments, comparing integers against the
+        breakpoints: on ascending inputs the segment index only moves right.
+        """
+        inner, table = (self._y_inner, self._backward) if inverse else (self._x_inner, self._forward)
+        cuts = [(c.numerator, c.denominator) for c in inner]
+        out = []
+        k, last = 0, len(cuts)
+        for n, d in pairs:
+            while k < last and n * cuts[k][1] > cuts[k][0] * d:
+                k += 1
+            while k > 0 and n * cuts[k - 1][1] <= cuts[k - 1][0] * d:
+                k -= 1
+            A, B, C = table[k]
+            out.append(Fraction(A * n + B * d, C * d))
+        return out
 
 
 def _line(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> Tuple[int, int, int]:
     """Integers (A, B, C) with (A*x + B) / C the line through points a and b."""
-    slope = (b[1] - a[1]) / (b[0] - a[0])
-    offset = a[1] - slope * a[0]
-    C = lcm(slope.denominator, offset.denominator)
-    return (
-        slope.numerator * (C // slope.denominator),
-        offset.numerator * (C // offset.denominator),
-        C,
-    )
+    D = lcm(*(t.denominator for t in a + b))  # every coordinate t is (t*D) / D
+    x1, y1, x2, y2 = (t.numerator * (D // t.denominator) for t in a + b)
+    dx, dy = x2 - x1, y2 - y1
+    A, B, C = dy * D, y1 * dx - x1 * dy, dx * D
+    g = gcd(A, B, C)  # the lowest terms keep the tables' ints small
+    return (A // g, B // g, C // g)
 
 
 class Game:
@@ -344,7 +356,10 @@ class LevelGame(Game):
         self.resolution = resolution
         self.f = f
         self.h = h
-        self._menu = tuple(Contract(k, x, x, f(x), h(-x)) for k, x in enumerate(self.levels))
+        pairs = [(x.numerator, x.denominator) for x in self.levels]
+        us = self.levels if f is _IDENTITY else f.walk(pairs)
+        vs = [-x for x in self.levels] if h is _IDENTITY else h.walk([(-n, d) for n, d in pairs])
+        self._menu = tuple(map(Contract, range(len(us)), self.levels, self.levels, us, vs))
 
     def level_of(self, contract: Contract) -> Fraction:
         self.validate_contract(contract)
@@ -382,7 +397,10 @@ class LevelGame(Game):
 def _matrix_levels(g: List[List[Fraction]], resolution: Fraction, f) -> List[Fraction]:
     """Levels spanning the entries of g, gridded on the u = f(level) scale."""
     entries = [x for row in g for x in row]
-    return [f.inverse(u) for u in _grid(f(min(entries)), f(max(entries)), resolution)]
+    lo, hi = f(min(entries)), f(max(entries))
+    if f is _IDENTITY:
+        return _grid(lo, hi, resolution)
+    return f.walk(_grid_pairs(lo, hi, resolution), inverse=True)
 
 
 class ZeroSumGame(LevelGame):
@@ -482,43 +500,29 @@ class RepeatedGame(Game):
         self.alpha, self.beta = punishment_levels(stage)
         xs = [p[0] for p in self.hull]
         us = _grid(min(xs), max(xs), self.resolution)
+        sn, sd = self.resolution.numerator, self.resolution.denominator
         slices = []
         total = 0
-        for u in us:
-            lo, hi = self._slice(u)
-            count = _grid_count(lo, hi, self.resolution)
+        for u, (lo_n, lo_d), (hi_n, hi_d) in zip(us, *_sweep(self.hull, us)):
+            # point j is lo + j*step = (a + j*b) / den; the last is hi itself
+            den, a, b = lo_d * sd, lo_n * sd, sn * lo_d
+            count = 1 - (a * hi_d - hi_n * den) // (b * hi_d)
             total += count
             if total > MAX_MENU:
                 raise GameError(
                     f"menu of more than {MAX_MENU} contracts: {total} in its first "
                     f"{len(slices) + 1} of {len(us)} grid columns"
                 )
-            slices.append((u, lo, hi, count))
-        points = [
-            (u, v) for u, lo, hi, count in slices for v in _grid_points(lo, hi, self.resolution, count)
-        ]
-        self._menu = tuple(Contract(k, p, p, p[0], p[1]) for k, p in enumerate(points))
-
-    def _slice(self, u: Fraction) -> Tuple[Fraction, Fraction]:
-        """Exact v-range of the hull along the vertical line at u."""
-        hull = self.hull
-        vals = [p[1] for p in hull if p[0] == u]
-        if len(hull) == 1:
-            if not vals:
-                raise GameError("u outside hull range")
-            return (vals[0], vals[0])
-        edges = [(hull[0], hull[1])] if len(hull) == 2 else [
-            (hull[k], hull[(k + 1) % len(hull)]) for k in range(len(hull))
-        ]
-        for a, b in edges:
-            if a[0] == b[0]:
-                continue
-            lo, hi = (a, b) if a[0] < b[0] else (b, a)
-            if lo[0] <= u <= hi[0]:
-                vals.append(lo[1] + (u - lo[0]) * (hi[1] - lo[1]) / (hi[0] - lo[0]))
-        if not vals:
-            raise GameError("u outside hull range")
-        return (min(vals), max(vals))
+            slices.append((u, den, a, b, count, hi_n, hi_d))
+        menu = []
+        for u, den, a, b, count, hi_n, hi_d in slices:
+            vs = [Fraction(a + j * b, den) for j in range(count - 1)]
+            vs.append(Fraction(hi_n, hi_d))
+            for v in vs:
+                p = (u, v)
+                menu.append(Contract(len(menu), p, p, u, v))
+        self._menu = tuple(menu)
+        self._by_point = None
 
     def _evaluate(self, a, b):
         if a != b:
@@ -542,9 +546,11 @@ class RepeatedGame(Game):
 
     def synthesize_contract(self, point: Point) -> Contract:
         """Wrap an exact hull point as a contract (menu contract if it is one)."""
-        for c in self.menu():
-            if (c.u, c.v) == point:
-                return c
+        if self._by_point is None:
+            self._by_point = {(c.u, c.v): c for c in self.menu()}
+        listed = self._by_point.get(point)
+        if listed is not None:
+            return listed
         if not hull_contains(list(self.hull), point):
             raise GameError(f"point {point} outside the feasible payoff hull")
         return Contract(len(self.menu()), point, point, point[0], point[1])
@@ -568,6 +574,42 @@ class RepeatedGame(Game):
     def is_nash_contract(self, contract):
         self.validate_contract(contract)
         return contract.u >= self.alpha and contract.v >= self.beta
+
+
+def _sweep(hull: Sequence[Point], us: Sequence[Fraction]) -> List[List[Tuple[int, int]]]:
+    """The hull's lowest and highest v on each grid column u, as integer pairs.
+
+    Returns two lists of (numerator, denominator), one entry per u of the
+    ascending grid ``us``, which runs from the hull's least u to its
+    greatest.  The end columns read the vertices there (a point, a
+    vertical segment or a vertical edge); the interior columns walk the
+    lower and upper chains left to right, each edge's line in integers.
+    """
+
+    def ends(u):
+        vs = [p[1] for p in hull if p[0] == u]
+        return [(v.numerator, v.denominator) for v in (min(vs), max(vs))]
+
+    k = hull.index(max(hull))  # the lower chain runs from hull[0] to hull[k]
+    cols = []
+    for side, chain in enumerate((hull[: k + 1], (hull[k:] + hull[:1])[::-1])):
+        edges = [
+            (q[0].numerator, q[0].denominator) + _line(p, q)
+            for p, q in zip(chain, chain[1:])
+            if p[0] != q[0]
+        ]
+        col = [ends(us[0])[side]]
+        i = 0
+        for u in us[1:-1]:
+            n, d = u.numerator, u.denominator
+            while n * edges[i][1] > edges[i][0] * d:
+                i += 1
+            _, _, A, B, C = edges[i]
+            col.append((A * n + B * d, C * d))
+        if len(us) > 1:
+            col.append(ends(us[-1])[side])
+        cols.append(col)
+    return cols
 
 
 def zero_sum_value(g_matrix: Sequence[Sequence[RationalLike]]) -> Fraction:

@@ -68,8 +68,11 @@ def validate_profile(inst: Instance, profile: MatchingProfile) -> None:
         if j is not None and not 0 <= j < n_women:
             raise MatchingError(f"man {i} matched to unknown woman {j}")
     for (i, j), contract in profile.chosen.items():
+        game = inst.games[(i, j)]
+        if contract.id < len(game._menu) and game._menu[contract.id] is contract:
+            continue  # the menu's own contract object
         try:
-            inst.game(i, j).validate_contract(contract)
+            game.validate_contract(contract)
         except GameError as exc:
             raise MatchingError(f"couple ({i},{j}): {exc}") from exc
 

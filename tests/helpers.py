@@ -4,8 +4,10 @@ The zero-sum value oracle here deliberately avoids the library's
 simplex; it enumerates square kernels and certifies the candidate
 value against the full matrix, so a returned value is provably correct
 regardless of how it was found.  The ``reference_*`` functions are the
-plain ``Fraction`` menu scans the integer market index replaced, kept
-as the ground truth of its differential test, and ``max_weight_assignment``
+plain ``Fraction`` code the integer kernels replaced (the menu scans
+behind the market index, the simplex behind ``matrix_game_value`` and
+the per-column hull slice behind repeated-game menus), kept as the
+ground truth of their differential tests, and ``max_weight_assignment``
 is an exact Hungarian solver for assignment markets.
 """
 
@@ -76,6 +78,116 @@ def support_value(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
                     continue
                 return v
     raise AssertionError("no kernel certified a value; oracle bug")
+
+
+def simplex_max(c, A, b):
+    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0 componentwise.
+
+    Returns (optimal value, x).  A dense tableau of Fractions, Bland's rule
+    for both the entering and leaving choices.
+    """
+    m = len(A)
+    n = len(c)
+    # tableau rows 0..m-1 constraints, row m objective; cols: n vars, m slacks, rhs
+    width = n + m + 1
+    T = []
+    for i in range(m):
+        row = [Fraction(0)] * width
+        for j in range(n):
+            row[j] = A[i][j]
+        row[n + i] = Fraction(1)
+        row[-1] = b[i]
+        T.append(row)
+    obj = [Fraction(0)] * width
+    for j in range(n):
+        obj[j] = -c[j]
+    T.append(obj)
+    basis = [n + i for i in range(m)]
+
+    while True:
+        enter = next((j for j in range(n + m) if T[m][j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("unbounded LP")
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        for r in range(m + 1):
+            if r != leave and T[r][enter] != 0:
+                f = T[r][enter]
+                T[r] = [a - f * b_ for a, b_ in zip(T[r], T[leave])]
+        basis[leave] = enter
+
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = T[i][-1]
+    return T[m][-1], x
+
+
+def reference_matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
+    """Zero-sum value by ``simplex_max`` on the shifted matrix, in Fractions."""
+    A = [[Fraction(v) for v in row] for row in matrix]
+    shift = Fraction(1) - min(min(row) for row in A)
+    shifted = [[v + shift for v in row] for row in A]
+    total, _q = simplex_max([Fraction(1)] * len(A[0]), shifted, [Fraction(1)] * len(A))
+    return Fraction(1) / total - shift
+
+
+def reference_slice(hull: Sequence[Tuple[Fraction, Fraction]], u: Fraction) -> Tuple[Fraction, Fraction]:
+    """Exact v-range of the hull along the vertical line at u, edge by edge."""
+    vals = [p[1] for p in hull if p[0] == u]
+    if len(hull) == 1:
+        return (vals[0], vals[0])
+    edges = [(hull[0], hull[1])] if len(hull) == 2 else [
+        (hull[k], hull[(k + 1) % len(hull)]) for k in range(len(hull))
+    ]
+    for a, b in edges:
+        if a[0] == b[0]:
+            continue
+        lo, hi = (a, b) if a[0] < b[0] else (b, a)
+        if lo[0] <= u <= hi[0]:
+            vals.append(lo[1] + (u - lo[0]) * (hi[1] - lo[1]) / (hi[0] - lo[0]))
+    return (min(vals), max(vals))
+
+
+def reference_map(points, x, coord):
+    """A piecewise-linear map (coord 0) or its inverse (coord 1) at x, by the slope
+    formula on the first segment whose right end is >= x."""
+    pts = [p if coord == 0 else p[::-1] for p in points]
+    a, b = next(((a, b) for a, b in zip(pts, pts[1:]) if x <= b[0]), (pts[-2], pts[-1]))
+    return a[1] + (x - a[0]) * (b[1] - a[1]) / (b[0] - a[0])
+
+
+def reference_grid(lo: Fraction, hi: Fraction, step: Fraction) -> List[Fraction]:
+    """lo, lo + step, ... while below hi, then hi."""
+    levels = []
+    k = 0
+    while lo + k * step < hi:
+        levels.append(lo + k * step)
+        k += 1
+    levels.append(hi)
+    return levels
+
+
+def reference_hull_menu(game: RepeatedGame) -> List[Tuple[Fraction, Fraction]]:
+    """The repeated game's menu points: ``reference_slice`` on each u-column's v grid."""
+    xs = [p[0] for p in game.hull]
+    return [
+        (u, v)
+        for u in reference_grid(min(xs), max(xs), game.resolution)
+        for v in reference_grid(*reference_slice(game.hull, u), game.resolution)
+    ]
 
 
 def frac(lo: int, hi: int, rng: random.Random, halves: bool = True) -> Fraction:

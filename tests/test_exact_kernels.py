@@ -1,0 +1,156 @@
+"""The integer menu and value kernels against the Fraction code they replaced.
+
+``matrix_game_value`` (a fraction-free simplex) must equal the Fraction
+simplex ``helpers.reference_matrix_game_value`` and the kernel oracle
+``helpers.support_value``.  Repeated-game menus (one sweep over the hull's
+chains) must equal ``helpers.reference_hull_menu``, which slices the hull
+edge by edge on every u-column.  Level-game menus and the one-pass
+``PiecewiseLinear.walk`` must equal the single-point maps and the slope
+formula ``helpers.reference_map``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from matchgames import PiecewiseLinear, RepeatedGame, StrictlyCompetitiveGame, TransferGame
+from matchgames.exactlp import matrix_game_value
+
+from helpers import (
+    reference_grid,
+    reference_hull_menu,
+    reference_map,
+    reference_matrix_game_value,
+    support_value,
+)
+
+F = Fraction
+EXAMPLES = settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def matrices(draw):
+    """1x1 to 4x4 matrices over a small pool of values, so ties are common."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    width = draw(st.sampled_from([1, 6, 10**15]))
+    pool = draw(st.lists(st.fractions(-5, 5, max_denominator=width), min_size=1, max_size=5))
+    A = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        A[-1] = list(A[0])
+    return A
+
+
+@EXAMPLES
+@given(matrices())
+@example([[F(7, 3)] * 3] * 3)  # all entries equal
+@example([[F(1, 10**15), F(-2, 999_999_999_999_999)], [F(-1, 3), F(5, 10**15 - 1)]])
+def test_matrix_game_value_matches_references(A):
+    v = matrix_game_value(A)
+    assert type(v) is Fraction
+    assert v == reference_matrix_game_value(A)
+    if len(A) * len(A[0]) <= 9:
+        assert v == support_value(A)
+
+
+@EXAMPLES
+@given(matrices(), st.data())
+def test_saddle_point_value(A, data):
+    r = data.draw(st.integers(0, len(A) - 1))
+    c = data.draw(st.integers(0, len(A[0]) - 1))
+    v = A[r][c]
+    # make v the least entry of its row and the greatest of its column
+    A[r] = [max(x, v) for x in A[r]]
+    for row in A:
+        row[c] = min(row[c], v)
+    assert matrix_game_value(A) == v == reference_matrix_game_value(A)
+
+
+@st.composite
+def stages(draw):
+    """Stage games whose hulls include every degenerate shape."""
+    rows, cols = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    shape = draw(st.sampled_from(["free", "point", "horizontal", "vertical", "vertical_edges"]))
+    cell = st.fractions(-4, 4, max_denominator=3)
+    U = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    V = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    if shape in ("point", "vertical"):
+        U = [[U[0][0]] * cols for _ in range(rows)]
+    if shape in ("point", "horizontal"):
+        V = [[V[0][0]] * cols for _ in range(rows)]
+    if shape == "vertical_edges":
+        # two cells on the least u, two on the greatest, with distinct v
+        lo, hi = min(min(row) for row in U) - 1, max(max(row) for row in U) + 1
+        U[0][0] = U[0][1] = lo
+        U[1][0] = U[1][1] = hi
+        V[0][1], V[1][1] = V[0][0] + 2, V[1][0] - F(3, 2)
+    resolution = draw(
+        st.sampled_from([F(1), F(1, 2)]) | st.fractions(F(1, 4), 3, max_denominator=7)
+    )
+    return U, V, resolution
+
+
+@EXAMPLES
+@given(stages())
+@example(([[0, 0], [0, 0]], [[1, 1], [1, 1]], F(1, 3)))  # one point
+@example(([[0, 0], [2, 2]], [[0, 1], [0, 1]], F(2, 3)))  # a square, vertical edges at both ends
+@example(([[1, 1], [1, 1]], [[-2, 0], [3, 1]], F(2)))  # vertical segment, range not a multiple
+def test_repeated_menu_matches_edge_slices(stage):
+    U, V, resolution = stage
+    g = RepeatedGame(U, V, resolution)
+    menu = g.menu()
+    assert [(c.u, c.v) for c in menu] == reference_hull_menu(g)
+    assert all(type(c.u) is type(c.v) is Fraction for c in menu)
+    assert all(c.id == k and c.strategy_a == c.strategy_b == (c.u, c.v) for k, c in enumerate(menu))
+    for c in menu[:: max(1, len(menu) // 5)]:
+        assert g.synthesize_contract((c.u, c.v)) is c
+    assert g.alpha == reference_matrix_game_value(g.U)
+    assert g.beta == reference_matrix_game_value([list(col) for col in zip(*g.V)])
+
+
+@st.composite
+def maps(draw, q):
+    """Strictly increasing maps whose breakpoints' inputs lie on the 1/q grid inside [-12/q, 12/q]."""
+    n = draw(st.integers(2, 4))
+    xs = sorted(draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n, unique=True)))
+    ys = sorted(
+        draw(st.lists(st.fractions(-20, 20, max_denominator=7), min_size=n, max_size=n, unique=True))
+    )
+    return PiecewiseLinear([(F(x, q), y) for x, y in zip(xs, ys)])
+
+
+@EXAMPLES
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda q: st.tuples(st.just(q), maps(q), maps(q))))
+def test_level_menus_match_single_point_maps(drawn):
+    # the transfer grid hits every breakpoint and runs past both ends
+    q, f, h = drawn
+    transfer = TransferGame(F(-15, q), F(15, q), F(1, 2 * q), f, h)
+    for c in transfer.menu():
+        assert (c.u, c.v) == (f(c.strategy_a), h(-c.strategy_a))
+    g = [[F(-15, q), F(1, 7)], [F(15, q), F(2, q)]]
+    res = F(1, 3)
+    competitive = StrictlyCompetitiveGame(g, res, f, h)
+    grid = reference_grid(f(F(-15, q)), f(F(15, q)), res)
+    assert list(competitive.levels) == [f.inverse(u) for u in grid]
+    for c in competitive.menu():
+        assert (c.u, c.v) == (f(c.strategy_a), h(-c.strategy_a))
+
+
+@EXAMPLES
+@given(maps(1), st.lists(st.fractions(-30, 30, max_denominator=10**15), max_size=6), st.integers(1, 4))
+def test_walk_matches_slope_formula(pl, extra, scale):
+    xs = [p[0] for p in pl.points]
+    ys = [p[1] for p in pl.points]
+    probes = sorted(set(xs + ys + [xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + F(1, 3)] + extra))
+    # unreduced pairs, as the menu grids pass them
+    pairs = [(x.numerator * scale, x.denominator * scale) for x in probes]
+    for order in (1, -1):  # ascending, then descending
+        walked = [reference_map(pl.points, x, 0) for x in probes[::order]]
+        assert pl.walk(pairs[::order]) == walked
+        inverted = [reference_map(pl.points, x, 1) for x in probes[::order]]
+        assert pl.walk(pairs[::order], inverse=True) == inverted

@@ -28,7 +28,7 @@ from matchgames import games
 from matchgames.games import _grid
 from matchgames.geometry import hull_contains
 
-from helpers import frac, support_value
+from helpers import frac, reference_grid, reference_map, support_value
 
 F = Fraction
 
@@ -376,23 +376,6 @@ def test_zero_sum_value_bounds_property(g):
 
 # Reference implementations for the exact kernels: the direct Fraction
 # formulas, which the integer-coefficient versions must reproduce exactly.
-
-
-def reference_map(points, x, coord):
-    """Slope formula on the first segment whose right end (on axis coord) is >= x."""
-    pts = [p if coord == 0 else p[::-1] for p in points]
-    a, b = next(((a, b) for a, b in zip(pts, pts[1:]) if x <= b[0]), (pts[-2], pts[-1]))
-    return a[1] + (x - a[0]) * (b[1] - a[1]) / (b[0] - a[0])
-
-
-def reference_grid(lo, hi, step):
-    levels = []
-    k = 0
-    while lo + k * step < hi:
-        levels.append(lo + k * step)
-        k += 1
-    levels.append(hi)
-    return levels
 
 
 def reference_potential(U, V, phi):

@@ -8,6 +8,7 @@ import pytest
 from matchgames import (
     BimatrixGame,
     BlockingPair,
+    Contract,
     DeviationWitness,
     MatchingError,
     MatchingProfile,
@@ -23,6 +24,7 @@ from matchgames import (
     is_stable_variant,
     man_payoff,
     run_propose_dispose,
+    validate_profile,
     woman_payoff,
 )
 
@@ -279,3 +281,17 @@ class TestProfileValidation:
         prof = MatchingProfile((0,), {(0, 0): other.menu()[3]})
         with pytest.raises(MatchingError):
             find_blocking_pair(inst, prof, 0)
+
+    def test_menu_objects_and_equal_copies_accepted_others_named(self):
+        game = BimatrixGame([[1, 2]], [[3, 4]])
+        inst = single_couple(game)
+        twin = BimatrixGame([[1, 2]], [[3, 4]]).menu()[1]  # equal, not the same object
+        for contract in (game.menu()[1], twin):
+            validate_profile(inst, MatchingProfile((0,), {(0, 0): contract}))
+        for foreign in (
+            BimatrixGame([[1, 2]], [[3, 5]]).menu()[1],
+            Contract(2, 0, 2, F(1), F(3)),
+            Contract(-1, 0, 1, F(2), F(4)),
+        ):
+            with pytest.raises(MatchingError, match=r"^couple \(0,0\): foreign contract"):
+                validate_profile(inst, MatchingProfile((0,), {(0, 0): foreign}))
