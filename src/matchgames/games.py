@@ -280,20 +280,29 @@ def validate_potential(
 
 
 def _is_potential(U: List[List[Fraction]], V: List[List[Fraction]], phi: List[List[Fraction]]) -> bool:
+    # each matrix scaled by its own positive constant keeps every order in it
+    U, V, phi = _integers(U), _integers(V), _integers(phi)
     return all(_same_order(u, p) for u, p in zip(zip(*U), zip(*phi))) and all(
         _same_order(v, p) for v, p in zip(V, phi)
     )
 
 
-def _same_order(xs: Sequence[Fraction], ps: Sequence[Fraction]) -> bool:
-    """Each pair of positions compares alike (<, = or >) in xs and in ps."""
-    n = len(xs)
-    for i in range(n):
-        x, p = xs[i], ps[i]
-        for j in range(i + 1, n):
-            y, q = xs[j], ps[j]
-            if (y > x) != (q > p) or (y < x) != (q < p):
-                return False
+def _integers(m: List[List[Fraction]]) -> List[List[int]]:
+    """The matrix times the lcm of its denominators."""
+    D = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (D // x.denominator) for x in row] for row in m]
+
+
+def _same_order(xs: Sequence[int], ps: Sequence[int]) -> bool:
+    """Each pair of positions compares alike (<, = or >) in xs and in ps.
+
+    Sorted by (x, p), neighbours must step up in p exactly where they step
+    up in x; orders that agree on neighbours agree on every pair.
+    """
+    pairs = sorted(zip(xs, ps))
+    for (x0, p0), (x1, p1) in zip(pairs, pairs[1:]):
+        if (x0 < x1) != (p0 < p1):
+            return False
     return True
 
 

@@ -9,6 +9,7 @@ scalars in canonical form.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -25,18 +26,21 @@ RationalLike = Union[Fraction, int, str]
 def rat(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
-    Accepted strings: "3", "-7/2", "0.25" (decimal strings are exact);
-    a malformed string or a zero denominator raises ValueError.
-    Floats are rejected: binary floats do not carry the exactness
-    contract, so callers must write "0.1" rather than 0.1.
+    Accepted strings: "3", "-7/2", "0.25" and "1e3" (decimal strings are
+    exact); a malformed string, a zero denominator, or an exponent whose
+    magnitude exceeds ``sys.get_int_max_str_digits()`` (no cap when that
+    limit is 0) raises ValueError.  Floats are rejected: binary floats do
+    not carry the exactness contract, so callers must write "0.1" rather
+    than 0.1.
     """
+    if isinstance(value, Fraction):  # first: re-reading parsed matrices is common
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational payoff")
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_exponent(value)
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -47,6 +51,22 @@ def rat(value: RationalLike) -> Fraction:
             f"like '1/10'"
         )
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def _check_exponent(text: str) -> None:
+    """Reject an exponent past Python's digit limit for integer literals.
+
+    Otherwise a short string such as "1e4000000" costs seconds and a
+    13-million-bit integer.  Pythons before 3.10.7 have no limit.
+    """
+    _mantissa, mark, exponent = text.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if mark else 0
+    try:
+        too_big = limit and abs(int(exponent)) > limit
+    except ValueError:
+        return  # malformed: Fraction names the literal
+    if too_big:
+        raise ValueError(f"exponent in {text!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
 
 
 def fmt(value) -> str:

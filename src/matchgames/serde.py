@@ -49,6 +49,10 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except SchemaError:
+        raise
+    except ValueError as exc:  # an integer literal past Python's digit limit, or not UTF-8
+        raise SchemaError(f"cannot parse {path}: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"{path} nests too deeply to parse") from None
 
@@ -115,11 +119,14 @@ def _breakpoints(value: Any, where: str) -> List[Tuple[Fraction, Fraction]]:
 
 
 def _matrix_in(value: Any, where: str) -> List[List[Fraction]]:
-    rows = _list(value, where)
-    out = []
-    for r, row in enumerate(rows):
-        out.append([_num(x, f"{where}[{r}][{c}]") for c, x in enumerate(_list(row, f"{where}[{r}]"))])
-    return out
+    # a JSON integer needs no checks; only other entries get a path to report
+    return [
+        [
+            Fraction(x) if type(x) is int else _num(x, f"{where}[{r}][{c}]")
+            for c, x in enumerate(_list(row, f"{where}[{r}]"))
+        ]
+        for r, row in enumerate(_list(value, where))
+    ]
 
 
 def _matrix_out(rows) -> list:
@@ -235,10 +242,10 @@ def dump_game(game: Game) -> dict:
 
 
 def _integral(value: Any) -> bool:
-    """Every number in a parsed field (nested lists and pairs) is an integer."""
-    if isinstance(value, Fraction):
+    """Every number in a parsed field (a number, or matrix rows or breakpoint pairs) is an integer."""
+    if type(value) is Fraction:
         return value.denominator == 1
-    return all(_integral(x) for x in value)
+    return all(x.denominator == 1 for row in value for x in row)
 
 
 def _names(value: Any, where: str) -> List[str]:

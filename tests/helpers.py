@@ -5,8 +5,9 @@ simplex; it enumerates square kernels and certifies the candidate
 value against the full matrix, so a returned value is provably correct
 regardless of how it was found.  The ``reference_*`` functions are the
 plain ``Fraction`` code the integer kernels replaced (the menu scans
-behind the market index, the simplex behind ``matrix_game_value`` and
-the per-column hull slice behind repeated-game menus), kept as the
+behind the market index, the simplex behind ``matrix_game_value``, the
+per-column hull slice behind repeated-game menus and the pairwise
+ordinal-potential check behind ``validate_potential``), kept as the
 ground truth of their differential tests, and ``max_weight_assignment``
 is an exact Hungarian solver for assignment markets.
 """
@@ -188,6 +189,26 @@ def reference_hull_menu(game: RepeatedGame) -> List[Tuple[Fraction, Fraction]]:
         for u in reference_grid(min(xs), max(xs), game.resolution)
         for v in reference_grid(*reference_slice(game.hull, u), game.resolution)
     ]
+
+
+def reference_is_potential(U, V, phi) -> bool:
+    """Ordinal potential check in Fractions, comparing every pair of positions
+    in each column of U and phi and in each row of V and phi."""
+
+    def same_order(xs, ps):
+        n = len(xs)
+        for i in range(n):
+            x, p = xs[i], ps[i]
+            for j in range(i + 1, n):
+                y, q = xs[j], ps[j]
+                if (y > x) != (q > p) or (y < x) != (q < p):
+                    return False
+        return True
+
+    U, V, phi = ([[Fraction(x) for x in row] for row in m] for m in (U, V, phi))
+    return all(same_order(u, p) for u, p in zip(zip(*U), zip(*phi))) and all(
+        same_order(v, p) for v, p in zip(V, phi)
+    )
 
 
 def frac(lo: int, hi: int, rng: random.Random, halves: bool = True) -> Fraction:

@@ -243,6 +243,35 @@ class TestSolveExternal:
         assert rc == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payoff", ["1e4000000", "1e-1000000"])
+    def test_exponent_bomb_is_exit_2_naming_the_field(self, tmp_path, capsys, payoff):
+        data = json.loads(json.dumps(CLASSIC))
+        data["games"]["m0"]["w1"]["u"] = [[payoff]]
+        inst = write(tmp_path, "inst.json", data)
+        start = time.perf_counter()
+        rc = main(["solve-external", inst, "--eps", "1"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert elapsed < 1.0
+        assert err.startswith("error: instance.games['m0']['w1'].u[0][0]: exponent in ")
+
+    def test_small_exponents_still_parse(self, tmp_path, capsys):
+        data = json.loads(json.dumps(CLASSIC))
+        data["games"]["m0"]["w0"]["u"] = [["1e3"]]
+        data["games"]["m0"]["w1"]["u"] = [["0.25"]]
+        data["games"]["m1"]["w0"]["u"] = [["-7/2"]]
+        rc = main(["solve-external", write(tmp_path, "inst.json", data), "--eps", "1/4"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    def test_over_long_integer_literal_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(CLASSIC).replace('"u": [[2]]', '"u": [[' + "7" * 5000 + "]]", 1))
+        rc = main(["solve-external", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: ")
+
 
 class TestVerify:
     def test_stable_profile_holds(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from matchgames import games
 from matchgames.games import _grid
 from matchgames.geometry import hull_contains
 
-from helpers import frac, reference_grid, reference_map, support_value
+from helpers import frac, reference_grid, reference_is_potential, reference_map, support_value
 
 F = Fraction
 
@@ -378,24 +378,6 @@ def test_zero_sum_value_bounds_property(g):
 # formulas, which the integer-coefficient versions must reproduce exactly.
 
 
-def reference_potential(U, V, phi):
-    def sign(x):
-        return (x > 0) - (x < 0)
-
-    rows, cols = len(U), len(U[0])
-    return all(
-        sign(U[r2][c] - U[r1][c]) == sign(phi[r2][c] - phi[r1][c])
-        for c in range(cols)
-        for r1 in range(rows)
-        for r2 in range(rows)
-    ) and all(
-        sign(V[r][c2] - V[r][c1]) == sign(phi[r][c2] - phi[r][c1])
-        for r in range(rows)
-        for c1 in range(cols)
-        for c2 in range(cols)
-    )
-
-
 @st.composite
 def breakpoint_lists(draw):
     n = draw(st.integers(2, 6))
@@ -436,15 +418,56 @@ def test_grid_matches_reference(lo, span, step):
     assert all(type(x) is Fraction for x in grid)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_potential_matches_reference(rows, cols, data):
-    def matrix():
-        cell = st.integers(-2, 2).map(F)
-        return data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+@st.composite
+def potential_triples(draw):
+    """(U, V, phi) of one shape, 1×1 to 4×4, with many ties and mixed denominators.
 
-    U, V, phi = matrix(), matrix(), matrix()
-    assert validate_potential(U, V, phi) == reference_potential(U, V, phi)
+    Each matrix draws its entries from a pool of at most four values
+    (negative ones and denominators up to 10^15 included).  Half the time
+    U and V are increasing affine images of phi, column by column and row
+    by row, so phi is a potential; half of those then get one entry
+    redrawn, which often breaks it by a single order.
+    """
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.one_of(
+        st.integers(-3, 3).map(F),
+        st.builds(F, st.integers(-50, 50), st.integers(1, 10)),
+        st.builds(F, st.integers(-(10**16), 10**16), st.integers(1, 10**15)),
+    )
+
+    def matrix():
+        pool = draw(st.lists(value, min_size=1, max_size=4))
+        cell = st.sampled_from(pool)
+        return [[draw(cell) for _c in range(cols)] for _r in range(rows)]
+
+    phi = matrix()
+    if not draw(st.booleans()):
+        return matrix(), matrix(), phi
+    slope = st.builds(F, st.integers(1, 10**15), st.integers(1, 10**15))
+    shift = st.builds(F, st.integers(-(10**15), 10**15), st.integers(1, 10**15))
+    col_maps = [(draw(slope), draw(shift)) for _c in range(cols)]
+    row_maps = [(draw(slope), draw(shift)) for _r in range(rows)]
+    U = [[col_maps[c][0] * phi[r][c] + col_maps[c][1] for c in range(cols)] for r in range(rows)]
+    V = [[row_maps[r][0] * phi[r][c] + row_maps[r][1] for c in range(cols)] for r in range(rows)]
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([U, V, phi]))
+        target[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(value)
+    return U, V, phi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(potential_triples())
+@example(([[1, 2], [3, 4]], [[1, 2], [3, 4]], [[F(1, 3), F(1, 2)], [F(2, 3), 1]]))
+@example(([[1, 2], [3, 4]], [[1, 2], [3, 4]], [[F(1, 2), F(1, 3)], [F(2, 3), 1]]))
+def test_potential_matches_reference(triple):
+    U, V, phi = triple
+    verdict = reference_is_potential(U, V, phi)
+    assert validate_potential(U, V, phi) is verdict
+    if verdict:
+        assert PotentialGame(U, V, phi).phi == phi
+    else:
+        with pytest.raises(GameError, match="not an ordinal potential"):
+            PotentialGame(U, V, phi)
 
 
 class TestMenuCap:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,82 @@ class TestInstanceParsing:
         }
         with pytest.raises(SchemaError, match="dimensions"):
             parse_instance(data)
+
+
+def potential_data(**fields):
+    """One 3×3 exact-potential couple; ``fields`` replace its payload fields."""
+    game = {
+        "class": "potential",
+        "u": [[1, 1, 1], [2, 2, 2], [3, 3, 3]],
+        "v": [[1, 2, 3], [1, 2, 3], [1, 2, 3]],
+        "phi": [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
+        **fields,
+    }
+    data = minimal_data()
+    data["games"]["m"]["w"] = game
+    return data
+
+
+GAME = "instance.games['m']['w']"
+
+
+class TestMatrixEntryErrors:
+    """The exact message for each malformed matrix entry, path included."""
+
+    @pytest.mark.parametrize("field, r, c", [("u", 1, 2), ("phi", 2, 0)])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, 'expected an integer or "p/q" string, got True'),
+            ("x", "Invalid literal for Fraction: 'x'"),
+            ("1/0", "zero denominator in '1/0'"),
+            (json.loads("Infinity"), 'expected an integer or "p/q" string, got inf'),
+        ],
+    )
+    def test_entry_messages(self, field, r, c, bad, message):
+        data = potential_data()
+        data["games"]["m"]["w"][field][r][c] = bad
+        with pytest.raises(SchemaError) as info:
+            parse_instance(data)
+        assert str(info.value) == f"{GAME}.{field}[{r}][{c}]: {message}"
+
+    def test_ragged_and_non_list_rows(self):
+        cases = [
+            ({"u": [[1, 1, 1], [2, 2], [3, 3, 3]]}, f"{GAME}: U must be a nonempty rectangular matrix"),
+            ({"phi": [[0, 1, 2], [1, 2, 3], [2, 3]]}, f"{GAME}: phi must be a nonempty rectangular matrix"),
+            ({"u": [[1, 1, 1], 5, [3, 3, 3]]}, f"{GAME}.u[1]: expected a list, got 5"),
+            ({"u": 5}, f"{GAME}.u: expected a list, got 5"),
+        ]
+        for fields, message in cases:
+            with pytest.raises(SchemaError) as info:
+                parse_instance(potential_data(**fields))
+            assert str(info.value) == message
+
+    def test_integral_fraction_strings_keep_the_default_margin(self):
+        _inst, eps = parse_instance(potential_data(u=[[1, 1, 1], ["4/2", 2, "6/3"], [3, 3, 3]]))
+        assert eps == 1
+
+    def test_fractional_breakpoint_or_t_min_demands_eps(self):
+        data = minimal_data()
+        data["games"]["m"]["w"] = {
+            "class": "strictly_competitive",
+            "g": [[1, -1], [-1, 1]],
+            "f": [[-2, -2], ["1/2", 2]],
+            "h": [[-2, -2], [2, 2]],
+        }
+        with pytest.raises(SchemaError, match="--eps"):
+            parse_instance(data)
+        data["games"]["m"]["w"] = {
+            "class": "transfer",
+            "t_min": "1/2",
+            "t_max": 6,
+            "f_u": [[0, -2], [1, -1]],
+            "f_v": [[0, 6], [1, 7]],
+        }
+        with pytest.raises(SchemaError, match="--eps"):
+            parse_instance(data)
+        _inst, eps = parse_instance(data, eps="1/2")
+        assert eps == F(1, 2)
 
 
 class TestFloatRejection:
@@ -419,6 +496,21 @@ class TestRationalText:
             rat(1.5)
         with pytest.raises(TypeError):
             rat(True)
+
+    def test_rat_exponent_bound_follows_the_digit_limit(self):
+        assert rat("1e3") == 1000
+        assert rat("-2.5E-2") == F(-1, 40)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert rat("1e640") == 10**640
+            for text in ("1e641", "1e-641", "1E+6_41"):
+                with pytest.raises(ValueError, match="exceeds the limit of 640"):
+                    rat(text)
+            sys.set_int_max_str_digits(0)  # no limit, no cap
+            assert rat("1e-700") == F(1, 10**700)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_dump_profile_deterministic(self):
         rng = random.Random(5)
