@@ -28,16 +28,16 @@ from .games import Contract, Instance
 class Stair(NamedTuple):
     """A menu sorted by one payoff (the key) with suffix bests of the other.
 
-    ``tops[k]`` is the contract with the largest other payoff among
-    sorted positions k and after, the lowest id on ties; the trailing
-    None stands for an empty suffix.
+    ``tops[k]`` is the id of the contract with the largest other payoff
+    among sorted positions k and after, the lowest id on ties; the
+    trailing None stands for an empty suffix.
     """
 
     keys: Tuple[int, ...]
-    tops: Tuple[Optional[Contract], ...]
+    tops: Tuple[Optional[int], ...]
 
-    def above(self, bar) -> Optional[Contract]:
-        """Best contract whose key exceeds ``bar`` (an int, or NEG_INF for all)."""
+    def above(self, bar) -> Optional[int]:
+        """Id of the best contract whose key exceeds ``bar`` (an int, or NEG_INF for all)."""
         return self.tops[bisect_right(self.keys, bar)]
 
 
@@ -57,7 +57,7 @@ class Couple(NamedTuple):
     def first_blocking(self, u_bar: int, v_bar: int) -> Optional[Contract]:
         """The lowest-id contract with u > u_bar and v > v_bar, if any."""
         top = self.by_v.above(v_bar)
-        if top is None or self.u[top.id] <= u_bar:
+        if top is None or self.u[top] <= u_bar:
             return None
         v = self.v
         return next(self.menu[k] for k, u in enumerate(self.u) if u > u_bar and v[k] > v_bar)
@@ -93,11 +93,11 @@ class Oriented(NamedTuple):
         for r, couple in enumerate(self.couples[p]):
             if r == exclude:
                 continue
-            c = couple.by_v.above(bars[r])
-            if c is not None:
-                pay = couple.u[c.id]
+            k = couple.by_v.above(bars[r])
+            if k is not None:
+                pay = couple.u[k]
                 if pay > own or (pay == own and target is None):
-                    target, own, best = r, pay, c
+                    target, own, best = r, pay, couple.menu[k]
         return target, own, best
 
 
@@ -137,35 +137,40 @@ class MarketIndex(NamedTuple):
         return [p + lift if type(p) is int else floor(p + self.scale * eps) for p in pays]
 
 
-def _stair(key: Sequence[int], other: Sequence[int], menu: Sequence[Contract]) -> Stair:
-    order = sorted(range(len(menu)), key=key.__getitem__)
-    tops: List[Optional[Contract]] = [None] * (len(order) + 1)
+def _stair(key: Sequence[int], other: Sequence[int]) -> Stair:
+    order = sorted(range(len(key)), key=key.__getitem__)
+    tops: List[Optional[int]] = [None] * (len(order) + 1)
     best = None
     for pos in range(len(order) - 1, -1, -1):
         k = order[pos]
         if best is None or other[k] > other[best] or (other[k] == other[best] and k < best):
             best = k
-        tops[pos] = menu[best]
+        tops[pos] = best
     return Stair(tuple(key[k] for k in order), tuple(tops))
 
 
+def _scaled(xs: Tuple[int, ...], factor: int) -> Tuple[int, ...]:
+    return xs if factor == 1 else tuple(x * factor for x in xs)
+
+
 def _build(inst: Instance) -> MarketIndex:
-    menus = [[inst.game(i, j).menu() for j in range(inst.n_women)] for i in range(inst.n_men)]
+    # each game hands over its menu's payoffs as integers over du and dv
+    games = [[inst.game(i, j) for j in range(inst.n_women)] for i in range(inst.n_men)]
     dens = {x.denominator for x in (*inst.irp_men, *inst.irp_women)}
-    dens.update(c.u.denominator for row in menus for menu in row for c in menu)
-    dens.update(c.v.denominator for row in menus for menu in row for c in menu)
+    for row in games:
+        for game in row:
+            dens.update((game._payoffs.du, game._payoffs.dv))
     scale = lcm(*dens)
-    factor = {d: scale // d for d in dens}
     couples = []
-    for row in menus:
+    for row in games:
         out = []
-        for menu in row:
-            u = tuple(c.u.numerator * factor[c.u.denominator] for c in menu)
-            v = tuple(c.v.numerator * factor[c.v.denominator] for c in menu)
-            out.append(Couple(menu, u, v, _stair(v, u, menu), _stair(u, v, menu)))
+        for game in row:
+            du, u, dv, v = game._payoffs
+            u, v, menu = _scaled(u, scale // du), _scaled(v, scale // dv), game.menu()
+            out.append(Couple(menu, u, v, _stair(v, u), _stair(u, v)))
         couples.append(tuple(out))
-    irp_men = tuple(x.numerator * factor[x.denominator] for x in inst.irp_men)
-    irp_women = tuple(x.numerator * factor[x.denominator] for x in inst.irp_women)
+    irp_men = tuple(x.numerator * (scale // x.denominator) for x in inst.irp_men)
+    irp_women = tuple(x.numerator * (scale // x.denominator) for x in inst.irp_women)
     mirrored = tuple(tuple(c.mirror() for c in column) for column in zip(*couples))
     return MarketIndex(scale, Oriented(irp_men, tuple(couples)), Oriented(irp_women, mirrored))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 from .exactlp import matrix_game_value
 from .geometry import Point, convex_hull, hull_contains
@@ -33,7 +33,6 @@ class Side(Enum):
         return Side.WOMAN if self is Side.MAN else Side.MAN
 
 
-@dataclass(frozen=True)
 class Contract:
     """A strategy pair together with its exact payoffs.
 
@@ -41,13 +40,119 @@ class Contract:
     class specific: pure action indices for matrix games, a payoff
     level or transfer for level games, a payoff point for repeated
     games.  ``Game.describe`` puts a contract into words.
+
+    Contracts compare and hash by value, so an equal copy stands for a
+    menu's own object.  A level game's menu contracts hold the menu's
+    integer ``Payoffs`` instead of ``u`` and ``v`` until their first read
+    (see ``_Unread``); later reads are plain slot reads.
     """
 
-    id: int
-    strategy_a: object
-    strategy_b: object
-    u: Fraction
-    v: Fraction
+    __slots__ = ("id", "strategy_a", "strategy_b", "u", "v", "_payoffs")
+    __match_args__ = ("id", "strategy_a", "strategy_b", "u", "v")
+
+    def __init__(self, id: int, strategy_a: object, strategy_b: object, u: Fraction, v: Fraction):
+        self.id = id
+        self.strategy_a = strategy_a
+        self.strategy_b = strategy_b
+        self.u = u
+        self.v = v
+
+    def __eq__(self, other):
+        if isinstance(other, Contract):
+            return (self.id, self.strategy_a, self.strategy_b, self.u, self.v) == (
+                other.id, other.strategy_a, other.strategy_b, other.u, other.v
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.strategy_a, self.strategy_b, self.u, self.v))
+
+    def __repr__(self):
+        return (
+            f"Contract(id={self.id!r}, strategy_a={self.strategy_a!r}, "
+            f"strategy_b={self.strategy_b!r}, u={self.u!r}, v={self.v!r})"
+        )
+
+
+# the slots' own descriptors, which _Unread shadows
+_ID, _U, _V = Contract.id, Contract.u, Contract.v
+
+
+class _Unread(Contract):
+    """A level game's menu contract before its first read of ``id``, ``u`` or ``v``.
+
+    That read makes both payoffs from the menu's integers and turns the
+    object into a plain ``Contract``, whose reads are slot reads.  CPython
+    3.11 specializes an attribute read site for one class at a time, and
+    not at all for a class with a ``__getattr__``.  Every check of a
+    contract reads ``id`` first, so a read site sees each contract unread
+    at most once.
+    """
+
+    __slots__ = ()
+
+    def __reduce_ex__(self, protocol):  # copies and pickles are plain contracts
+        self._read()
+        return self.__reduce_ex__(protocol)
+
+    def _read(self) -> None:
+        pay, k = self._payoffs, _ID.__get__(self)
+        _U.__set__(self, Fraction(pay.u[k], pay.du))
+        _V.__set__(self, Fraction(pay.v[k], pay.dv))
+        self.__class__ = Contract
+
+    @property
+    def id(self) -> int:
+        self._read()
+        return self.id
+
+    @property
+    def u(self) -> Fraction:
+        self._read()
+        return self.u
+
+    @property
+    def v(self) -> Fraction:
+        self._read()
+        return self.v
+
+
+class Payoffs(NamedTuple):
+    """A menu's payoffs in integers: contract k pays u[k]/du and v[k]/dv.
+
+    du and dv are the lcm of the lowest-terms denominators of the u and
+    the v column, so the market index scales them without reading a Fraction.
+    """
+
+    du: int
+    u: Tuple[int, ...]
+    dv: int
+    v: Tuple[int, ...]
+
+
+def _over_common(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Tuple[int, ...]]:
+    """(L, numerators): pair k, n/d with d > 0, equals numerators[k] / L.
+
+    L is the lcm of the pairs' lowest-terms denominators.  Over M, the lcm
+    of the given denominators, pair k is N_k / M, and L = M / gcd(M, N_0, N_1, ...).
+    """
+    M = lcm(*{d for _, d in pairs})
+    ns = [n * (M // d) for n, d in pairs]
+    g = gcd(M, *ns)
+    return M // g, tuple([n // g for n in ns] if g > 1 else ns)
+
+
+def _menu_contracts(levels: Sequence[Fraction], payoffs: Payoffs) -> Tuple[Contract, ...]:
+    """Contract k holds level k on both sides and payoff k of ``payoffs``, made on first read."""
+    menu = []
+    new, set_id = object.__new__, _ID.__set__
+    for k, level in enumerate(levels):
+        c = new(_Unread)
+        set_id(c, k)
+        c.strategy_a = c.strategy_b = level
+        c._payoffs = payoffs
+        menu.append(c)
+    return tuple(menu)
 
 
 def _matrix(rows: Sequence[Sequence[RationalLike]], name: str) -> List[List[Fraction]]:
@@ -135,7 +240,11 @@ class PiecewiseLinear:
         return self.walk([(y.numerator, y.denominator)], inverse=True)[0]
 
     def walk(self, pairs: Sequence[Tuple[int, int]], inverse: bool = False) -> List[Fraction]:
-        """The map (or its inverse) at each n/d of integer pairs (d > 0).
+        """The map (or its inverse) at each n/d of integer pairs (d > 0)."""
+        return [Fraction(n, d) for n, d in self._walk(pairs, inverse)]
+
+    def _walk(self, pairs: Sequence[Tuple[int, int]], inverse: bool = False) -> List[Tuple[int, int]]:
+        """``walk`` as integer pairs n/d (d > 0), not in lowest terms.
 
         One walk over the segments, comparing integers against the
         breakpoints: on ascending inputs the segment index only moves right.
@@ -150,7 +259,7 @@ class PiecewiseLinear:
             while k > 0 and n * cuts[k - 1][1] <= cuts[k - 1][0] * d:
                 k -= 1
             A, B, C = table[k]
-            out.append(Fraction(A * n + B * d, C * d))
+            out.append((A * n + B * d, C * d))
         return out
 
 
@@ -170,6 +279,7 @@ class Game:
     kind = "abstract"
 
     _menu: Tuple[Contract, ...]
+    _payoffs: Payoffs  # the menu's payoffs in integers, for the market index
 
     def menu(self) -> Tuple[Contract, ...]:
         """The finite contract menu, ordered by id (deterministic)."""
@@ -239,6 +349,7 @@ class BimatrixGame(Game):
             for r in range(self.rows)
             for c in range(self.cols)
         )
+        self._payoffs = Payoffs(*_integers(self.U), *_integers(self.V))
 
     def _evaluate(self, a, b):
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < self.rows and 0 <= b < self.cols):
@@ -276,21 +387,23 @@ def validate_potential(
     phi = _matrix(phi_matrix, "phi")
     if not (len(U) == len(V) == len(phi)) or not (len(U[0]) == len(V[0]) == len(phi[0])):
         raise GameError("U, V, phi must share dimensions")
-    return _is_potential(U, V, phi)
+    return _is_potential(_integers(U)[1], _integers(V)[1], _integers(phi)[1], len(U[0]))
 
 
-def _is_potential(U: List[List[Fraction]], V: List[List[Fraction]], phi: List[List[Fraction]]) -> bool:
-    # each matrix scaled by its own positive constant keeps every order in it
-    U, V, phi = _integers(U), _integers(V), _integers(phi)
-    return all(_same_order(u, p) for u, p in zip(zip(*U), zip(*phi))) and all(
-        _same_order(v, p) for v, p in zip(V, phi)
+def _is_potential(u: Sequence[int], v: Sequence[int], phi: Sequence[int], cols: int) -> bool:
+    """The ordinal potential check on matrices read row by row as integers.
+
+    Each matrix may be scaled by its own positive constant, which keeps
+    every order in it.
+    """
+    return all(_same_order(u[c::cols], phi[c::cols]) for c in range(cols)) and all(
+        _same_order(v[k : k + cols], phi[k : k + cols]) for k in range(0, len(v), cols)
     )
 
 
-def _integers(m: List[List[Fraction]]) -> List[List[int]]:
-    """The matrix times the lcm of its denominators."""
-    D = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (D // x.denominator) for x in row] for row in m]
+def _integers(m: List[List[Fraction]]) -> Tuple[int, Tuple[int, ...]]:
+    """(D, the entries row by row times D), D the lcm of their denominators."""
+    return _over_common([x.as_integer_ratio() for row in m for x in row])
 
 
 def _same_order(xs: Sequence[int], ps: Sequence[int]) -> bool:
@@ -316,7 +429,7 @@ class PotentialGame(BimatrixGame):
         self.phi = _matrix(phi_matrix, "phi")
         if len(self.phi) != self.rows or len(self.phi[0]) != self.cols:
             raise GameError("phi must share dimensions with U and V")
-        if not _is_potential(self.U, self.V, self.phi):
+        if not _is_potential(self._payoffs.u, self._payoffs.v, _integers(self.phi)[1], self.cols):
             raise GameError("phi is not an ordinal potential for (U, V)")
 
     def potential_of(self, contract: Contract) -> Fraction:
@@ -365,10 +478,13 @@ class LevelGame(Game):
         self.resolution = resolution
         self.f = f
         self.h = h
-        pairs = [(x.numerator, x.denominator) for x in self.levels]
-        us = self.levels if f is _IDENTITY else f.walk(pairs)
-        vs = [-x for x in self.levels] if h is _IDENTITY else h.walk([(-n, d) for n, d in pairs])
-        self._menu = tuple(map(Contract, range(len(us)), self.levels, self.levels, us, vs))
+        pairs = [x.as_integer_ratio() for x in self.levels]
+        us = pairs if f is _IDENTITY else f._walk(pairs)
+        vs = [(-n, d) for n, d in pairs]
+        if h is not _IDENTITY:
+            vs = h._walk(vs)
+        self._payoffs = Payoffs(*_over_common(us), *_over_common(vs))
+        self._menu = _menu_contracts(self.levels, self._payoffs)
 
     def level_of(self, contract: Contract) -> Fraction:
         self.validate_contract(contract)
@@ -523,14 +639,18 @@ class RepeatedGame(Game):
                     f"{len(slices) + 1} of {len(us)} grid columns"
                 )
             slices.append((u, den, a, b, count, hi_n, hi_d))
-        menu = []
-        for u, den, a, b, count, hi_n, hi_d in slices:
-            vs = [Fraction(a + j * b, den) for j in range(count - 1)]
-            vs.append(Fraction(hi_n, hi_d))
-            for v in vs:
-                p = (u, v)
-                menu.append(Contract(len(menu), p, p, u, v))
-        self._menu = tuple(menu)
+        du, u_cols = _over_common([u.as_integer_ratio() for u in us])
+        menu_u, menu_v, u_ints, v_pairs = [], [], [], []
+        for (u, den, a, b, count, hi_n, hi_d), u_int in zip(slices, u_cols):
+            column = [(a + j * b, den) for j in range(count - 1)]
+            column.append((hi_n, hi_d))
+            v_pairs += column
+            menu_v += [Fraction(n, d) for n, d in column]
+            menu_u += [u] * count
+            u_ints += [u_int] * count
+        points = list(zip(menu_u, menu_v))
+        self._menu = tuple(map(Contract, range(len(points)), points, points, menu_u, menu_v))
+        self._payoffs = Payoffs(du, tuple(u_ints), *_over_common(v_pairs))
         self._by_point = None
 
     def _evaluate(self, a, b):
@@ -556,7 +676,8 @@ class RepeatedGame(Game):
     def synthesize_contract(self, point: Point) -> Contract:
         """Wrap an exact hull point as a contract (menu contract if it is one)."""
         if self._by_point is None:
-            self._by_point = {(c.u, c.v): c for c in self.menu()}
+            # a menu contract's descriptor is its own (u, v) point
+            self._by_point = {c.strategy_a: c for c in self.menu()}
         listed = self._by_point.get(point)
         if listed is not None:
             return listed

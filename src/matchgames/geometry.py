@@ -10,6 +10,7 @@ to two points (a segment), one point, or the empty list.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
@@ -20,24 +21,33 @@ def cross(o: Point, a: Point, b: Point) -> Fraction:
 
 
 def convex_hull(points: Sequence[Point]) -> list:
-    """Strict convex hull, ccw, collinear interior points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
+    """Strict convex hull, ccw, collinear interior points dropped.
+
+    The points are scaled once by the lcm of their denominators, which
+    keeps every order and every cross product's sign, so the sort and the
+    turns are integer arithmetic; the hull is returned as the given points.
+    """
+    D = lcm(*(t.denominator for p in points for t in p))
+    given = {
+        (x.numerator * (D // x.denominator), y.numerator * (D // y.denominator)): (x, y)
+        for x, y in points
+    }
+    pts = sorted(given)
+    if len(pts) > 2:
+        lower = _chain(pts)
+        upper = _chain(pts[::-1])
+        pts = lower[:-1] + upper[:-1]
+    return [given[p] for p in pts]
+
+
+def _chain(pts: list) -> list:
+    """Monotone-chain half hull of sorted points: every kept turn is a left turn."""
+    out = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return hull[:1]
-    return hull
+        while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+            out.pop()
+        out.append(p)
+    return out
 
 
 def _on_segment(a: Point, b: Point, p: Point) -> bool:

@@ -28,8 +28,8 @@ def _max_offer(couple: Couple, beta: int):
     The minus-infinity sentinel means no contract meets the fallback
     threshold (the bidder forfeits).
     """
-    c = couple.by_u.above(beta - 1)
-    return NEG_INF if c is None else couple.v[c.id]
+    k = couple.by_u.above(beta - 1)
+    return NEG_INF if k is None else couple.v[k]
 
 
 def _settle(couple: Couple, lam_loser) -> Contract:
@@ -37,7 +37,7 @@ def _settle(couple: Couple, lam_loser) -> Contract:
     best = couple.by_v.above(lam_loser if is_neg_inf(lam_loser) else lam_loser - 1)
     if best is None:
         raise MatchingError("no contract clears the losing bid; bidding invariant broken")
-    return best
+    return couple.menu[best]
 
 
 @dataclass
@@ -142,7 +142,7 @@ def run_propose_dispose(
         # Does the incumbent still pick r once she must be raised by eps?
         _, re_solved, _ = m.best(q, bars)
         held = m.couples[q][r].by_v.above(bars[r])
-        if held is None or m.couples[q][r].u[held.id] < re_solved:
+        if held is None or m.couples[q][r].u[held] < re_solved:
             del partner[q], contracts[q]
             responder_accepts(p, r, contract, "auto_replace")
             queue.appendleft(q)

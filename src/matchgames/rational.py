@@ -27,9 +27,11 @@ def rat(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
     Accepted strings: "3", "-7/2", "0.25" and "1e3" (decimal strings are
-    exact); a malformed string, a zero denominator, or an exponent whose
-    magnitude exceeds ``sys.get_int_max_str_digits()`` (no cap when that
-    limit is 0) raises ValueError.  Floats are rejected: binary floats do
+    exact); a malformed string or a zero denominator raises ValueError.
+    So does a string with an exponent whose magnitude, or whose value's
+    numerator or denominator, has more digits than
+    ``sys.get_int_max_str_digits()`` (no cap when that limit is 0): such a
+    number could not be printed.  Floats are rejected: binary floats do
     not carry the exactness contract, so callers must write "0.1" rather
     than 0.1.
     """
@@ -40,11 +42,16 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        _check_exponent(value)
+        limit = _digit_limit(value)
         try:
-            return Fraction(value)
+            x = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        if limit and _longer(max(abs(x.numerator), x.denominator), limit):
+            raise ValueError(
+                f"{value!r} has more than {limit} digits (sys.get_int_max_str_digits())"
+            )
+        return x
     if isinstance(value, float):
         raise TypeError(
             f"float {value!r} rejected: pass an int, Fraction, or exact string "
@@ -53,10 +60,11 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def _check_exponent(text: str) -> None:
-    """Reject an exponent past Python's digit limit for integer literals.
+def _digit_limit(text: str) -> int:
+    """The digit limit a string with an exponent must keep to, else 0.
 
-    Otherwise a short string such as "1e4000000" costs seconds and a
+    An exponent past the limit is rejected before the number is made:
+    otherwise a short string such as "1e4000000" costs seconds and a
     13-million-bit integer.  Pythons before 3.10.7 have no limit.
     """
     _mantissa, mark, exponent = text.lower().partition("e")
@@ -64,9 +72,15 @@ def _check_exponent(text: str) -> None:
     try:
         too_big = limit and abs(int(exponent)) > limit
     except ValueError:
-        return  # malformed: Fraction names the literal
+        return 0  # malformed: Fraction names the literal
     if too_big:
         raise ValueError(f"exponent in {text!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
+    return limit
+
+
+def _longer(n: int, limit: int) -> bool:
+    """n >= 0 has more than ``limit`` digits; below 2**(3*limit) it cannot."""
+    return n.bit_length() > 3 * limit and n >= 10**limit
 
 
 def fmt(value) -> str:

@@ -5,11 +5,13 @@ simplex; it enumerates square kernels and certifies the candidate
 value against the full matrix, so a returned value is provably correct
 regardless of how it was found.  The ``reference_*`` functions are the
 plain ``Fraction`` code the integer kernels replaced (the menu scans
-behind the market index, the simplex behind ``matrix_game_value``, the
-per-column hull slice behind repeated-game menus and the pairwise
-ordinal-potential check behind ``validate_potential``), kept as the
-ground truth of their differential tests, and ``max_weight_assignment``
-is an exact Hungarian solver for assignment markets.
+behind the market index, the index build that read every payoff's
+denominator, the simplex behind ``matrix_game_value``, the per-column hull
+slice behind repeated-game menus, the convex hull's cross products and
+the pairwise ordinal-potential check behind ``validate_potential``), kept
+as the ground truth of their differential tests, and
+``max_weight_assignment`` is an exact Hungarian solver for assignment
+markets.
 """
 
 from __future__ import annotations
@@ -189,6 +191,69 @@ def reference_hull_menu(game: RepeatedGame) -> List[Tuple[Fraction, Fraction]]:
         for u in reference_grid(min(xs), max(xs), game.resolution)
         for v in reference_grid(*reference_slice(game.hull, u), game.resolution)
     ]
+
+
+def reference_convex_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> list:
+    """Strict ccw convex hull by the monotone chain, every cross product in Fractions."""
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) == 2 and hull[0] == hull[1]:
+        return hull[:1]
+    return hull
+
+
+def reference_market_index(inst: Instance) -> dict:
+    """The market index as built from the menus' Fraction payoffs.
+
+    D is the lcm of every menu and reservation payoff's denominator.  Per
+    couple (i, j), in id order, the payoffs times D, and both staircases:
+    ``by_v`` sorts the ids by v (stably) with the suffix tops that
+    maximize u, lowest id on ties, and ``by_u`` the mirror.  Tops are
+    given by contract id, None for the empty suffix.
+    """
+    menus = {key: game.menu() for key, game in inst.games.items()}
+    dens = [x.denominator for x in (*inst.irp_men, *inst.irp_women)]
+    dens += [x.denominator for menu in menus.values() for c in menu for x in (c.u, c.v)]
+    D = math.lcm(*dens)
+
+    def stair(key, other):
+        order = sorted(range(len(key)), key=lambda k: key[k])
+        tops = [None] * (len(order) + 1)
+        for pos in range(len(order) - 1, -1, -1):
+            best = tops[pos + 1]
+            k = order[pos]
+            if best is None or other[k] > other[best] or (other[k] == other[best] and k < best):
+                best = k
+            tops[pos] = best
+        return tuple(key[k] for k in order), tuple(tops)
+
+    couples = {}
+    for key, menu in menus.items():
+        u = tuple(int(c.u * D) for c in menu)
+        v = tuple(int(c.v * D) for c in menu)
+        couples[key] = {"u": u, "v": v, "by_v": stair(v, u), "by_u": stair(u, v)}
+    return {
+        "scale": D,
+        "irp_men": tuple(int(x * D) for x in inst.irp_men),
+        "irp_women": tuple(int(x * D) for x in inst.irp_women),
+        "couples": couples,
+    }
 
 
 def reference_is_potential(U, V, phi) -> bool:

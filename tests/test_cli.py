@@ -256,6 +256,23 @@ class TestSolveExternal:
         assert elapsed < 1.0
         assert err.startswith("error: instance.games['m0']['w1'].u[0][0]: exponent in ")
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_unprintable_exponent_string_is_exit_2_naming_the_field(self, tmp_path, capsys, sign):
+        # the exponent is inside the digit limit, but the number has one digit more
+        limit = sys.get_int_max_str_digits()
+        data = json.loads(json.dumps(CLASSIC))
+        data["games"]["m0"]["w1"]["u"] = [[f"1e{sign}{limit}"]]
+        inst = write(tmp_path, "inst.json", data)
+        start = time.perf_counter()
+        rc = main(["solve-external", inst, "--eps", "1"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert elapsed < 1.0
+        assert err.startswith(
+            f"error: instance.games['m0']['w1'].u[0][0]: '1e{sign}{limit}' has more than {limit} digits"
+        )
+
     def test_small_exponents_still_parse(self, tmp_path, capsys):
         data = json.loads(json.dumps(CLASSIC))
         data["games"]["m0"]["w0"]["u"] = [["1e3"]]

@@ -6,7 +6,10 @@ simplex ``helpers.reference_matrix_game_value`` and the kernel oracle
 chains) must equal ``helpers.reference_hull_menu``, which slices the hull
 edge by edge on every u-column.  Level-game menus and the one-pass
 ``PiecewiseLinear.walk`` must equal the single-point maps and the slope
-formula ``helpers.reference_map``.
+formula ``helpers.reference_map``.  ``geometry.convex_hull`` (cross
+products on integers) and ``geometry.clip_ge`` must equal
+``helpers.reference_convex_hull``, which takes every cross product in
+Fractions.
 """
 
 from fractions import Fraction
@@ -16,8 +19,10 @@ from hypothesis import strategies as st
 
 from matchgames import PiecewiseLinear, RepeatedGame, StrictlyCompetitiveGame, TransferGame
 from matchgames.exactlp import matrix_game_value
+from matchgames.geometry import clip_ge, convex_hull
 
 from helpers import (
+    reference_convex_hull,
     reference_grid,
     reference_hull_menu,
     reference_map,
@@ -154,3 +159,39 @@ def test_walk_matches_slope_formula(pl, extra, scale):
         assert pl.walk(pairs[::order]) == walked
         inverted = [reference_map(pl.points, x, 1) for x in probes[::order]]
         assert pl.walk(pairs[::order], inverse=True) == inverted
+
+
+@st.composite
+def point_sets(draw):
+    """0 to 9 points: some repeated, some on one line, some with denominators up to 10^15."""
+    width = draw(st.sampled_from([1, 6, 10**15]))
+    coord = st.fractions(-5, 5, max_denominator=width)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=6))
+    if pts and draw(st.booleans()):
+        # points on the line through a and b, inside the segment and beyond it
+        a, b = draw(st.sampled_from(pts)), draw(st.tuples(coord, coord))
+        for t in draw(st.lists(st.fractions(-2, 3, max_denominator=width), max_size=3)):
+            pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    if pts and draw(st.booleans()):
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))  # duplicates
+    return pts
+
+
+@EXAMPLES
+@given(point_sets(), st.data())
+@example([], None)
+@example([(F(1, 3), F(2))] * 3, None)  # one point, repeated
+@example([(F(0), F(0)), (F(1, 10**15), F(1)), (F(0), F(0))], None)  # a segment
+@example([(F(k, 7), F(2 * k, 7)) for k in (3, 0, 6, 1)], None)  # collinear
+@example([(F(0), F(0)), (F(2), F(0)), (F(1), F(0)), (F(2), F(2)), (F(0), F(2)), (F(1), F(1))], None)
+def test_convex_hull_matches_fraction_cross_products(pts, data):
+    hull = convex_hull(pts)
+    assert hull == reference_convex_hull(pts)
+    assert all(type(x) is type(y) is Fraction for x, y in hull)
+    if data is not None and hull:
+        axis = data.draw(st.sampled_from([0, 1]))
+        bound = data.draw(st.sampled_from([p[axis] for p in pts]) | st.fractions(-5, 5))
+        kept = [p for p in hull if p[axis] >= bound]
+        clipped = clip_ge(hull, axis, bound)
+        assert clipped == reference_convex_hull(clipped)
+        assert all(p in clipped for p in reference_convex_hull(kept))

@@ -1,5 +1,8 @@
 """Game classes: menus, payoff re-evaluation, exact class quantities."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -341,6 +344,93 @@ def test_describe(make, pick, text):
     g = make()
     c = g.synthesize_contract(pick) if isinstance(pick, tuple) else g.menu()[pick]
     assert g.describe(c) == text
+
+
+# One menu of every class, built afresh on each call.
+MENUS = [
+    pytest.param(lambda: BimatrixGame([[2, 0], [3, 1]], [[1, 0], [0, 2]]), id="bimatrix"),
+    pytest.param(lambda: PotentialGame(PD_U, PD_V, [[0, 2], [2, 3]]), id="potential"),
+    pytest.param(lambda: ZeroSumGame([[F(1, 3), 0], [1, 3]], F(1, 2)), id="zero_sum"),
+    pytest.param(
+        lambda: StrictlyCompetitiveGame(
+            [[2, 0], [1, 3]],
+            F(1, 2),
+            PiecewiseLinear([(0, 0), (1, 3), (3, 4)]),
+            PiecewiseLinear([(-3, -1), (-1, 0), (0, 2)]),
+        ),
+        id="strictly_competitive",
+    ),
+    pytest.param(
+        lambda: TransferGame(
+            0, 4, F(1, 3), PiecewiseLinear([(0, F(1, 7)), (1, 2)]), PiecewiseLinear(IDENTITY)
+        ),
+        id="transfer",
+    ),
+    pytest.param(lambda: RepeatedGame(PD_U, [[3, 4], [F(-1, 2), 1]], F(1, 2)), id="repeated"),
+]
+
+# The frozen dataclass Contract was before payoffs were made on first read.
+DATACLASS_CONTRACT = dataclasses.make_dataclass(
+    "Contract", ["id", "strategy_a", "strategy_b", "u", "v"], frozen=True
+)
+
+
+def fields(c):
+    return (c.id, c.strategy_a, c.strategy_b, c.u, c.v)
+
+
+@pytest.mark.parametrize("make", MENUS)
+class TestContract:
+    def test_equal_copies_are_on_the_menu(self, make):
+        g = make()
+        for c in g.menu():
+            copy = Contract(*fields(c))
+            assert copy is not c
+            assert g._in_menu(copy) and g._in_menu(c)
+            g.validate_contract(copy)
+            assert g.payoff(copy) == (c.u, c.v)
+
+    def test_the_menu_is_checked_by_identity_first(self, make, monkeypatch):
+        g = make()
+
+        def refuse(self, other):
+            raise AssertionError("compared by value")
+
+        monkeypatch.setattr(Contract, "__eq__", refuse)
+        for c in g.menu():
+            assert g._in_menu(c)
+            g.validate_contract(c)
+        with pytest.raises(AssertionError, match="compared by value"):
+            g._in_menu(Contract(0, 0, 0, F(0), F(0)))
+
+    def test_value_equality_and_hash_before_and_after_reads(self, make):
+        want = [Contract(*fields(c)) for c in make().menu()]
+        unread, unhashed = make().menu(), make().menu()
+        for c, w, h in zip(unread, want, unhashed):
+            assert c == w and w == c  # the first comparison reads c's payoffs
+            assert hash(h) == hash(w)  # so does the first hash
+        for c, w, h in zip(unread, want, unhashed):
+            assert c == w and hash(c) == hash(h) == hash(w)
+            assert c != Contract(w.id, w.strategy_a, w.strategy_b, w.u, w.v + 1)
+            assert c != fields(w)
+
+    def test_repr_is_the_dataclass_repr(self, make):
+        for c in make().menu():  # unread payoffs
+            assert repr(c) == repr(DATACLASS_CONTRACT(*fields(c)))
+
+    def test_copies_and_pickles_are_equal_contracts(self, make):
+        for c in make().menu():  # unread payoffs
+            for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+                assert type(twin) is Contract
+                assert twin == c and twin is not c
+
+    def test_payoffs_read_twice_are_equal_fractions(self, make):
+        for c in make().menu():
+            u, v = c.u, c.v
+            assert type(u) is type(v) is Fraction
+            assert (c.u, c.v) == (u, v)
+            assert c.u is u and c.v is v  # later reads are the stored objects
+            assert type(c) is Contract
 
 
 class TestInstance:

@@ -8,10 +8,10 @@ grid, and margins may have a denominator coprime to the index's scale.  Blocking
 witnesses, outside options, the individual-rationality, weak and
 unilateral reports, and whole propose-dispose runs (profile, iteration
 count and bound, trace lines) must equal the reference scans in
-``helpers``.
+``helpers``, and the index, built from the integers each game hands
+over, must equal the one built from the menus' Fraction payoffs.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixGame,
+    Contract,
     MatchingProfile,
     PiecewiseLinear,
     PotentialGame,
@@ -41,6 +42,7 @@ from helpers import (
     reference_find_blocking_pair,
     reference_is_individually_rational,
     reference_is_stable_variant,
+    reference_market_index,
     reference_outside_options,
     reference_propose_dispose,
 )
@@ -117,6 +119,11 @@ def markets(draw, complete=False):
     )
 
 
+def equal_copy(c):
+    """A contract equal to c that is not c's object."""
+    return Contract(c.id, c.strategy_a, c.strategy_b, c.u, c.v)
+
+
 def coprime_margin(draw, inst, low):
     """A margin in [low, 2] whose denominator does not divide the index scale."""
     scale = market_index(inst).scale
@@ -158,7 +165,7 @@ def profiles(draw, complete=False):
             a, b = draw(st.sampled_from(game.hull)), draw(st.sampled_from(game.hull))
             contract = game.synthesize_contract(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
         elif how == "copy":
-            contract = dataclasses.replace(contract)
+            contract = equal_copy(contract)
         chosen[(i, j)] = contract
     eps = draw(st.one_of(st.sampled_from([F(0), F(1, 2), F(1)]), st.just(None)))
     if eps is None:
@@ -209,6 +216,26 @@ def test_propose_dispose_matches_the_scans(data):
         assert outcome(indexed) == outcome(lambda: reference_propose_dispose(inst, eps, side))
 
 
+@EXAMPLES
+@given(markets())
+def test_the_index_equals_the_build_from_fraction_payoffs(inst):
+    index = market_index(inst)  # before any test reads a payoff
+    want = reference_market_index(inst)
+    assert index.scale == want["scale"]
+    assert (index.men.own_irp, index.women.own_irp) == (want["irp_men"], want["irp_women"])
+
+    for (i, j), couple in want["couples"].items():
+        got = index.men.couples[i][j]
+        assert got.menu is inst.game(i, j).menu()
+        assert {
+            "u": got.u,
+            "v": got.v,
+            "by_v": (got.by_v.keys, got.by_v.tops),
+            "by_u": (got.by_u.keys, got.by_u.tops),
+        } == couple
+        assert index.women.couples[j][i] == got.mirror()
+
+
 def test_the_index_is_built_once_per_instance():
     inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[1, 2]], [[2, 1]])})
     assert market_index(inst) is market_index(inst)
@@ -248,7 +275,7 @@ def test_bars_of_contracts_outside_the_index_are_exact(how):
         held = hull.synthesize_contract((F(1, 2), F(1, 2)))
         assert held.id == len(hull.menu())
     else:
-        held = dataclasses.replace(hull.menu()[0])
+        held = equal_copy(hull.menu()[0])
         assert (held.u, held.v) == (0, 0)
     profile = MatchingProfile((0,), {(0, 0): held})
     witness = find_blocking_pair(inst, profile, 0)

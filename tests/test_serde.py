@@ -503,9 +503,14 @@ class TestRationalText:
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
-            assert rat("1e640") == 10**640
+            assert rat("1e639") == 10**639
+            assert rat("-0.1e640") == -(10**639)
             for text in ("1e641", "1e-641", "1E+6_41"):
                 with pytest.raises(ValueError, match="exceeds the limit of 640"):
+                    rat(text)
+            # 641 digits: inside the exponent bound, but too long to print
+            for text in ("1e640", "1e-640", "-12e639"):
+                with pytest.raises(ValueError, match="has more than 640 digits"):
                     rat(text)
             sys.set_int_max_str_digits(0)  # no limit, no cap
             assert rat("1e-700") == F(1, 10**700)
