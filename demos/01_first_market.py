@@ -7,8 +7,8 @@ one for the studio.  Nobody is forced to match: anyone can walk away
 and collect their reservation payoff instead.
 
 We run the propose-dispose auction with a margin of 1, read its trace,
-check the result for blocking pairs, and finally shrink the margin
-until the answer stops moving.
+check the result for blocking pairs, and finally rerun below the
+payoff grid, where the answer is exactly stable.
 """
 
 from fractions import Fraction as F
@@ -49,7 +49,8 @@ report = is_externally_stable(inst, profile, F(1))
 print(f"  stable at margin 1: {report.holds}")
 
 # A margin of 1 tolerates blocking pairs that gain less than 1 each.
-# Halving it until the outcome repeats removes that slack.
+# Every payoff here is a whole number, so a margin of 1/2 removes that
+# slack: any gain above 1/2 is a gain of at least 1.
 print("\n== Shrink the margin until the answer settles")
 profile, eps, blocking = run_with_vanishing_margin(inst)
 print(f"  settled at margin {eps}")

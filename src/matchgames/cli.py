@@ -156,13 +156,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_join(args) -> int:
-    inst, _eps = load_instance_file(args.file)
+    inst, eps = load_instance_file(args.file, eps=args.eps)
+    margin = 0 if args.eps is None else eps
     p1 = load_profile_file(inst, args.a)
     p2 = load_profile_file(inst, args.b)
     side = Side.MAN if args.side == "men" else Side.WOMAN
-    joined = lattice_join(inst, p1, p2, side)
+    joined = lattice_join(inst, p1, p2, side, margin)
     _emit_profile(inst, joined, args.out)
-    for line in _render_report(inst, is_externally_stable(inst, joined, 0)):
+    for line in _render_report(inst, is_externally_stable(inst, joined, margin)):
         print(line)
     return 0
 
@@ -247,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--a", required=True, help="first profile file")
     p.add_argument("--b", required=True, help="second profile file")
+    eps_arg(p)
     p.add_argument("--side", choices=["men", "women"], default="men")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_join)

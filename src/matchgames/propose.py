@@ -184,36 +184,25 @@ def run_propose_dispose(
     return profile, state
 
 
-def run_with_vanishing_margin(
-    inst: Instance,
-    start_eps=1,
-    max_halvings: int = 12,
-    proposing_side: Side = Side.MAN,
-):
-    """Re-run propose-dispose with margins 1, 1/2, 1/4, ... until stable.
+def run_with_vanishing_margin(inst: Instance, *, proposing_side: Side = Side.MAN):
+    """One propose-dispose run below the payoff grid: exactly externally stable.
 
-    Stops when two successive margins produce the same matching with
-    the same contract ids, then reports that profile together with its
-    exact zero-margin verdict.  A zero-margin run is not directly
-    available (the margin drives termination), so the fixed point of
-    halving is the constructive stand-in; the verdict tells the caller
-    whether it actually reached exact stability.
+    Every menu and reservation payoff is a multiple of 1/D, D the market
+    index's scale, so at eps = 1/(2D) a gain above eps is a gain above 0
+    and the eps-stable result has no blocking pair at margin 0 (the exact
+    auction of Demange, Gale and Sotomayor, JPE 1986).  With eps <= 1/D each
+    accepted proposal raises its responder strictly to another payoff her
+    menus offer her, so the run ends within the number of proposers plus,
+    summed over responders, the distinct payoffs each one's menus offer
+    her, whatever D is.  Refine's synthesized repeated-game contracts lie
+    off the grid, so the claim is for propose-dispose only.
+
+    Returns (profile, eps, report); report, the zero-margin blocking check,
+    is None, and a witness raises MatchingError instead.
     """
-    start_eps = rat(start_eps)
-    if start_eps <= 0:
-        raise ValueError("start_eps must be positive")
-    previous = None
-    eps = start_eps
-    for k in range(max_halvings + 1):
-        eps = start_eps / (2**k)
-        profile, _ = run_propose_dispose(inst, eps, proposing_side)
-        if previous is not None:
-            same_matching = previous.matches == profile.matches
-            same_ids = same_matching and all(
-                previous.chosen[key].id == profile.chosen[key].id for key in profile.chosen
-            )
-            if same_ids:
-                break
-        previous = profile
+    eps = Fraction(1, 2 * market_index(inst).scale)
+    profile, _ = run_propose_dispose(inst, eps, proposing_side)
     report = find_blocking_pair(inst, profile, 0)
+    if report is not None:
+        raise MatchingError(f"run below the payoff grid is blocked at margin 0 by {report}")
     return profile, eps, report

@@ -248,8 +248,12 @@ def _integral(value: Any) -> bool:
     return all(x.denominator == 1 for row in value for x in row)
 
 
+def _strings(value: Any, where: str) -> List[str]:
+    return [_str(x, f"{where}[{k}]") for k, x in enumerate(_list(value, where))]
+
+
 def _names(value: Any, where: str) -> List[str]:
-    names = [_str(x, f"{where}[{k}]") for k, x in enumerate(_list(value, where))]
+    names = _strings(value, where)
     if len(set(names)) != len(names):
         raise SchemaError(f"{where}: names must be distinct")
     if not names:
@@ -509,13 +513,13 @@ def _grid_in(value: Any, where: str) -> Tuple[Fraction, Fraction, Fraction]:
     return (_num(grid[0], f"{where}[0]"), _num(grid[1], f"{where}[1]"), _num(grid[2], f"{where}[2]"))
 
 
-def _prefs_in(value: Any, where: str) -> Dict[str, List[str]]:
-    obj = _dict(value, where)
+def _mapping(value: Any, where: str, leaf: Callable[[Any, str], Any], depth: int = 1) -> dict:
+    """An object keyed by names, nested depth deep, whose leaves leaf reads."""
     return {
-        _str(k, f"{where} key"): [
-            _str(x, f"{where}[{k!r}][{n}]") for n, x in enumerate(_list(v, f"{where}[{k!r}]"))
-        ]
-        for k, v in obj.items()
+        _str(k, f"{where} key"): (
+            leaf(v, f"{where}[{k!r}]") if depth == 1 else _mapping(v, f"{where}[{k!r}]", leaf, depth - 1)
+        )
+        for k, v in _dict(value, where).items()
     }
 
 
@@ -530,39 +534,20 @@ def parse_model(data: Any, kind: str) -> Instance:
         if kind == "ordinal":
             _check_keys(obj, "model", ("men", "women"), ("model",))
             return adapters.from_ordinal(
-                _prefs_in(obj["men"], "model.men"), _prefs_in(obj["women"], "model.women")
+                _mapping(obj["men"], "model.men", _strings), _mapping(obj["women"], "model.women", _strings)
             )
         if kind == "shapley_shubik":
             _check_keys(obj, "model", ("costs", "valuations", "price_grid"), ("model",))
-            costs = {
-                _str(k, "model.costs key"): _num(v, f"model.costs[{k!r}]")
-                for k, v in _dict(obj["costs"], "model.costs").items()
-            }
-            valuations = {
-                _str(s, "model.valuations key"): {
-                    _str(b, f"model.valuations[{s!r}] key"): _num(v, f"model.valuations[{s!r}][{b!r}]")
-                    for b, v in _dict(row, f"model.valuations[{s!r}]").items()
-                }
-                for s, row in _dict(obj["valuations"], "model.valuations").items()
-            }
             return adapters.from_shapley_shubik(
-                costs, valuations, _grid_in(obj["price_grid"], "model.price_grid")
+                _mapping(obj["costs"], "model.costs", _num),
+                _mapping(obj["valuations"], "model.valuations", _num, depth=2),
+                _grid_in(obj["price_grid"], "model.price_grid"),
             )
         if kind == "gale_demange":
             _check_keys(obj, "model", ("f", "h", "transfer_grid"), ("model",))
-
-            def maps_in(value: Any, where: str) -> dict:
-                return {
-                    _str(m, f"{where} key"): {
-                        _str(w, f"{where}[{m!r}] key"): _breakpoints(bps, f"{where}[{m!r}][{w!r}]")
-                        for w, bps in _dict(row, f"{where}[{m!r}]").items()
-                    }
-                    for m, row in _dict(value, where).items()
-                }
-
             return adapters.from_gale_demange(
-                maps_in(obj["f"], "model.f"),
-                maps_in(obj["h"], "model.h"),
+                _mapping(obj["f"], "model.f", _breakpoints, depth=2),
+                _mapping(obj["h"], "model.h", _breakpoints, depth=2),
                 _grid_in(obj["transfer_grid"], "model.transfer_grid"),
             )
         _check_keys(obj, "model", ("contracts", "relations", "prefs"), ("model",))
@@ -577,7 +562,7 @@ def parse_model(data: Any, kind: str) -> Instance:
                 _str(duo[1], f"model.relations[{name!r}][1]"),
             )
         return adapters.from_hatfield_milgrom(
-            contracts, relations, _prefs_in(obj["prefs"], "model.prefs")
+            contracts, relations, _mapping(obj["prefs"], "model.prefs", _strings)
         )
     except GameError as exc:
         raise SchemaError(f"model: {exc}") from exc

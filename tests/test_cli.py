@@ -456,6 +456,19 @@ class TestJoin:
         assert rc == 0
         assert json.loads(open(out).read())["matching"] == {"m0": "w1", "m1": "w0"}
 
+    def test_non_integer_instance_joins_at_the_given_margin(self, tmp_path, capsys):
+        inst = str(Path(__file__).resolve().parent.parent / "demos" / "data" / "mixed_classes.json")
+        profile = str(tmp_path / "p.json")
+        assert main(["solve-external", inst, "--eps", "1/2", "-o", profile]) == 0
+        capsys.readouterr()
+        assert main(["join", inst, "--a", profile, "--b", profile]) == 2
+        assert "pass --eps" in capsys.readouterr().err
+        rc = main(["join", inst, "--a", profile, "--b", profile, "--eps", "1/2"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert json.loads(captured.out[: captured.out.rindex("}") + 1]) == json.loads(open(profile).read())
+        assert captured.out.endswith("\nExternalEps: holds=true eps=1/2\n")
+
     def test_unstable_input_is_exit_2(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)
         singles = write(

@@ -9,9 +9,12 @@ witnesses, outside options, the individual-rationality, weak and
 unilateral reports, and whole propose-dispose runs (profile, iteration
 count and bound, trace lines) must equal the reference scans in
 ``helpers``, and the index, built from the integers each game hands
-over, must equal the one built from the menus' Fraction payoffs.
+over, must equal the one built from the menus' Fraction payoffs.  The
+same markets check the run below the payoff grid against the oracle's
+exactly stable profiles, and the instance JSON round trip.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -30,11 +33,15 @@ from matchgames import (
     TransferGame,
     ZeroSumGame,
     build_instance,
+    dump_instance,
+    enumerate_stable,
     find_blocking_pair,
     is_individually_rational,
     is_stable_variant,
     outside_options,
+    parse_instance,
     run_propose_dispose,
+    run_with_vanishing_margin,
 )
 from matchgames._market import market_index
 
@@ -234,6 +241,40 @@ def test_the_index_equals_the_build_from_fraction_payoffs(inst):
             "by_u": (got.by_u.keys, got.by_u.tops),
         } == couple
         assert index.women.couples[j][i] == got.mirror()
+
+
+@settings(EXAMPLES, max_examples=100)
+@given(markets())
+def test_the_run_below_the_grid_is_exactly_stable(inst):
+    stable = list(enumerate_stable(inst, 0))
+    # Each non-exit iteration raises a responder strictly, to another payoff
+    # her menus offer her; each proposer exits at most once.
+    men, women = range(inst.n_men), range(inst.n_women)
+    offers_men = [{c.u for j in women for c in inst.game(i, j).menu()} for i in men]
+    offers_women = [{c.v for i in men for c in inst.game(i, j).menu()} for j in women]
+    for side, proposers, offers in ((Side.MAN, men, offers_women), (Side.WOMAN, women, offers_men)):
+        profile, eps, report = run_with_vanishing_margin(inst, proposing_side=side)
+        assert report is None
+        assert profile in stable
+        again, state = run_propose_dispose(inst, eps, side)
+        assert again == profile
+        assert state.iterations <= len(proposers) + sum(map(len, offers))
+
+
+@EXAMPLES
+@given(markets())
+def test_dump_and_parse_give_the_same_menus(inst):
+    back, _eps = parse_instance(json.loads(json.dumps(dump_instance(inst))), eps=1)
+
+    def menus(x):
+        return {
+            key: [(c.id, c.strategy_a, c.strategy_b, c.u, c.v) for c in x.game(*key).menu()]
+            for key in x.games
+        }
+
+    assert (back.men, back.women) == (inst.men, inst.women)
+    assert (back.irp_men, back.irp_women) == (inst.irp_men, inst.irp_women)
+    assert menus(back) == menus(inst)
 
 
 def test_the_index_is_built_once_per_instance():

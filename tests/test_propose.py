@@ -327,8 +327,3 @@ class TestVanishingMargin:
             profile, eps, verdict = run_with_vanishing_margin(inst)
             assert find_blocking_pair(inst, profile, 0) == verdict
             assert find_blocking_pair(inst, profile, eps) is None
-
-    def test_bad_start_rejected(self):
-        inst = from_ordinal(CLASSIC_MEN, CLASSIC_WOMEN)
-        with pytest.raises(ValueError):
-            run_with_vanishing_margin(inst, start_eps=0)

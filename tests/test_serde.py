@@ -482,6 +482,82 @@ class TestModelParsing:
             parse_model({"men": {"m": ["w", "w"]}, "women": {"w": ["m"]}}, "ordinal")
 
 
+GRID = [0, 2, 1]
+NUMBER = 'expected an integer or "p/q" string'
+
+
+class TestModelFieldErrors:
+    """The exact message of each nested-mapping reader, path included."""
+
+    @pytest.mark.parametrize(
+        "kind, data, message",
+        [
+            # preference lists: ordinal sides and the contracts model's prefs
+            ("ordinal", {"men": [], "women": {}}, "model.men: expected an object, got []"),
+            ("ordinal", {"men": {}, "women": {"w": "m"}}, "model.women['w']: expected a list, got 'm'"),
+            ("ordinal", {"men": {"m": ["w", 3]}, "women": {}}, "model.men['m'][1]: expected a string, got 3"),
+            ("ordinal", {"men": {1: ["w"]}, "women": {}}, "model.men key: expected a string, got 1"),
+            (
+                "contracts",
+                {"contracts": ["x"], "relations": {"x": ["m", "w"]}, "prefs": {"m": [None]}},
+                "model.prefs['m'][0]: expected a string, got None",
+            ),
+            # costs: one level of numbers
+            (
+                "shapley_shubik",
+                {"costs": 3, "valuations": {}, "price_grid": GRID},
+                "model.costs: expected an object, got 3",
+            ),
+            (
+                "shapley_shubik",
+                {"costs": {"s": [1]}, "valuations": {}, "price_grid": GRID},
+                f"model.costs['s']: {NUMBER}, got [1]",
+            ),
+            # valuations: two levels of numbers
+            (
+                "shapley_shubik",
+                {"costs": {"s": 1}, "valuations": {"s": 2}, "price_grid": GRID},
+                "model.valuations['s']: expected an object, got 2",
+            ),
+            (
+                "shapley_shubik",
+                {"costs": {"s": 1}, "valuations": {"s": {2: 1}}, "price_grid": GRID},
+                "model.valuations['s'] key: expected a string, got 2",
+            ),
+            (
+                "shapley_shubik",
+                {"costs": {"s": 1}, "valuations": {"s": {"b": "1/0"}}, "price_grid": GRID},
+                "model.valuations['s']['b']: zero denominator in '1/0'",
+            ),
+            # Gale–Demange maps: two levels of breakpoint lists
+            (
+                "gale_demange",
+                {"f": None, "h": {}, "transfer_grid": GRID},
+                "model.f: expected an object, got None",
+            ),
+            (
+                "gale_demange",
+                {"f": {}, "h": {"m": {"w": "x"}}, "transfer_grid": GRID},
+                "model.h['m']['w']: expected a list, got 'x'",
+            ),
+            (
+                "gale_demange",
+                {"f": {"m": {"w": [[0, 0], [1, True]]}}, "h": {}, "transfer_grid": GRID},
+                f"model.f['m']['w'][1][1]: {NUMBER}, got True",
+            ),
+            (
+                "gale_demange",
+                {"f": {"m": {"w": [[0, 0, 0]]}}, "h": {}, "transfer_grid": GRID},
+                "model.f['m']['w'][0]: breakpoints are [x, y] pairs",
+            ),
+        ],
+    )
+    def test_messages(self, kind, data, message):
+        with pytest.raises(SchemaError) as info:
+            parse_model(data, kind)
+        assert str(info.value) == message
+
+
 class TestRationalText:
     @given(st.fractions())
     def test_fmt_rat_round_trip(self, x):
