@@ -112,29 +112,17 @@ class MarketIndex(NamedTuple):
     men: Oriented
     women: Oriented
 
-    def payoffs(self, profile) -> Tuple[List[Scaled], List[Scaled]]:
-        """Every man's and woman's payoff under a validated profile, scaled by D.
-
-        A contract that is not the menu's own object (a synthesized
-        hull point, or an equal copy) is scaled as an exact Fraction.
-        """
-        men, women = list(self.men.own_irp), list(self.women.own_irp)
-        for (i, j), c in profile.chosen.items():
-            couple = self.men.couples[i][j]
-            if c.id < len(couple.menu) and couple.menu[c.id] is c:
-                men[i], women[j] = couple.u[c.id], couple.v[c.id]
-            else:
-                men[i], women[j] = self.scale * c.u, self.scale * c.v
-        return men, women
-
-    def bars(self, pays: List[Scaled], eps: Fraction) -> List[int]:
-        """floor(p + D·eps) per scaled payoff p.
+    def bars(self, eps: Fraction, men: List[Scaled], women: List[Scaled]) -> Tuple[List[int], List[int]]:
+        """floor(p + D·eps) per scaled payoff p of the men and of the women.
 
         A scaled payoff beats the unscaled payoff plus eps exactly when
         it exceeds the bar, whatever the denominator of eps.
         """
         lift = self.scale * eps.numerator // eps.denominator
-        return [p + lift if type(p) is int else floor(p + self.scale * eps) for p in pays]
+        return (
+            [p + lift if type(p) is int else floor(p + self.scale * eps) for p in men],
+            [p + lift if type(p) is int else floor(p + self.scale * eps) for p in women],
+        )
 
 
 def _stair(key: Sequence[int], other: Sequence[int]) -> Stair:

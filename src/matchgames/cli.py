@@ -23,7 +23,7 @@ from .games import GameError, Instance, Side
 from .lattice import join as lattice_join
 from .oracle import OracleCapError, enumerate_stable
 from .propose import run_propose_dispose
-from .rational import fmt, rat
+from .rational import digits_past_limit, fmt, rat
 from .refine import RefineStatus, refine
 from .serde import (
     SchemaError,
@@ -91,6 +91,9 @@ def _cmd_solve_external(args) -> int:
         raise SchemaError("solve-external needs a positive eps")
     side = Side.MAN if args.side == "men" else Side.WOMAN
     profile, state = run_propose_dispose(inst, eps, side)
+    limit = digits_past_limit(state.iteration_bound)
+    if limit:
+        raise SchemaError(f"--eps is too small: the iteration bound has more than {limit} digits to print")
     if args.trace:
         _write_trace(args.trace, state.trace)
     _emit_profile(inst, profile, args.out)

@@ -17,7 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from ._market import market_index
 from .games import (
     Contract,
     Game,
@@ -30,7 +29,7 @@ from .games import (
 )
 from .geometry import Point, clip_ge, vertex_argmax
 from .rational import is_neg_inf, rat
-from .stability import MatchingProfile, validate_profile
+from .stability import MatchingProfile, read_profile
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,14 @@ def outside_options(
     payoffs.
     """
     eps = rat(eps)
-    if eps < 0:
+    if eps.numerator < 0:
         raise ValueError("eps must be nonnegative")
-    validate_profile(inst, profile)
+    index, men_pay, women_pay = read_profile(inst, profile)
     if profile.matches[i] != j:
         raise ValueError(f"couple ({i},{j}) is not matched in this profile")
-    index = market_index(inst)
-    men_pay, women_pay = index.payoffs(profile)
-    _, u0, _ = index.men.best(i, index.bars(women_pay, eps), exclude=j)
-    _, v0, _ = index.women.best(j, index.bars(men_pay, eps), exclude=i)
+    men_bar, women_bar = index.bars(eps, men_pay, women_pay)
+    _, u0, _ = index.men.best(i, women_bar, exclude=j)
+    _, v0, _ = index.women.best(j, men_bar, exclude=i)
     return OutsideOptions(u0=Fraction(u0, index.scale), v0=Fraction(v0, index.scale))
 
 

@@ -20,7 +20,7 @@ from .stability import (
     MatchingProfile,
     find_blocking_pair,
     man_payoff,
-    validate_profile,
+    read_profile,
     woman_payoff,
 )
 
@@ -34,16 +34,16 @@ def genericity_holds(
     argmax well-defined in the join.
     """
     eps = rat(eps)
-    validate_profile(inst, p1)
-    validate_profile(inst, p2)
-    for i in range(inst.n_men):
-        if p1.matches[i] != p2.matches[i]:
-            if abs(man_payoff(inst, p1, i) - man_payoff(inst, p2, i)) <= eps:
-                return False
-    for j in range(inst.n_women):
-        if p1.partner_of_woman(j) != p2.partner_of_woman(j):
-            if abs(woman_payoff(inst, p1, j) - woman_payoff(inst, p2, j)) <= eps:
-                return False
+    index, men1, women1 = read_profile(inst, p1)
+    _, men2, women2 = read_profile(inst, p2)
+    # scaled by D: |a - b| <= eps exactly when |A - B| * den(eps) <= D * num(eps)
+    reach = index.scale * eps.numerator
+    for i, (a, b) in enumerate(zip(men1, men2)):
+        if p1.matches[i] != p2.matches[i] and abs(a - b) * eps.denominator <= reach:
+            return False
+    for j, (a, b) in enumerate(zip(women1, women2)):
+        if p1.partner_of_woman(j) != p2.partner_of_woman(j) and abs(a - b) * eps.denominator <= reach:
+            return False
     return True
 
 

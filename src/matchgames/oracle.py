@@ -98,7 +98,9 @@ def enumerate_profiles(inst: Instance, cap: int = 10**7) -> Iterator[MatchingPro
     Refuses with OracleCapError (carrying the exact count) when the
     candidate space exceeds cap.  Order is deterministic: matchings in
     enumerate_matchings order, contracts per couple in menu (id) order,
-    rightmost couple varying fastest.
+    rightmost couple varying fastest.  The first profile of each
+    matching is checked by the constructor; the rest of that matching's
+    profiles share its checked partner map.
     """
     total = count_profiles(inst)
     if total > cap:
@@ -107,11 +109,12 @@ def enumerate_profiles(inst: Instance, cap: int = 10**7) -> Iterator[MatchingPro
         )
     for matches in enumerate_matchings(inst.n_men, inst.n_women):
         couples = [(i, j) for i, j in enumerate(matches) if j is not None]
-        menus = [inst.game(i, j).menu() for i, j in couples]
-        for combo in itertools.product(*menus):
-            yield MatchingProfile(
-                matches=matches, chosen=dict(zip(couples, combo))
-            )
+        combos = itertools.product(*(inst.game(i, j).menu() for i, j in couples))
+        for combo in itertools.islice(combos, 1):
+            checked = MatchingProfile(matches=matches, chosen=dict(zip(couples, combo)))
+            yield checked
+            for combo in combos:
+                yield checked._recontracted(dict(zip(couples, combo)))
 
 
 _NOTIONS = ("external", "internal", "nash", "weak", "unilateral")
@@ -132,21 +135,19 @@ def enumerate_stable(
     """
     if notion not in _NOTIONS:
         raise ValueError(f"unknown stability notion {notion!r}")
-    for profile in enumerate_profiles(inst, cap=cap):
-        if notion == "external":
-            if is_externally_stable(inst, profile, eps).holds:
-                yield profile
-        elif notion == "internal":
-            if is_externally_stable(inst, profile, eps).holds and is_internally_stable(
-                inst, profile, eps
-            ).holds:
-                yield profile
-        elif notion == "nash":
-            if is_nash_stable(inst, profile).holds:
-                yield profile
-        else:
-            if is_stable_variant(inst, profile, notion).holds:
-                yield profile
+    # The checkers are looked up as module globals on every call, so a
+    # wrapper installed on this module sees each one.
+    if notion == "external":
+        holds = lambda p: is_externally_stable(inst, p, eps).holds
+    elif notion == "internal":
+        holds = lambda p: (
+            is_externally_stable(inst, p, eps).holds and is_internally_stable(inst, p, eps).holds
+        )
+    elif notion == "nash":
+        holds = lambda p: is_nash_stable(inst, p).holds
+    else:
+        holds = lambda p: is_stable_variant(inst, p, notion).holds
+    yield from filter(holds, enumerate_profiles(inst, cap=cap))
 
 
 def pareto_frontier(game: Game) -> List[Contract]:

@@ -35,7 +35,7 @@ def rat(value: RationalLike) -> Fraction:
     not carry the exactness contract, so callers must write "0.1" rather
     than 0.1.
     """
-    if isinstance(value, Fraction):  # first: re-reading parsed matrices is common
+    if type(value) is Fraction or isinstance(value, Fraction):  # re-reading is common
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational payoff")
@@ -78,6 +78,12 @@ def _digit_limit(text: str) -> int:
     return limit
 
 
+def digits_past_limit(n: int) -> int:
+    """``sys.get_int_max_str_digits()`` if ``str`` would refuse the integer n, else 0."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit if limit and _longer(abs(n), limit) else 0
+
+
 def _longer(n: int, limit: int) -> bool:
     """n >= 0 has more than ``limit`` digits; below 2**(3*limit) it cannot."""
     return n.bit_length() > 3 * limit and n >= 10**limit
@@ -107,7 +113,10 @@ def render_event(name: str, **fields) -> str:
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, (Fraction, float)):
-            value = fmt(value)
+            try:
+                value = fmt(value)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ValueError(f"trace field {key}= has too many digits to print") from None
         parts.append(f"{key}={value}")
     return " ".join(parts)
 

@@ -9,11 +9,12 @@ stability (no profitable deviation that keeps the market stable).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ._market import MarketIndex, market_index
+from ._market import MarketIndex, Scaled, market_index
 from .games import Contract, GameError, Instance, Side
 from .rational import rat
 
@@ -45,6 +46,13 @@ class MatchingProfile:
         inverse: Dict[int, int] = {j: i for i, j in enumerate(self.matches) if j is not None}
         object.__setattr__(self, "_inverse", inverse)
 
+    def _recontracted(self, chosen: Mapping[Tuple[int, int], Contract]) -> "MatchingProfile":
+        """This matching with other contracts on the same pairs, sharing the checked partner map."""
+        profile = object.__new__(MatchingProfile)
+        fields = profile.__dict__  # filled directly: the class is frozen
+        fields["matches"], fields["chosen"], fields["_inverse"] = self.matches, chosen, self._inverse
+        return profile
+
     def partner_of_woman(self, j: int) -> Optional[int]:
         return self._inverse.get(j)
 
@@ -59,22 +67,41 @@ class MatchingProfile:
         return MatchingProfile(self.matches, new_chosen)
 
 
-def validate_profile(inst: Instance, profile: MatchingProfile) -> None:
-    """Check the profile against the instance (sizes, contract membership)."""
-    if len(profile.matches) != inst.n_men:
+def read_profile(inst: Instance, profile: MatchingProfile) -> Tuple[MarketIndex, List[Scaled], List[Scaled]]:
+    """Validate the profile and read every man's and woman's payoff, scaled by D.
+
+    One pass: the size and range checks, then each chosen contract.  A
+    menu's own contract object reads its payoffs from the market index;
+    any other contract must pass ``validate_contract`` (an equal copy or
+    a synthesized hull point) and is scaled as an exact Fraction.
+    Returns the index with the two payoff lists.
+    """
+    index = market_index(inst)
+    men, women = list(index.men.own_irp), list(index.women.own_irp)
+    if len(profile.matches) != len(men):
         raise MatchingError("profile size differs from the number of men")
-    n_women = inst.n_women
+    n_women = len(women)
     for i, j in enumerate(profile.matches):
         if j is not None and not 0 <= j < n_women:
             raise MatchingError(f"man {i} matched to unknown woman {j}")
+    rows = index.men.couples
     for (i, j), contract in profile.chosen.items():
-        game = inst.games[(i, j)]
-        if contract.id < len(game._menu) and game._menu[contract.id] is contract:
-            continue  # the menu's own contract object
+        couple = rows[i][j]
+        k, menu = contract.id, couple.menu
+        if k < len(menu) and menu[k] is contract:
+            men[i], women[j] = couple.u[k], couple.v[k]
+            continue
         try:
-            game.validate_contract(contract)
+            inst.games[(i, j)].validate_contract(contract)
         except GameError as exc:
             raise MatchingError(f"couple ({i},{j}): {exc}") from exc
+        men[i], women[j] = index.scale * contract.u, index.scale * contract.v
+    return index, men, women
+
+
+def validate_profile(inst: Instance, profile: MatchingProfile) -> None:
+    """Check the profile against the instance (sizes, contract membership)."""
+    read_profile(inst, profile)
 
 
 def man_payoff(inst: Instance, profile: MatchingProfile, i: int) -> Fraction:
@@ -135,20 +162,22 @@ def find_blocking_pair(
     stable at margin eps.
     """
     eps = rat(eps)
-    if eps < 0:
+    if eps.numerator < 0:
         raise ValueError("eps must be nonnegative")
-    validate_profile(inst, profile)
-    index = market_index(inst)
-    men_pay, women_pay = index.payoffs(profile)
-    men_bar, women_bar = index.bars(men_pay, eps), index.bars(women_pay, eps)
+    index, men_pay, women_pay = read_profile(inst, profile)
+    men_bar, women_bar = index.bars(eps, men_pay, women_pay)
+    matches, men_irp = profile.matches, index.men.own_irp
     for i, row in enumerate(index.men.couples):
-        if men_pay[i] < index.men.own_irp[i]:
+        if men_pay[i] < men_irp[i]:
             return BlockingPair(man=i, woman=None, contract=None)
+        mine, bar = matches[i], men_bar[i]
         for j, couple in enumerate(row):
-            if profile.matches[i] != j:
-                contract = couple.first_blocking(men_bar[i], women_bar[j])
-                if contract is not None:
-                    return BlockingPair(man=i, woman=j, contract=contract)
+            if j == mine:
+                continue
+            # Couple.first_blocking's screen, inlined: the best u above woman j's bar
+            top = couple.by_v.tops[bisect_right(couple.by_v.keys, women_bar[j])]
+            if top is not None and couple.u[top] > bar:
+                return BlockingPair(man=i, woman=j, contract=couple.first_blocking(bar, women_bar[j]))
     for j, pay in enumerate(women_pay):
         if pay < index.women.own_irp[j]:
             return BlockingPair(man=None, woman=j, contract=None)
@@ -158,7 +187,7 @@ def find_blocking_pair(
 def is_externally_stable(inst: Instance, profile: MatchingProfile, eps) -> StabilityReport:
     eps = rat(eps)
     witness = find_blocking_pair(inst, profile, eps)
-    notion = "External0" if eps == 0 else "ExternalEps"
+    notion = "ExternalEps" if eps.numerator else "External0"
     return StabilityReport(notion=notion, holds=witness is None, witness=witness, eps=eps)
 
 
@@ -174,9 +203,7 @@ def _ir_witness(index: MarketIndex, men_pay, women_pay) -> Optional[BlockingPair
 
 def is_individually_rational(inst: Instance, profile: MatchingProfile) -> StabilityReport:
     """Reservation-payoff check alone (condition shared by every notion)."""
-    validate_profile(inst, profile)
-    index = market_index(inst)
-    witness = _ir_witness(index, *index.payoffs(profile))
+    witness = _ir_witness(*read_profile(inst, profile))
     return StabilityReport("IR", witness is None, witness)
 
 
@@ -193,9 +220,7 @@ def is_stable_variant(inst: Instance, profile: MatchingProfile, mode: str) -> St
     if mode not in ("weak", "unilateral"):
         raise ValueError(f"unknown variant {mode!r}")
     notion = "Weak" if mode == "weak" else "Unilateral"
-    validate_profile(inst, profile)
-    index = market_index(inst)
-    men_pay, women_pay = index.payoffs(profile)
+    index, men_pay, women_pay = read_profile(inst, profile)
     witness = _ir_witness(index, men_pay, women_pay)
     if witness is not None:
         return StabilityReport(notion, False, witness)

@@ -39,6 +39,9 @@ from matchgames import (
     StabilityReport,
     ZeroSumGame,
     build_instance,
+    enumerate_matchings,
+    is_externally_stable,
+    is_internally_stable,
     man_payoff,
     woman_payoff,
 )
@@ -430,6 +433,24 @@ def gale_shapley(prefs_men: dict, prefs_women: dict) -> dict:
     return {m: w for w, m in engaged.items()}
 
 
+def refused_profiles():
+    """(instance, profile, error pattern) for each check validate_profile makes.
+
+    A profile shorter than the men, a man matched to an unknown woman,
+    and a foreign contract.  Every profile matches couple (0, 0) or
+    fails before the matched-couple check of outside options.
+    """
+    game = BimatrixGame([[1, 2]], [[3, 4]])
+    one = build_instance(["m"], ["w"], [0], [0], {(0, 0): game})
+    two = build_instance(["m0", "m1"], ["w"], [0, 0], [0], {(0, 0): game, (1, 0): game})
+    foreign = BimatrixGame([[1, 2]], [[3, 5]]).menu()[1]
+    return [
+        (two, MatchingProfile((0,), {(0, 0): game.menu()[0]}), "^profile size differs from the number of men$"),
+        (one, MatchingProfile((1,), {(0, 1): game.menu()[0]}), "^man 0 matched to unknown woman 1$"),
+        (one, MatchingProfile((0,), {(0, 0): foreign}), r"^couple \(0,0\): foreign contract"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Reference menu scans: every contract compared in Fractions, in id order.
 
@@ -675,3 +696,29 @@ def max_weight_assignment(weights: Sequence[Sequence[int]]) -> int:
             p[j0] = p[j1]
             j0 = j1
     return -sum(cost[p[j] - 1][j - 1] for j in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# The brute-force oracle as a plain loop: every profile built by the checked
+# constructor, and the notion tested afresh for each profile.
+
+
+def reference_profiles(inst: Instance):
+    """Every matching profile in enumerate_profiles order, each one checked."""
+    for matches in enumerate_matchings(inst.n_men, inst.n_women):
+        couples = [(i, j) for i, j in enumerate(matches) if j is not None]
+        for combo in itertools.product(*(inst.game(i, j).menu() for i, j in couples)):
+            yield MatchingProfile(matches=matches, chosen=dict(zip(couples, combo)))
+
+
+def reference_enumerate_stable(inst: Instance, eps, notion: str):
+    """enumerate_stable's external and internal notions, one check after another."""
+    for profile in reference_profiles(inst):
+        if notion == "external":
+            if is_externally_stable(inst, profile, eps).holds:
+                yield profile
+        elif notion == "internal":
+            if is_externally_stable(inst, profile, eps).holds and is_internally_stable(
+                inst, profile, eps
+            ).holds:
+                yield profile

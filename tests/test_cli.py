@@ -31,6 +31,8 @@ CLASSIC = {
     },
 }
 
+MIXED_CLASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "mixed_classes.json"
+
 ZERO_SUM_COUPLE = {
     "men": ["m0"],
     "women": ["w0"],
@@ -272,6 +274,23 @@ class TestSolveExternal:
         assert err.startswith(
             f"error: instance.games['m0']['w1'].u[0][0]: '1e{sign}{limit}' has more than {limit} digits"
         )
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+    )
+    def test_eps_whose_bound_cannot_print_is_exit_2_naming_the_flag(self, tmp_path, capsys):
+        # eps itself prints, but the iteration bound, about 1/eps, has one digit too many
+        eps = "1/" + "9" * (sys.get_int_max_str_digits() - 1)
+        trace, out = tmp_path / "trace.txt", tmp_path / "profile.json"
+        start = time.perf_counter()
+        rc = main(["solve-external", str(MIXED_CLASSES), "--eps", eps, "--trace", str(trace), "-o", str(out)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert captured.err.startswith("error: --eps is too small: the iteration bound has more than ")
+        assert not trace.exists() and not out.exists()
 
     def test_small_exponents_still_parse(self, tmp_path, capsys):
         data = json.loads(json.dumps(CLASSIC))

@@ -11,6 +11,7 @@ from matchgames import (
     BimatrixGame,
     CnePolicy,
     GameError,
+    MatchingError,
     MatchingProfile,
     OutsideOptions,
     PotentialGame,
@@ -27,12 +28,13 @@ from matchgames import (
     repeated_cne_payoff,
     run_propose_dispose,
     solve_cne,
+    validate_profile,
     woman_payoff,
 )
 from matchgames.geometry import hull_contains
 from matchgames.serde import load_instance_file
 
-from helpers import random_bimatrix_instance, random_zero_sum_game
+from helpers import random_bimatrix_instance, random_zero_sum_game, refused_profiles
 
 F = Fraction
 
@@ -98,6 +100,22 @@ class TestOutsideOptions:
         prof = MatchingProfile((0,), {(0, 0): inst.game(0, 0).menu()[0]})
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             outside_options(inst, prof, 0, 0, -1)
+
+    @pytest.mark.parametrize("eps", ["-1/2", F(-1, 3)])
+    def test_negative_margin_rejected_in_any_form(self, eps):
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[2]], [[2]])})
+        prof = MatchingProfile((0,), {(0, 0): inst.game(0, 0).menu()[0]})
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            outside_options(inst, prof, 0, 0, eps)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_refused_profile_raises_the_validation_error(self, case):
+        inst, profile, pattern = refused_profiles()[case]
+        with pytest.raises(MatchingError, match=pattern) as want:
+            validate_profile(inst, profile)
+        with pytest.raises(MatchingError) as got:
+            outside_options(inst, profile, 0, 0, F(1, 2))
+        assert str(got.value) == str(want.value)
 
     def test_stable_profile_bounds_outside_options(self):
         rng = random.Random(31)

@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixGame,
+    Contract,
     MatchingError,
     Side,
     build_instance,
+    enumerate_profiles,
     enumerate_stable,
     extremal_profile,
     find_blocking_pair,
@@ -23,6 +27,7 @@ from matchgames import (
 from matchgames import MatchingProfile, ZeroSumGame
 
 from helpers import random_bimatrix_instance
+from test_market import markets
 
 F = Fraction
 
@@ -239,3 +244,38 @@ class TestMeet:
         bp = find_blocking_pair(inst, raw, 0)
         assert bp is not None
         assert (bp.man, bp.woman) == (0, 1)
+
+
+def fraction_genericity(inst, p1, p2, eps):
+    """genericity_holds as defined, on the exact payoffs."""
+    men = all(
+        p1.matches[i] == p2.matches[i]
+        or abs(man_payoff(inst, p1, i) - man_payoff(inst, p2, i)) > eps
+        for i in range(inst.n_men)
+    )
+    return men and all(
+        p1.partner_of_woman(j) == p2.partner_of_woman(j)
+        or abs(woman_payoff(inst, p1, j) - woman_payoff(inst, p2, j)) > eps
+        for j in range(inst.n_women)
+    )
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(markets(), st.sampled_from([F(0), F(1, 2), F(1), F(3, 7), F(-1)]))
+def test_genericity_on_scaled_payoffs_matches_the_exact_definition(inst, eps):
+    # The second profile of each pair holds equal copies, read as exact Fractions.
+    profiles = list(enumerate_profiles(inst))[:12]
+    copies = [
+        MatchingProfile(
+            p.matches, {k: Contract(c.id, c.strategy_a, c.strategy_b, c.u, c.v) for k, c in p.chosen.items()}
+        )
+        for p in profiles
+    ]
+    for a in profiles:
+        for b in copies:
+            assert genericity_holds(inst, a, b, eps) == fraction_genericity(inst, a, b, eps)

@@ -5,10 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import matchgames.stability
 from matchgames import (
     NEG_INF,
     BimatrixGame,
+    MatchingError,
+    MatchingProfile,
     OracleCapError,
     OutsideOptions,
     ZeroSumGame,
@@ -27,7 +32,8 @@ from matchgames import (
     pareto_frontier,
 )
 
-from helpers import random_bimatrix_instance
+from helpers import random_bimatrix_instance, reference_enumerate_stable, reference_profiles
+from test_market import markets
 
 F = Fraction
 
@@ -199,6 +205,80 @@ class TestEnumerateStable:
         inst = from_ordinal(CLASSIC_MEN, CLASSIC_WOMEN)
         with pytest.raises(ValueError):
             list(enumerate_stable(inst, 0, "strong"))
+
+
+MARKETS = settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def hash_or_error(profile):
+    """A profile's hash, or the error hashing it raises (``chosen`` is a dict)."""
+    try:
+        return hash(profile)
+    except TypeError as exc:
+        return str(exc)
+
+
+@MARKETS
+@given(markets())
+def test_enumerated_profiles_equal_checked_ones(inst):
+    # Profiles after the first of each matching share its partner map, unchecked.
+    enumerated = list(enumerate_profiles(inst))
+    assert len(enumerated) == count_profiles(inst)
+    for profile, reference in zip(enumerated, reference_profiles(inst)):
+        rebuilt = MatchingProfile(profile.matches, dict(profile.chosen))
+        for checked in (rebuilt, reference):
+            assert profile == checked and checked == profile
+            assert hash_or_error(profile) == hash_or_error(checked)
+            assert profile.matched_pairs() == checked.matched_pairs()
+            for j in range(inst.n_women + 1):
+                assert profile.partner_of_woman(j) == checked.partner_of_woman(j)
+        for i, j in profile.matched_pairs():
+            held, last = profile.chosen[(i, j)], inst.game(i, j).menu()[-1]
+            changed = profile.with_contract(i, j, last)
+            assert changed == MatchingProfile(profile.matches, {**profile.chosen, (i, j): last})
+            assert changed.chosen[(i, j)] is last and profile.chosen[(i, j)] is held
+            assert [changed.partner_of_woman(w) for w in range(inst.n_women)] == [
+                profile.partner_of_woman(w) for w in range(inst.n_women)
+            ]
+        for i, j in enumerate(profile.matches):
+            if j is None and inst.n_women:
+                with pytest.raises(MatchingError, match="is not matched"):
+                    profile.with_contract(i, 0, inst.game(i, 0).menu()[0])
+
+
+@MARKETS
+@given(markets(), st.sampled_from([F(0), F(1, 2), F(1)]))
+def test_the_oracle_makes_one_blocking_check_per_check_of_the_reference_loop(inst, eps):
+    calls = []
+    original = matchgames.stability.find_blocking_pair
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    # bench/digests.json stores the blocking checks each oracle-crosscheck
+    # market makes (stability.blocking_calls), so a change to the oracle's
+    # call structure must re-record those digests.
+    hint = "the oracle's blocking checks changed; re-record stability.blocking_calls in bench/digests.json"
+    matchgames.stability.find_blocking_pair = counted
+    try:
+        for notion in ("external", "internal"):
+            del calls[:]
+            got = list(enumerate_stable(inst, eps, notion))
+            made = len(calls)
+            del calls[:]
+            want = list(reference_enumerate_stable(inst, eps, notion))
+            assert got == want
+            assert made == len(calls), hint
+            if notion == "external":
+                assert made == count_profiles(inst), hint
+    finally:
+        matchgames.stability.find_blocking_pair = original
 
 
 class TestParetoFrontier:

@@ -30,6 +30,7 @@ from matchgames import (
     rat,
     run_propose_dispose,
 )
+from matchgames.rational import digits_past_limit, render_event
 from matchgames.serde import load_json
 
 F = Fraction
@@ -592,6 +593,18 @@ class TestRationalText:
             assert rat("1e-700") == F(1, 10**700)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+    )
+    def test_numbers_too_long_to_print_are_named(self):
+        limit = sys.get_int_max_str_digits()
+        assert digits_past_limit(10**limit) == limit
+        assert digits_past_limit(-(10**limit)) == limit
+        assert digits_past_limit(10**limit - 1) == 0
+        assert render_event("exit", own=F(1, 10**limit - 1)).startswith("event=exit own=1/")
+        with pytest.raises(ValueError, match="^trace field own= has too many digits to print$"):
+            render_event("exit", proposer="m0", own=F(1, 10**limit))
 
     def test_dump_profile_deterministic(self):
         rng = random.Random(5)

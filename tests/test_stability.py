@@ -28,7 +28,7 @@ from matchgames import (
     woman_payoff,
 )
 
-from helpers import random_bimatrix_instance
+from helpers import random_bimatrix_instance, refused_profiles
 
 F = Fraction
 
@@ -295,3 +295,42 @@ class TestProfileValidation:
         ):
             with pytest.raises(MatchingError, match=r"^couple \(0,0\): foreign contract"):
                 validate_profile(inst, MatchingProfile((0,), {(0, 0): foreign}))
+
+
+CHECKERS = {
+    "find_blocking_pair": lambda inst, p: find_blocking_pair(inst, p, 0),
+    "is_externally_stable": lambda inst, p: is_externally_stable(inst, p, F(1, 2)),
+    "is_individually_rational": is_individually_rational,
+    "is_stable_variant weak": lambda inst, p: is_stable_variant(inst, p, "weak"),
+    "is_stable_variant unilateral": lambda inst, p: is_stable_variant(inst, p, "unilateral"),
+    "is_nash_stable": is_nash_stable,
+}
+
+
+class TestOnePassValidation:
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    @pytest.mark.parametrize("case", range(3))
+    def test_every_checker_raises_the_validation_error(self, name, case):
+        inst, profile, pattern = refused_profiles()[case]
+        with pytest.raises(MatchingError, match=pattern) as want:
+            validate_profile(inst, profile)
+        with pytest.raises(MatchingError) as got:
+            CHECKERS[name](inst, profile)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("eps", ["-1/2", F(-1, 3), -1])
+    def test_negative_margin_rejected(self, eps):
+        inst = single_couple(BimatrixGame([[1]], [[1]]))
+        for check in (find_blocking_pair, is_externally_stable):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                check(inst, matched_on(inst, {0: 0}), eps)
+
+    def test_notion_follows_the_sign_of_the_margin(self):
+        inst = single_couple(BimatrixGame([[1]], [[1]]))
+        profile = matched_on(inst, {0: 0})
+        for eps in (0, "0", F(0), "0/7"):
+            report = is_externally_stable(inst, profile, eps)
+            assert (report.notion, report.eps, type(report.eps)) == ("External0", 0, F)
+        for eps in ("1/2", F(1, 2), "0.5"):
+            report = is_externally_stable(inst, profile, eps)
+            assert (report.notion, report.eps) == ("ExternalEps", F(1, 2))
