@@ -153,8 +153,8 @@ def _build(inst: Instance) -> MarketIndex:
     for row in games:
         out = []
         for game in row:
-            du, u, dv, v = game._payoffs
-            u, v, menu = _scaled(u, scale // du), _scaled(v, scale // dv), game.menu()
+            pay = game._payoffs
+            u, v, menu = _scaled(pay.u, scale // pay.du), _scaled(pay.v, scale // pay.dv), game.menu()
             out.append(Couple(menu, u, v, _stair(v, u), _stair(u, v)))
         couples.append(tuple(out))
     irp_men = tuple(x.numerator * (scale // x.denominator) for x in inst.irp_men)

@@ -109,21 +109,26 @@ def _median3(a, b, c):
 
 
 def _solve_level(game: LevelGame, oo: OutsideOptions) -> CneResult:
-    lo, hi = game.level_bounds(oo.u0, oo.v0)
-    feasible = [
-        (k, lev) for k, lev in enumerate(game.levels) if lo <= lev <= hi
-    ]
-    if not feasible:
-        return CneResult(None, "infeasible")
-    target = _median3(lo, hi, game.value_level)
-    w = game.value_level
+    """The feasible level nearest the value clamped into the bounds.
 
-    def rank(item):
-        _, lev = item
+    Levels ascend, so the feasible ones are ids first..stop-1, and the
+    nearest to the target is the last at or below it or the first at or
+    above it; only those two contracts are read.
+    """
+    lo, hi = game.level_bounds(oo.u0, oo.v0)
+    first, stop = game._count_below(lo), game._count_below(hi, True)
+    if first >= stop:
+        return CneResult(None, "infeasible")
+    w = game.value_level
+    target = _median3(lo, hi, w)
+    at_or_below = game._count_below(target, True) - 1
+    near = [k for k in (at_or_below, at_or_below + 1) if first <= k < stop]
+
+    def rank(contract):
+        lev = contract.strategy_a
         return (abs(lev - target), abs(lev - w), lev)
 
-    k, _ = min(feasible, key=rank)
-    contract = game.menu()[k]
+    contract = min((game.menu()[k] for k in near), key=rank)
     if not is_cne(game, contract, oo):
         raise GameError("median level failed the equilibrium check; solver bug")
     return CneResult(contract)

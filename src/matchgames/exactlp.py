@@ -1,6 +1,7 @@
 """Exact value of a finite zero-sum matrix game.
 
-Solved as a linear program with a dense-tableau simplex (Bland's rule,
+A matrix with a pure saddle point has that entry as its value.  Any
+other is solved as a linear program with a dense-tableau simplex (Bland's rule,
 so no cycling) run fraction-free: the matrix is scaled to integers and
 every pivot keeps the tableau integral over one known denominator, the
 previous pivot (Edmonds' integer-preserving pivoting).  scipy's LP
@@ -68,7 +69,9 @@ def matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
     Standard reciprocal transformation: shift all entries positive, then
     the column player's LP  max sum(q) s.t. A q <= 1, q >= 0  has optimum
     1/value of the shifted game.  Solving it for D*A, with D the lcm of
-    the entries' denominators, gives the optimum divided by D.
+    the entries' denominators, gives the optimum divided by D.  A matrix
+    with a pure saddle point (its largest row minimum equals its smallest
+    column maximum) has that entry as its value, and skips the LP.
     """
     A = [[rat(v) for v in row] for row in matrix]
     if not A or not A[0]:
@@ -81,6 +84,9 @@ def matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
     low = min(min(row) for row in A)
     shift = D - low.numerator * (D // low.denominator)  # D * (1 - low)
     scaled = [[v.numerator * (D // v.denominator) + shift for v in row] for row in A]
+    lower = max(map(min, scaled))
+    if lower == min(map(max, zip(*scaled))):
+        return Fraction(lower - shift, D)
     num, den = _simplex_max(scaled)
     if num <= 0:
         raise ArithmeticError("degenerate matrix game LP")

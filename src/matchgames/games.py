@@ -10,15 +10,17 @@ every downstream comparison stays exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlp import matrix_game_value
 from .geometry import Point, convex_hull, hull_contains
-from .rational import NEG_INF, POS_INF, RationalLike, fmt, is_neg_inf, rat
+from .rational import NEG_INF, POS_INF, RationalLike, digits_past_limit, fmt, is_neg_inf, rat, str_limit
 
 
 class GameError(ValueError):
@@ -42,9 +44,9 @@ class Contract:
     games.  ``Game.describe`` puts a contract into words.
 
     Contracts compare and hash by value, so an equal copy stands for a
-    menu's own object.  A level game's menu contracts hold the menu's
-    integer ``Payoffs`` instead of ``u`` and ``v`` until their first read
-    (see ``_Unread``); later reads are plain slot reads.
+    menu's own object.  Level and repeated games' menu contracts hold the
+    menu's integer ``Payoffs`` instead of their fields until the first
+    read (see ``_Unread``); later reads are plain slot reads.
     """
 
     __slots__ = ("id", "strategy_a", "strategy_b", "u", "v", "_payoffs")
@@ -75,18 +77,26 @@ class Contract:
 
 
 # the slots' own descriptors, which _Unread shadows
-_ID, _U, _V = Contract.id, Contract.u, Contract.v
+_ID, _A, _B, _U, _V = Contract.id, Contract.strategy_a, Contract.strategy_b, Contract.u, Contract.v
+
+
+def _on_read(slot) -> property:
+    def get(self):
+        self._read()
+        return slot.__get__(self)
+
+    return property(get)
 
 
 class _Unread(Contract):
-    """A level game's menu contract before its first read of ``id``, ``u`` or ``v``.
+    """A lazy menu's contract before its first read of any field.
 
-    That read makes both payoffs from the menu's integers and turns the
-    object into a plain ``Contract``, whose reads are slot reads.  CPython
-    3.11 specializes an attribute read site for one class at a time, and
-    not at all for a class with a ``__getattr__``.  Every check of a
-    contract reads ``id`` first, so a read site sees each contract unread
-    at most once.
+    That read makes the payoffs and the descriptors from the menu's
+    integers and turns the object into a plain ``Contract``, whose reads
+    are slot reads.  CPython 3.11 specializes an attribute read site for
+    one class at a time, and not at all for a class with a
+    ``__getattr__``.  Every check of a contract reads ``id`` first, so a
+    read site sees each contract unread at most once.
     """
 
     __slots__ = ()
@@ -97,37 +107,41 @@ class _Unread(Contract):
 
     def _read(self) -> None:
         pay, k = self._payoffs, _ID.__get__(self)
-        _U.__set__(self, Fraction(pay.u[k], pay.du))
-        _V.__set__(self, Fraction(pay.v[k], pay.dv))
+        u, v = Fraction(pay.u[k], pay.du), Fraction(pay.v[k], pay.dv)
+        _U.__set__(self, u)
+        _V.__set__(self, v)
+        # a level contract's descriptor is its level, a repeated one's its point
+        if pay.levels is None:
+            a = (u, v)
+        elif pay.levels[1] is pay.u:  # zero-sum: the level is the man's payoff
+            a = u
+        else:
+            a = Fraction(pay.levels[1][k], pay.levels[0])
+        _A.__set__(self, a)
+        _B.__set__(self, a)
         self.__class__ = Contract
 
-    @property
-    def id(self) -> int:
-        self._read()
-        return self.id
-
-    @property
-    def u(self) -> Fraction:
-        self._read()
-        return self.u
-
-    @property
-    def v(self) -> Fraction:
-        self._read()
-        return self.v
+    id = _on_read(_ID)
+    strategy_a = _on_read(_A)
+    strategy_b = _on_read(_B)
+    u = _on_read(_U)
+    v = _on_read(_V)
 
 
 class Payoffs(NamedTuple):
     """A menu's payoffs in integers: contract k pays u[k]/du and v[k]/dv.
 
     du and dv are the lcm of the lowest-terms denominators of the u and
-    the v column, so the market index scales them without reading a Fraction.
+    the v column, so the market index scales them without reading a
+    Fraction.  A level game's levels ride along the same way, as (dl,
+    numerators); they are None where a contract's descriptor is its point.
     """
 
     du: int
     u: Tuple[int, ...]
     dv: int
     v: Tuple[int, ...]
+    levels: Optional[Tuple[int, Tuple[int, ...]]] = None
 
 
 def _over_common(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Tuple[int, ...]]:
@@ -142,14 +156,34 @@ def _over_common(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Tuple[int, ...]
     return M // g, tuple([n // g for n in ns] if g > 1 else ns)
 
 
-def _menu_contracts(levels: Sequence[Fraction], payoffs: Payoffs) -> Tuple[Contract, ...]:
-    """Contract k holds level k on both sides and payoff k of ``payoffs``, made on first read."""
+def _made_payoffs(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Tuple[int, ...]]:
+    """``_over_common`` for numbers a game computes, refused where ``str`` could not print one.
+
+    Pair k in lowest terms is at most |numerators[k]| over at most L, and
+    an integer below 2**(3*limit) has at most limit digits, so one
+    bit_length screens the menu; only a pair past the screen is reduced.
+    """
+    L, ns = _over_common(pairs)
+    limit = str_limit()
+    if limit and max(L, max(ns), -min(ns)).bit_length() > 3 * limit:
+        for n, d in pairs:
+            if max(n.bit_length(), d.bit_length()) > 3 * limit:
+                g = gcd(n, d)
+                if digits_past_limit(n // g) or digits_past_limit(d // g):
+                    raise GameError(
+                        f"a menu payoff or level has more than {limit} digits to print "
+                        "(sys.get_int_max_str_digits())"
+                    )
+    return L, ns
+
+
+def _lazy_menu(payoffs: Payoffs) -> Tuple[Contract, ...]:
+    """Contract k of ``payoffs`` for every k, each made on its first read."""
     menu = []
     new, set_id = object.__new__, _ID.__set__
-    for k, level in enumerate(levels):
+    for k in range(len(payoffs.u)):
         c = new(_Unread)
         set_id(c, k)
-        c.strategy_a = c.strategy_b = level
         c._payoffs = payoffs
         menu.append(c)
     return tuple(menu)
@@ -165,33 +199,22 @@ def _matrix(rows: Sequence[Sequence[RationalLike]], name: str) -> List[List[Frac
     return out
 
 
-def _transpose(m: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    return [list(col) for col in zip(*m)]
-
-
 # Largest menu one couple game may have; beyond it construction fails
 # before any contract is built, so a small file cannot ask for unbounded
 # memory through a fine resolution.
 MAX_MENU = 100_000
 
 
-def _grid_count(lo: Fraction, hi: Fraction, step: Fraction) -> int:
-    """Number of points ``_grid(lo, hi, step)`` returns."""
+def _grid_pairs(lo: Fraction, hi: Fraction, step: Fraction) -> List[Tuple[int, int]]:
+    """Ascending grid lo, lo+step, ... (all below hi) with hi appended exactly.
+
+    Each point is an integer pair (n, d), d > 0, not in lowest terms.
+    """
     if step <= 0:
         raise GameError("grid step must be positive")
     if lo > hi:
         raise GameError("grid has empty range")
-    return 1 - (lo - hi) // step
-
-
-def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> List[Fraction]:
-    """Ascending grid lo, lo+step, ... (all below hi) with hi appended exactly."""
-    return [Fraction(n, d) for n, d in _grid_pairs(lo, hi, step)[:-1]] + [hi]
-
-
-def _grid_pairs(lo: Fraction, hi: Fraction, step: Fraction) -> List[Tuple[int, int]]:
-    """``_grid(lo, hi, step)`` as (numerator, denominator) integer pairs."""
-    count = _grid_count(lo, hi, step)
+    count = 1 - (lo - hi) // step
     if count > MAX_MENU:
         raise GameError(f"menu of {count} contracts exceeds the limit of {MAX_MENU}")
     # point k is lo + k*step = (a + k*b) / d over the common denominator d
@@ -470,21 +493,38 @@ class LevelGame(Game):
     would settle on absent outside pressure.  A menu deviation is
     improving for the man when it moves the level from below toward the
     value (never past it), mirrored for the woman.
+
+    The levels are given as ascending integer pairs (n, d), d > 0, and
+    stay integers over their common denominator: ``levels`` makes their
+    ``Fraction``s on first access.
     """
 
-    def __init__(self, levels: Sequence[Fraction], value_level: Fraction, resolution, f, h):
-        self.levels: Tuple[Fraction, ...] = tuple(levels)
+    def __init__(self, levels: Sequence[Tuple[int, int]], value_level: Fraction, resolution, f, h):
         self.value_level = value_level
         self.resolution = resolution
         self.f = f
         self.h = h
-        pairs = [x.as_integer_ratio() for x in self.levels]
-        us = pairs if f is _IDENTITY else f._walk(pairs)
-        vs = [(-n, d) for n, d in pairs]
-        if h is not _IDENTITY:
-            vs = h._walk(vs)
-        self._payoffs = Payoffs(*_over_common(us), *_over_common(vs))
-        self._menu = _menu_contracts(self.levels, self._payoffs)
+        column = _made_payoffs(levels)
+        us = column if f is _IDENTITY else _made_payoffs(f._walk(levels))
+        vs = [(-n, d) for n, d in levels]
+        vs = _made_payoffs(vs if h is _IDENTITY else h._walk(vs))
+        self._payoffs = Payoffs(*us, *vs, column)
+        self._menu = _lazy_menu(self._payoffs)
+
+    @cached_property
+    def levels(self) -> Tuple[Fraction, ...]:
+        """The menu's levels in id order (ascending)."""
+        dl, ns = self._payoffs.levels
+        return tuple(Fraction(n, dl) for n in ns)
+
+    def _count_below(self, x, inclusive: bool = False) -> int:
+        """How many levels lie below x (at or below x when inclusive), x rational or infinite."""
+        dl, ns = self._payoffs.levels
+        if isinstance(x, float):  # an infinite sentinel
+            return 0 if x < 0 else len(ns)
+        # level n/dl is below x = p/q exactly when n < p*dl/q
+        p, q = x.numerator, x.denominator
+        return bisect_right(ns, p * dl // q) if inclusive else bisect_left(ns, -(-p * dl // q))
 
     def level_of(self, contract: Contract) -> Fraction:
         self.validate_contract(contract)
@@ -509,23 +549,17 @@ class LevelGame(Game):
     def improving_deviations(self, contract, side):
         cur = self.level_of(contract)
         w = self.value_level
-        menu = self.menu()
-        out = []
-        for k, lev in enumerate(self.levels):
-            if side is Side.MAN and cur < lev <= w:
-                out.append(menu[k])
-            elif side is Side.WOMAN and w <= lev < cur:
-                out.append(menu[k])
-        return tuple(out)
+        below = self._count_below
+        if side is Side.MAN:  # levels in (cur, w]
+            return self._menu[below(cur, True) : below(w, True)]
+        return self._menu[below(w) : below(cur)]  # levels in [w, cur)
 
 
-def _matrix_levels(g: List[List[Fraction]], resolution: Fraction, f) -> List[Fraction]:
-    """Levels spanning the entries of g, gridded on the u = f(level) scale."""
+def _matrix_levels(g: List[List[Fraction]], resolution: Fraction, f) -> List[Tuple[int, int]]:
+    """Levels spanning the entries of g, gridded on the u = f(level) scale, as integer pairs."""
     entries = [x for row in g for x in row]
-    lo, hi = f(min(entries)), f(max(entries))
-    if f is _IDENTITY:
-        return _grid(lo, hi, resolution)
-    return f.walk(_grid_pairs(lo, hi, resolution), inverse=True)
+    pairs = _grid_pairs(f(min(entries)), f(max(entries)), resolution)
+    return pairs if f is _IDENTITY else f._walk(pairs, inverse=True)
 
 
 class ZeroSumGame(LevelGame):
@@ -595,7 +629,7 @@ class TransferGame(LevelGame):
         res = _positive(step, "transfer grid step")
         if t_min > t_max:
             raise GameError("transfer grid has empty range")
-        super().__init__(_grid(t_min, t_max, res), Fraction(0), res, _monotone(f_u), _monotone(f_v))
+        super().__init__(_grid_pairs(t_min, t_max, res), Fraction(0), res, _monotone(f_u), _monotone(f_v))
 
     def describe(self, contract):
         return f"transfer {fmt(self.level_of(contract))}"
@@ -624,33 +658,24 @@ class RepeatedGame(Game):
         self.hull = feasible_payoff_hull(stage)
         self.alpha, self.beta = punishment_levels(stage)
         xs = [p[0] for p in self.hull]
-        us = _grid(min(xs), max(xs), self.resolution)
+        us = _grid_pairs(min(xs), max(xs), self.resolution)
         sn, sd = self.resolution.numerator, self.resolution.denominator
-        slices = []
-        total = 0
-        for u, (lo_n, lo_d), (hi_n, hi_d) in zip(us, *_sweep(self.hull, us)):
+        du, u_cols = _made_payoffs(us)
+        u_ints, v_pairs = [], []
+        for column, (u_int, (lo_n, lo_d), (hi_n, hi_d)) in enumerate(zip(u_cols, *_sweep(self.hull, us))):
             # point j is lo + j*step = (a + j*b) / den; the last is hi itself
             den, a, b = lo_d * sd, lo_n * sd, sn * lo_d
             count = 1 - (a * hi_d - hi_n * den) // (b * hi_d)
-            total += count
-            if total > MAX_MENU:
+            if len(v_pairs) + count > MAX_MENU:
                 raise GameError(
-                    f"menu of more than {MAX_MENU} contracts: {total} in its first "
-                    f"{len(slices) + 1} of {len(us)} grid columns"
+                    f"menu of more than {MAX_MENU} contracts: {len(v_pairs) + count} in its first "
+                    f"{column + 1} of {len(us)} grid columns"
                 )
-            slices.append((u, den, a, b, count, hi_n, hi_d))
-        du, u_cols = _over_common([u.as_integer_ratio() for u in us])
-        menu_u, menu_v, u_ints, v_pairs = [], [], [], []
-        for (u, den, a, b, count, hi_n, hi_d), u_int in zip(slices, u_cols):
-            column = [(a + j * b, den) for j in range(count - 1)]
-            column.append((hi_n, hi_d))
-            v_pairs += column
-            menu_v += [Fraction(n, d) for n, d in column]
-            menu_u += [u] * count
+            v_pairs += [(a + j * b, den) for j in range(count - 1)]
+            v_pairs.append((hi_n, hi_d))
             u_ints += [u_int] * count
-        points = list(zip(menu_u, menu_v))
-        self._menu = tuple(map(Contract, range(len(points)), points, points, menu_u, menu_v))
-        self._payoffs = Payoffs(du, tuple(u_ints), *_over_common(v_pairs))
+        self._payoffs = Payoffs(du, tuple(u_ints), *_made_payoffs(v_pairs))
+        self._menu = _lazy_menu(self._payoffs)
         self._by_point = None
 
     def _evaluate(self, a, b):
@@ -675,12 +700,17 @@ class RepeatedGame(Game):
 
     def synthesize_contract(self, point: Point) -> Contract:
         """Wrap an exact hull point as a contract (menu contract if it is one)."""
-        if self._by_point is None:
-            # a menu contract's descriptor is its own (u, v) point
-            self._by_point = {c.strategy_a: c for c in self.menu()}
-        listed = self._by_point.get(point)
-        if listed is not None:
-            return listed
+        pay = self._payoffs
+        u, v = point
+        # on the menu's grid u*du and v*dv are integers, the keys of its points
+        ku, ru = divmod(u.numerator * pay.du, u.denominator)
+        kv, rv = divmod(v.numerator * pay.dv, v.denominator)
+        if not ru and not rv:
+            if self._by_point is None:
+                self._by_point = {key: k for k, key in enumerate(zip(pay.u, pay.v))}
+            k = self._by_point.get((ku, kv))
+            if k is not None:
+                return self._menu[k]
         if not hull_contains(list(self.hull), point):
             raise GameError(f"point {point} outside the feasible payoff hull")
         return Contract(len(self.menu()), point, point, point[0], point[1])
@@ -693,27 +723,31 @@ class RepeatedGame(Game):
 
     def improving_deviations(self, contract, side):
         self.validate_contract(contract)
+        pay = self._payoffs
         if side is Side.MAN:
-            if contract.u >= self.alpha:
-                return ()
-            return tuple(c for c in self.menu() if c.u > contract.u)
-        if contract.v >= self.beta:
+            x, level, scale, xs = contract.u, self.alpha, pay.du, pay.u
+        else:
+            x, level, scale, xs = contract.v, self.beta, pay.dv, pay.v
+        if x >= level:
             return ()
-        return tuple(c for c in self.menu() if c.v > contract.v)
+        # menu payoff y/scale beats x = n/d exactly when y*d > n*scale
+        n, d = x.numerator, x.denominator
+        return tuple(self._menu[k] for k, y in enumerate(xs) if y * d > n * scale)
 
     def is_nash_contract(self, contract):
         self.validate_contract(contract)
         return contract.u >= self.alpha and contract.v >= self.beta
 
 
-def _sweep(hull: Sequence[Point], us: Sequence[Fraction]) -> List[List[Tuple[int, int]]]:
+def _sweep(hull: Sequence[Point], us: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
     """The hull's lowest and highest v on each grid column u, as integer pairs.
 
     Returns two lists of (numerator, denominator), one entry per u of the
-    ascending grid ``us``, which runs from the hull's least u to its
-    greatest.  The end columns read the vertices there (a point, a
-    vertical segment or a vertical edge); the interior columns walk the
-    lower and upper chains left to right, each edge's line in integers.
+    ascending grid ``us`` of integer pairs (n, d), d > 0, which runs from
+    the hull's least u to its greatest.  The end columns read the
+    vertices there (a point, a vertical segment or a vertical edge); the
+    interior columns walk the lower and upper chains left to right, each
+    edge's line in integers.
     """
 
     def ends(u):
@@ -721,6 +755,7 @@ def _sweep(hull: Sequence[Point], us: Sequence[Fraction]) -> List[List[Tuple[int
         return [(v.numerator, v.denominator) for v in (min(vs), max(vs))]
 
     k = hull.index(max(hull))  # the lower chain runs from hull[0] to hull[k]
+    first, last = ends(hull[0][0]), ends(hull[k][0])
     cols = []
     for side, chain in enumerate((hull[: k + 1], (hull[k:] + hull[:1])[::-1])):
         edges = [
@@ -728,16 +763,15 @@ def _sweep(hull: Sequence[Point], us: Sequence[Fraction]) -> List[List[Tuple[int
             for p, q in zip(chain, chain[1:])
             if p[0] != q[0]
         ]
-        col = [ends(us[0])[side]]
+        col = [first[side]]
         i = 0
-        for u in us[1:-1]:
-            n, d = u.numerator, u.denominator
+        for n, d in us[1:-1]:
             while n * edges[i][1] > edges[i][0] * d:
                 i += 1
             _, _, A, B, C = edges[i]
             col.append((A * n + B * d, C * d))
         if len(us) > 1:
-            col.append(ends(us[-1])[side])
+            col.append(last[side])
         cols.append(col)
     return cols
 
@@ -753,7 +787,7 @@ def punishment_levels(stage: BimatrixGame) -> Tuple[Fraction, Fraction]:
     alpha is what the column player can hold the row player down to,
     beta the mirror image; both are matrix-game values.
     """
-    return (matrix_game_value(stage.U), matrix_game_value(_transpose(stage.V)))
+    return (matrix_game_value(stage.U), matrix_game_value(list(zip(*stage.V))))
 
 
 def feasible_payoff_hull(stage: BimatrixGame) -> Tuple[Point, ...]:

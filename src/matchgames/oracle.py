@@ -40,7 +40,12 @@ def enumerate_matchings(n_men: int, n_women: int) -> Iterator[Tuple[Optional[int
         return
     # Depth-first with an explicit stack: acc holds the choices of men
     # 0..k, and nxt[i] is man i's next option (-1 single, else a woman).
+    # Once every woman is taken the men after k can only stay single, so
+    # that tail is yielded at once instead of walked man by man: every
+    # level on the stack then has two options or more, and a matching
+    # costs O(1) steps amortized.
     taken = [False] * n_women
+    free = n_women
     acc: List[Optional[int]] = []
     nxt = [-1]
     while nxt:
@@ -49,6 +54,7 @@ def enumerate_matchings(n_men: int, n_women: int) -> Iterator[Tuple[Optional[int
             prev = acc.pop()
             if prev is not None:
                 taken[prev] = False
+                free += 1
         j = nxt[i]
         while 0 <= j < n_women and taken[j]:
             j += 1
@@ -61,10 +67,13 @@ def enumerate_matchings(n_men: int, n_women: int) -> Iterator[Tuple[Optional[int
         else:
             acc.append(j)
             taken[j] = True
+            free -= 1
         if i + 1 == n_men:
             yield tuple(acc)
-        else:
+        elif free:
             nxt.append(-1)
+        else:
+            yield tuple(acc) + (None,) * (n_men - i - 1)
 
 
 def count_profiles(inst: Instance) -> int:

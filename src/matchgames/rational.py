@@ -68,7 +68,7 @@ def _digit_limit(text: str) -> int:
     13-million-bit integer.  Pythons before 3.10.7 have no limit.
     """
     _mantissa, mark, exponent = text.lower().partition("e")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if mark else 0
+    limit = str_limit() if mark else 0
     try:
         too_big = limit and abs(int(exponent)) > limit
     except ValueError:
@@ -78,9 +78,14 @@ def _digit_limit(text: str) -> int:
     return limit
 
 
+# sys.get_int_max_str_digits(): the most digits str() prints, 0 for no limit
+# (always 0 before Python 3.10.7, which has none)
+str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def digits_past_limit(n: int) -> int:
     """``sys.get_int_max_str_digits()`` if ``str`` would refuse the integer n, else 0."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = str_limit()
     return limit if limit and _longer(abs(n), limit) else 0
 
 

@@ -722,3 +722,28 @@ def reference_enumerate_stable(inst: Instance, eps, notion: str):
                 inst, profile, eps
             ).holds:
                 yield profile
+
+
+# ---------------------------------------------------------------------------
+# Level games scanned level by level in Fractions, as before their levels
+# stayed integer pairs.
+
+
+def reference_solve_level(game, oo: OutsideOptions):
+    """The median-level contract: the feasible level nearest the clamped value, or None."""
+    lo, hi = game.level_bounds(oo.u0, oo.v0)
+    feasible = [(k, lev) for k, lev in enumerate(game.levels) if lo <= lev <= hi]
+    if not feasible:
+        return None
+    w = game.value_level
+    target = sorted([lo, hi, w])[1]
+    k, _ = min(feasible, key=lambda item: (abs(item[1] - target), abs(item[1] - w), item[1]))
+    return game.menu()[k]
+
+
+def reference_level_deviations(game, contract, side: Side):
+    """Menu contracts whose level moves from the contract's toward the value, never past it."""
+    cur, w = contract.strategy_a, game.value_level
+    if side is Side.MAN:
+        return tuple(c for c, lev in zip(game.menu(), game.levels) if cur < lev <= w)
+    return tuple(c for c, lev in zip(game.menu(), game.levels) if w <= lev < cur)

@@ -292,6 +292,72 @@ class TestSolveExternal:
         assert captured.err.startswith("error: --eps is too small: the iteration bound has more than ")
         assert not trace.exists() and not out.exists()
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+    )
+    def test_transfer_payoff_too_long_to_print_is_exit_2_naming_the_couple(self, tmp_path, capsys):
+        # every number has 3,000 digits, but f_u has slope N**2: u(1) has about 6,000
+        N = "9" * 3000
+        data = {
+            "men": ["m0"],
+            "women": ["w0"],
+            "irp": {"men": [-1], "women": [-5]},
+            "games": {
+                "m0": {
+                    "w0": {
+                        "class": "transfer",
+                        "t_min": 0,
+                        "t_max": 1,
+                        "resolution": 1,
+                        "f_u": [[0, 0], ["1/" + N, N]],
+                        "f_v": [[0, 0], [1, 1]],
+                    }
+                }
+            },
+        }
+        inst = write(tmp_path, "inst.json", data)
+        start = time.perf_counter()
+        rc = main(["solve-external", inst, "--eps", "1"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert elapsed < 1.0
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err.startswith(
+            f"error: instance.games['m0']['w0']: a menu payoff or level has more than {limit} digits to print"
+        )
+
+    def test_level_menus_stay_unread_after_a_run(self, tmp_path, capsys, monkeypatch):
+        from matchgames import cli
+        from matchgames.games import _Unread
+
+        loaded, load = [], cli.load_instance_file
+
+        def capture(*args, **kwargs):
+            loaded.append(load(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_instance_file", capture)
+        data = json.loads(json.dumps(CLASSIC))
+        for m, w, g in (("m0", "w0", [[0, 50]]), ("m0", "w1", [[-30, 20]]), ("m1", "w0", [[10, -40]])):
+            data["games"][m][w] = {"class": "zero_sum", "g": g, "resolution": "1/2"}
+        data["games"]["m1"]["w1"] = {
+            "class": "transfer",
+            "t_min": -60,
+            "t_max": 60,
+            "resolution": 1,
+            "f_u": [[0, 0], [1, 2]],
+            "f_v": [[0, 1], [1, 2]],
+        }
+        rc = main(["solve-external", write(tmp_path, "inst.json", data), "--eps", "1/2"])
+        assert rc == 0, capsys.readouterr().err
+        [(inst, _eps)] = loaded
+        menus = [g.menu() for g in inst.games.values()]
+        assert min(map(len, menus)) >= 100
+        unread = sum(type(c) is _Unread for menu in menus for c in menu)
+        assert unread > 0.9 * sum(map(len, menus))
+
     def test_small_exponents_still_parse(self, tmp_path, capsys):
         data = json.loads(json.dumps(CLASSIC))
         data["games"]["m0"]["w0"]["u"] = [["1e3"]]

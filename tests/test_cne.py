@@ -14,8 +14,12 @@ from matchgames import (
     MatchingError,
     MatchingProfile,
     OutsideOptions,
+    PiecewiseLinear,
     PotentialGame,
     RepeatedGame,
+    Side,
+    StrictlyCompetitiveGame,
+    TransferGame,
     ZeroSumGame,
     brute_force_cne,
     build_instance,
@@ -34,7 +38,13 @@ from matchgames import (
 from matchgames.geometry import hull_contains
 from matchgames.serde import load_instance_file
 
-from helpers import random_bimatrix_instance, random_zero_sum_game, refused_profiles
+from helpers import (
+    random_bimatrix_instance,
+    random_zero_sum_game,
+    reference_level_deviations,
+    reference_solve_level,
+    refused_profiles,
+)
 
 F = Fraction
 
@@ -265,6 +275,39 @@ class TestSolveCne:
             assert abs(level - target) <= g.resolution
             if target in g.levels:
                 assert level == target
+
+    def test_levels_searched_in_integers_match_the_fraction_scans(self):
+        rng = random.Random(53)
+
+        def pl_map():
+            xs = sorted(rng.sample(range(-12, 13), 3))
+            ys, q = sorted(rng.sample(range(-40, 41), 3)), rng.choice([1, 3])
+            return PiecewiseLinear([(F(x, 2), F(y, q)) for x, y in zip(xs, ys)])
+
+        for n in range(60):
+            kind = n % 3
+            if kind == 0:
+                g = random_zero_sum_game(rng, F(1, rng.choice([1, 2, 3])))
+            elif kind == 1:
+                g = StrictlyCompetitiveGame(
+                    [[F(rng.randint(-9, 9), 2) for _ in range(2)] for _ in range(2)], F(1, 3), pl_map(), pl_map()
+                )
+            else:
+                g = TransferGame(F(rng.randint(-8, 0), 3), rng.randint(1, 6), F(1, 2), pl_map(), pl_map())
+            menu = g.menu()
+            for c in menu:
+                for side in (Side.MAN, Side.WOMAN):
+                    assert g.improving_deviations(c, side) == reference_level_deviations(g, c, side)
+            for _ in range(12):
+                # floors on, between or beyond the menu's payoffs, or absent
+                u0, v0 = (
+                    rng.choice([NEG_INF, pay + F(rng.randint(-2, 2), 5), F(-100), F(100)])
+                    for pay in (rng.choice(menu).u, rng.choice(menu).v)
+                )
+                oo = OutsideOptions(u0, v0)
+                res = solve_cne(g, oo)
+                assert res.contract is reference_solve_level(g, oo)
+                assert (res.reason == "infeasible") == (res.contract is None)
 
     def test_brute_force_agreement(self):
         rng = random.Random(47)

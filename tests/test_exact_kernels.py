@@ -14,10 +14,12 @@ Fractions.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from matchgames import PiecewiseLinear, RepeatedGame, StrictlyCompetitiveGame, TransferGame
+from matchgames import exactlp
 from matchgames.exactlp import matrix_game_value
 from matchgames.geometry import clip_ge, convex_hull
 
@@ -74,6 +76,62 @@ def test_saddle_point_value(A, data):
     for row in A:
         row[c] = min(row[c], v)
     assert matrix_game_value(A) == v == reference_matrix_game_value(A)
+
+
+def make_saddle(A, r, c):
+    """Make A[r][c] the least entry of its row and the greatest of its column."""
+    v = A[r][c]
+    A[r] = [max(x, v) for x in A[r]]
+    for row in A:
+        row[c] = min(row[c], v)
+    return v
+
+
+@st.composite
+def saddle_biased(draw):
+    """``matrices()``, and half the time with a saddle point made at a drawn cell."""
+    A = draw(matrices())
+    if draw(st.booleans()):
+        make_saddle(A, draw(st.integers(0, len(A) - 1)), draw(st.integers(0, len(A[0]) - 1)))
+    return A
+
+
+def refuse_simplex(A):
+    raise AssertionError("the simplex ran on a matrix with a pure saddle point")
+
+
+@EXAMPLES
+@given(matrices(), st.data())
+@example([[F(7, 3)] * 3] * 3, None)  # all entries equal: every cell is a saddle point
+def test_saddle_point_matrices_skip_the_simplex(A, data):
+    if data is not None:
+        v = make_saddle(A, data.draw(st.integers(0, len(A) - 1)), data.draw(st.integers(0, len(A[0]) - 1)))
+    else:
+        v = A[0][0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_simplex_max", refuse_simplex)
+        value = matrix_game_value(A)
+    assert type(value) is Fraction and value == v
+
+
+@EXAMPLES
+@given(saddle_biased())
+@example([[1, 0], [0, 1]])  # no pure saddle point
+@example([[F(1, 2), F(1, 2)], [0, F(1, 2)]])  # tied saddle points
+def test_saddle_biased_values_match_the_reference(A):
+    calls = []
+    simplex = exactlp._simplex_max
+
+    def counted(T):
+        calls.append(1)
+        return simplex(T)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_simplex_max", counted)
+        value = matrix_game_value(A)
+    assert value == reference_matrix_game_value(A)
+    lower, upper = max(map(min, A)), min(map(max, zip(*A)))
+    assert len(calls) == (lower != upper)
 
 
 @st.composite

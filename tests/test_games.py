@@ -28,7 +28,7 @@ from matchgames import (
     zero_sum_value,
 )
 from matchgames import games
-from matchgames.games import _grid
+from matchgames.games import _grid_pairs
 from matchgames.geometry import hull_contains
 
 from helpers import frac, reference_grid, reference_is_potential, reference_map, support_value
@@ -250,6 +250,29 @@ class TestRepeated:
         with pytest.raises(GameError):
             g.synthesize_contract((F(100), F(100)))
 
+    def test_synthesize_returns_the_menus_own_contract_and_reads_no_other(self):
+        def fresh():
+            return RepeatedGame(PD_U, [[3, 4], [F(-1, 2), 1]], F(1, 3))
+
+        points = [(c.u, c.v) for c in fresh().menu()]
+        assert len(points) > 20
+        for k, point in enumerate(points):
+            g = fresh()
+            c = g.synthesize_contract(point)
+            assert c is g.menu()[k]
+            assert all(type(d) is games._Unread for d in g.menu())
+            assert (c.id, c.strategy_a, c.u, c.v) == (k, point, *point)
+
+    def test_synthesize_makes_a_new_contract_off_the_grid(self):
+        g = RepeatedGame(PD_U, PD_V, F(1, 2))
+        # the u-column 9/4 is off the grid; (3, 9/4) lies on a column, off its grid
+        for point in ((F(9, 4), F(9, 4)), (F(3), F(9, 4))):
+            c = g.synthesize_contract(point)
+            assert type(c) is Contract
+            assert (c.id, c.strategy_a, c.strategy_b, c.u, c.v) == (len(g.menu()), point, point, *point)
+            g.validate_contract(c)
+        assert all(type(d) is games._Unread for d in g.menu())
+
     def test_nash_iff_above_punishments(self):
         g = RepeatedGame(PD_U, PD_V, F(1, 2))
         for c in g.menu():
@@ -414,6 +437,14 @@ class TestContract:
             assert c != Contract(w.id, w.strategy_a, w.strategy_b, w.u, w.v + 1)
             assert c != fields(w)
 
+    def test_descriptors_read_first(self, make):
+        want = [fields(c) for c in make().menu()]
+        for k, name in ((1, "strategy_a"), (2, "strategy_b")):
+            for c, w in zip(make().menu(), want):
+                assert getattr(c, name) == w[k]  # the first read of this contract
+                assert type(c) is Contract
+                assert fields(c) == w
+
     def test_repr_is_the_dataclass_repr(self, make):
         for c in make().menu():  # unread payoffs
             assert repr(c) == repr(DATACLASS_CONTRACT(*fields(c)))
@@ -503,9 +534,9 @@ def test_piecewise_linear_matches_reference(points, extra):
 @example(F(-1, 3), F(2, 5), F(7, 4))  # step larger than the range
 @example(F(0), F(10), F(1))  # hi on the grid
 def test_grid_matches_reference(lo, span, step):
-    grid = _grid(lo, lo + span, step)
-    assert grid == reference_grid(lo, lo + span, step)
-    assert all(type(x) is Fraction for x in grid)
+    pairs = _grid_pairs(lo, lo + span, step)
+    assert all(type(n) is type(d) is int and d > 0 for n, d in pairs)
+    assert [Fraction(n, d) for n, d in pairs] == reference_grid(lo, lo + span, step)
 
 
 @st.composite

@@ -71,6 +71,11 @@ class TestEnumerateMatchings:
             for m in range(5):
                 assert list(enumerate_matchings(n, m)) == list(reference_matchings(n, m))
 
+    @pytest.mark.parametrize("n, m", [(7, 1), (1, 7), (6, 2), (2, 6), (5, 3), (7, 0), (0, 7)])
+    def test_tall_and_wide_markets_match_reference(self, n, m):
+        # once every woman is taken, the remaining men come as one all-single tail
+        assert list(enumerate_matchings(n, m)) == list(reference_matchings(n, m))
+
     def test_deep_market(self):
         got = list(enumerate_matchings(1500, 1))
         assert got[0] == (None,) * 1500
