@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactlp import matrix_game_value
 from .geometry import Point, convex_hull, hull_contains
@@ -128,6 +128,9 @@ class _Unread(Contract):
     v = _on_read(_V)
 
 
+Pair = Tuple[int, int]  # the number n/d as integers (n, d), d > 0, not always in lowest terms
+
+
 class Payoffs(NamedTuple):
     """A menu's payoffs in integers: contract k pays u[k]/du and v[k]/dv.
 
@@ -144,7 +147,7 @@ class Payoffs(NamedTuple):
     levels: Optional[Tuple[int, Tuple[int, ...]]] = None
 
 
-def _over_common(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Tuple[int, ...]]:
+def _over_common(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
     """(L, numerators): pair k, n/d with d > 0, equals numerators[k] / L.
 
     L is the lcm of the pairs' lowest-terms denominators.  Over M, the lcm
@@ -156,7 +159,7 @@ def _over_common(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Tuple[int, ...]
     return M // g, tuple([n // g for n in ns] if g > 1 else ns)
 
 
-def _made_payoffs(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Tuple[int, ...]]:
+def _made_payoffs(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
     """``_over_common`` for numbers a game computes, refused where ``str`` could not print one.
 
     Pair k in lowest terms is at most |numerators[k]| over at most L, and
@@ -199,30 +202,35 @@ def _matrix(rows: Sequence[Sequence[RationalLike]], name: str) -> List[List[Frac
     return out
 
 
+def _stage(u_matrix, v_matrix) -> Tuple[List[List[Fraction]], List[List[Fraction]]]:
+    """A stage game's U and V read as exact matrices of one shape."""
+    U, V = _matrix(u_matrix, "U"), _matrix(v_matrix, "V")
+    if len(V) != len(U) or len(V[0]) != len(U[0]):
+        raise GameError("U and V must share dimensions")
+    return U, V
+
+
 # Largest menu one couple game may have; beyond it construction fails
 # before any contract is built, so a small file cannot ask for unbounded
 # memory through a fine resolution.
 MAX_MENU = 100_000
 
 
-def _grid_pairs(lo: Fraction, hi: Fraction, step: Fraction) -> List[Tuple[int, int]]:
-    """Ascending grid lo, lo+step, ... (all below hi) with hi appended exactly.
+def _grid_pairs(lo: Pair, hi: Pair, step: Fraction, before: int = 0) -> List[Pair]:
+    """Ascending grid lo, lo+step, ... (all below hi) with hi appended exactly, as Pairs.
 
-    Each point is an integer pair (n, d), d > 0, not in lowest terms.
+    Callers check lo <= hi and step > 0.  ``before`` counts the contracts
+    the menu already holds, so the cap applies to the whole menu.
     """
-    if step <= 0:
-        raise GameError("grid step must be positive")
-    if lo > hi:
-        raise GameError("grid has empty range")
-    count = 1 - (lo - hi) // step
-    if count > MAX_MENU:
-        raise GameError(f"menu of {count} contracts exceeds the limit of {MAX_MENU}")
+    (ln, ld), (hn, hd) = lo, hi
     # point k is lo + k*step = (a + k*b) / d over the common denominator d
-    d = lcm(lo.denominator, step.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = step.numerator * (d // step.denominator)
+    d = lcm(ld, step.denominator)
+    a, b = ln * (d // ld), step.numerator * (d // step.denominator)
+    count = 1 - (a * hd - hn * d) // (b * hd)
+    if before + count > MAX_MENU:
+        raise GameError(f"menu of {before + count} contracts exceeds the limit of {MAX_MENU}")
     pairs = [(a + k * b, d) for k in range(count - 1)]
-    pairs.append((hi.numerator, hi.denominator))
+    pairs.append(hi)
     return pairs
 
 
@@ -262,11 +270,11 @@ class PiecewiseLinear:
         y = rat(y)
         return self.walk([(y.numerator, y.denominator)], inverse=True)[0]
 
-    def walk(self, pairs: Sequence[Tuple[int, int]], inverse: bool = False) -> List[Fraction]:
+    def walk(self, pairs: Sequence[Pair], inverse: bool = False) -> List[Fraction]:
         """The map (or its inverse) at each n/d of integer pairs (d > 0)."""
         return [Fraction(n, d) for n, d in self._walk(pairs, inverse)]
 
-    def _walk(self, pairs: Sequence[Tuple[int, int]], inverse: bool = False) -> List[Tuple[int, int]]:
+    def _walk(self, pairs: Sequence[Pair], inverse: bool = False) -> List[Pair]:
         """``walk`` as integer pairs n/d (d > 0), not in lowest terms.
 
         One walk over the segments, comparing integers against the
@@ -361,12 +369,8 @@ class BimatrixGame(Game):
     kind = "bimatrix"
 
     def __init__(self, u_matrix: Sequence[Sequence[RationalLike]], v_matrix: Sequence[Sequence[RationalLike]]):
-        self.U = _matrix(u_matrix, "U")
-        self.V = _matrix(v_matrix, "V")
-        if len(self.V) != len(self.U) or len(self.V[0]) != len(self.U[0]):
-            raise GameError("U and V must share dimensions")
-        self.rows = len(self.U)
-        self.cols = len(self.U[0])
+        self.U, self.V = _stage(u_matrix, v_matrix)
+        self.rows, self.cols = len(self.U), len(self.U[0])
         self._menu = tuple(
             Contract(r * self.cols + c, r, c, self.U[r][c], self.V[r][c])
             for r in range(self.rows)
@@ -494,21 +498,21 @@ class LevelGame(Game):
     improving for the man when it moves the level from below toward the
     value (never past it), mirrored for the woman.
 
-    The levels are given as ascending integer pairs (n, d), d > 0, and
-    stay integers over their common denominator: ``levels`` makes their
-    ``Fraction``s on first access.
+    The caller gives the levels and the man's payoffs ``us`` (f at each
+    level) as ascending Pairs; both stay integers over their common
+    denominator, and ``levels`` makes their ``Fraction``s on first access.
     """
 
-    def __init__(self, levels: Sequence[Tuple[int, int]], value_level: Fraction, resolution, f, h):
+    def __init__(self, levels: Sequence[Pair], us: Sequence[Pair], value_level: Fraction, resolution, f, h):
         self.value_level = value_level
         self.resolution = resolution
         self.f = f
         self.h = h
         column = _made_payoffs(levels)
-        us = column if f is _IDENTITY else _made_payoffs(f._walk(levels))
+        u_column = column if us is levels else _made_payoffs(us)
         vs = [(-n, d) for n, d in levels]
         vs = _made_payoffs(vs if h is _IDENTITY else h._walk(vs))
-        self._payoffs = Payoffs(*us, *vs, column)
+        self._payoffs = Payoffs(*u_column, *vs, column)
         self._menu = _lazy_menu(self._payoffs)
 
     @cached_property
@@ -555,11 +559,10 @@ class LevelGame(Game):
         return self._menu[below(w) : below(cur)]  # levels in [w, cur)
 
 
-def _matrix_levels(g: List[List[Fraction]], resolution: Fraction, f) -> List[Tuple[int, int]]:
-    """Levels spanning the entries of g, gridded on the u = f(level) scale, as integer pairs."""
+def _span(g: List[List[Fraction]]) -> List[Pair]:
+    """The least and the greatest entry of g as Pairs."""
     entries = [x for row in g for x in row]
-    pairs = _grid_pairs(f(min(entries)), f(max(entries)), resolution)
-    return pairs if f is _IDENTITY else f._walk(pairs, inverse=True)
+    return [min(entries).as_integer_ratio(), max(entries).as_integer_ratio()]
 
 
 class ZeroSumGame(LevelGame):
@@ -570,8 +573,8 @@ class ZeroSumGame(LevelGame):
     def __init__(self, g_matrix: Sequence[Sequence[RationalLike]], resolution: RationalLike):
         self.g = _matrix(g_matrix, "g")
         res = _positive(resolution, "menu resolution")
-        levels = _matrix_levels(self.g, res, _IDENTITY)
-        super().__init__(levels, matrix_game_value(self.g), res, _IDENTITY, _IDENTITY)
+        grid = _grid_pairs(*_span(self.g), res)
+        super().__init__(grid, grid, matrix_game_value(self.g), res, _IDENTITY, _IDENTITY)
 
     def describe(self, contract):
         lev = self.level_of(contract)
@@ -601,7 +604,8 @@ class StrictlyCompetitiveGame(LevelGame):
         self.g = _matrix(g_matrix, "g")
         res = _positive(resolution, "menu resolution")
         f, h = _monotone(f_map), _monotone(h_map)
-        super().__init__(_matrix_levels(self.g, res, f), matrix_game_value(self.g), res, f, h)
+        grid = _grid_pairs(*f._walk(_span(self.g)), res)  # on the u = f(level) scale
+        super().__init__(f._walk(grid, inverse=True), grid, matrix_game_value(self.g), res, f, h)
 
     describe = ZeroSumGame.describe
 
@@ -629,7 +633,9 @@ class TransferGame(LevelGame):
         res = _positive(step, "transfer grid step")
         if t_min > t_max:
             raise GameError("transfer grid has empty range")
-        super().__init__(_grid_pairs(t_min, t_max, res), Fraction(0), res, _monotone(f_u), _monotone(f_v))
+        grid = _grid_pairs(t_min.as_integer_ratio(), t_max.as_integer_ratio(), res)
+        f, h = _monotone(f_u), _monotone(f_v)
+        super().__init__(grid, f._walk(grid), Fraction(0), res, f, h)
 
     def describe(self, contract):
         return f"transfer {fmt(self.level_of(contract))}"
@@ -652,28 +658,19 @@ class RepeatedGame(Game):
         v_matrix: Sequence[Sequence[RationalLike]],
         resolution: RationalLike,
     ):
-        stage = BimatrixGame(u_matrix, v_matrix)
-        self.U, self.V = stage.U, stage.V
+        self.U, self.V = _stage(u_matrix, v_matrix)
         self.resolution = _positive(resolution, "menu resolution")
-        self.hull = feasible_payoff_hull(stage)
-        self.alpha, self.beta = punishment_levels(stage)
-        xs = [p[0] for p in self.hull]
-        us = _grid_pairs(min(xs), max(xs), self.resolution)
-        sn, sd = self.resolution.numerator, self.resolution.denominator
+        self.hull = feasible_payoff_hull(self)
+        self.alpha, self.beta = punishment_levels(self)
+        ends = (min(self.hull)[0].as_integer_ratio(), max(self.hull)[0].as_integer_ratio())
+        us = _grid_pairs(*ends, self.resolution)
         du, u_cols = _made_payoffs(us)
         u_ints, v_pairs = [], []
-        for column, (u_int, (lo_n, lo_d), (hi_n, hi_d)) in enumerate(zip(u_cols, *_sweep(self.hull, us))):
-            # point j is lo + j*step = (a + j*b) / den; the last is hi itself
-            den, a, b = lo_d * sd, lo_n * sd, sn * lo_d
-            count = 1 - (a * hi_d - hi_n * den) // (b * hi_d)
-            if len(v_pairs) + count > MAX_MENU:
-                raise GameError(
-                    f"menu of more than {MAX_MENU} contracts: {len(v_pairs) + count} in its first "
-                    f"{column + 1} of {len(us)} grid columns"
-                )
-            v_pairs += [(a + j * b, den) for j in range(count - 1)]
-            v_pairs.append((hi_n, hi_d))
-            u_ints += [u_int] * count
+        # each grid column u holds the v grid between the hull's lowest and highest v there
+        for u_int, lo, hi in zip(u_cols, *_sweep(self.hull, us)):
+            column = _grid_pairs(lo, hi, self.resolution, len(v_pairs))
+            v_pairs += column
+            u_ints += [u_int] * len(column)
         self._payoffs = Payoffs(du, tuple(u_ints), *_made_payoffs(v_pairs))
         self._menu = _lazy_menu(self._payoffs)
         self._by_point = None
@@ -739,7 +736,7 @@ class RepeatedGame(Game):
         return contract.u >= self.alpha and contract.v >= self.beta
 
 
-def _sweep(hull: Sequence[Point], us: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
+def _sweep(hull: Sequence[Point], us: Sequence[Pair]) -> List[List[Pair]]:
     """The hull's lowest and highest v on each grid column u, as integer pairs.
 
     Returns two lists of (numerator, denominator), one entry per u of the
@@ -781,8 +778,8 @@ def zero_sum_value(g_matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
     return matrix_game_value(_matrix(g_matrix, "g"))
 
 
-def punishment_levels(stage: BimatrixGame) -> Tuple[Fraction, Fraction]:
-    """Exact mixed minmax levels (alpha, beta) of a stage game.
+def punishment_levels(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Fraction, Fraction]:
+    """Exact mixed minmax levels (alpha, beta) of a stage game, read from its U and V.
 
     alpha is what the column player can hold the row player down to,
     beta the mirror image; both are matrix-game values.
@@ -790,14 +787,9 @@ def punishment_levels(stage: BimatrixGame) -> Tuple[Fraction, Fraction]:
     return (matrix_game_value(stage.U), matrix_game_value(list(zip(*stage.V))))
 
 
-def feasible_payoff_hull(stage: BimatrixGame) -> Tuple[Point, ...]:
-    """Exact convex hull of the stage game's payoff vectors (ccw, strict)."""
-    cells = [
-        (stage.U[r][c], stage.V[r][c])
-        for r in range(stage.rows)
-        for c in range(stage.cols)
-    ]
-    return tuple(convex_hull(cells))
+def feasible_payoff_hull(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Point, ...]:
+    """Exact convex hull of the stage game's payoff vectors (ccw, strict), read from its U and V."""
+    return tuple(convex_hull([cell for rows in zip(stage.U, stage.V) for cell in zip(*rows)]))
 
 
 @dataclass(frozen=True)

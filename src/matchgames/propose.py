@@ -47,7 +47,6 @@ class MarketState:
     proposing: Side
     iterations: int
     iteration_bound: int
-    responder_payoffs: List[Fraction]
     trace: List[str]
 
 
@@ -72,25 +71,17 @@ def run_propose_dispose(
     def exact(x):  # a scaled payoff, or the minus-infinity sentinel, as exact
         return x if is_neg_inf(x) else Fraction(x, index.scale)
 
-    payoffs = [exact(x) for x in other.own_irp]
     # Responder payoffs are menu or reservation payoffs, so scaled they are
     # integers x, and a scaled payoff reaches x + eps exactly when it exceeds x + lift.
+    # Responder r's payoff x is kept only as her bar, bars[r] = x + lift.
     lift = -(-index.scale * eps.numerator // eps.denominator) - 1
     bars = [x + lift for x in other.own_irp]
     anyone = [NEG_INF] * len(proposers)
     gap = sum(other.best(r, anyone)[1] - x for r, x in enumerate(other.own_irp))
     bound = -(-gap * eps.denominator // (index.scale * eps.numerator)) + len(proposers)
     queue: Deque[int] = deque(range(len(proposers)))
-    partner: Dict[int, int] = {}
-    partner_rev: Dict[int, int] = {}
-    contracts: Dict[int, Contract] = {}
-    state = MarketState(
-        proposing=proposing_side,
-        iterations=0,
-        iteration_bound=bound,
-        responder_payoffs=payoffs,
-        trace=[],
-    )
+    held: Dict[int, Tuple[int, Contract]] = {}  # responder -> (proposer, contract)
+    state = MarketState(proposing=proposing_side, iterations=0, iteration_bound=bound, trace=[])
 
     def log(event: str, **fields) -> None:
         state.trace.append(render_event(event, iter=state.iterations, **fields))
@@ -100,21 +91,17 @@ def run_propose_dispose(
         new = couple.v[contract.id]
         if new <= bars[r]:
             raise MatchingError("accepted proposal fails to raise the responder")
-        old = payoffs[r]
-        partner[p] = r
-        partner_rev[r] = p
-        contracts[p] = contract
-        payoffs[r] = exact(new)
-        bars[r] = new + lift
+        held[r] = (p, contract)
         log(
             event,
             proposer=proposers[p],
             responder=responders[r],
             contract=contract.id,
             own=exact(couple.u[contract.id]),
-            offer_old=old,
-            offer_new=payoffs[r],
+            offer_old=exact(bars[r] - lift),
+            offer_new=exact(new),
         )
+        bars[r] = new + lift
 
     while queue:
         state.iterations += 1
@@ -135,15 +122,14 @@ def run_propose_dispose(
             own=exact(own),
             offer=exact(m.couples[p][r].v[contract.id]),
         )
-        if r not in partner_rev:
+        if r not in held:
             responder_accepts(p, r, contract, "accept")
             continue
-        q = partner_rev[r]
+        q = held[r][0]
         # Does the incumbent still pick r once she must be raised by eps?
         _, re_solved, _ = m.best(q, bars)
-        held = m.couples[q][r].by_v.above(bars[r])
-        if held is None or m.couples[q][r].u[held] < re_solved:
-            del partner[q], contracts[q]
+        kept = m.couples[q][r].by_v.above(bars[r])
+        if kept is None or m.couples[q][r].u[kept] < re_solved:
             responder_accepts(p, r, contract, "auto_replace")
             queue.appendleft(q)
             log("requeue", proposer=proposers[q])
@@ -163,23 +149,21 @@ def run_propose_dispose(
             bid_inc=exact(lam_q),
         )
         if lam_p > lam_q:
-            del partner[q], contracts[q]
             responder_accepts(p, r, _settle(m.couples[p][r], lam_q), "replace")
             queue.appendleft(q)
             log("requeue", proposer=proposers[q])
         else:
             # Draws keep the incumbent, who re-settles at the losing bid.
-            del partner[q], contracts[q]
             responder_accepts(q, r, _settle(m.couples[q][r], lam_p), "resettle")
             queue.appendleft(p)
             log("reject", proposer=proposers[p])
 
     matches: List[Optional[int]] = [None] * inst.n_men
     chosen = {}
-    for p, r in partner.items():
+    for r, (p, contract) in held.items():
         i, j = (p, r) if proposing_side is Side.MAN else (r, p)
         matches[i] = j
-        chosen[(i, j)] = contracts[p]
+        chosen[(i, j)] = contract
     profile = MatchingProfile(tuple(matches), chosen)
     return profile, state
 

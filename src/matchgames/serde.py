@@ -42,9 +42,16 @@ def _reject_float(text: str) -> Fraction:
 
 
 def load_json(path: str) -> Any:
+    def unique(pairs):  # json.load alone would keep the last of two equal keys
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, _ in pairs if sum(k == q for q, _ in pairs) > 1)
+            raise SchemaError(f"{path}: key {key!r} appears twice in one object")
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_reject_float)
+            return json.load(fh, parse_float=_reject_float, object_pairs_hook=unique)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -466,6 +473,9 @@ def parse_tree(data: Any) -> GameTree:
             nid = int(key)
         except ValueError:
             raise SchemaError(f"tree.nodes: node ids are integers, got {key!r}") from None
+        if nid in nodes:  # "1" and "01" name one node
+            first = next(k for k in nodes_obj if int(k) == nid)
+            raise SchemaError(f"tree.nodes: keys {first!r} and {key!r} name the same node {nid}")
         where = f"tree.nodes[{key!r}]"
         node = _dict(payload, where)
         if "payoffs" in node:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ._market import MarketIndex, Scaled, market_index
 from .games import Contract, GameError, Instance, Side
@@ -248,18 +248,21 @@ def is_stable_variant(inst: Instance, profile: MatchingProfile, mode: str) -> St
     return StabilityReport(notion, True)
 
 
-def is_nash_stable(inst: Instance, profile: MatchingProfile) -> StabilityReport:
-    """Every matched couple plays a contract no side can improve on alone."""
-    validate_profile(inst, profile)
+def _deviations(inst: Instance, profile: MatchingProfile) -> Iterator[DeviationWitness]:
+    """Every improving in-couple menu deviation: couples by man, the man's side first."""
     for i, j in profile.matched_pairs():
         game = inst.game(i, j)
         contract = profile.chosen[(i, j)]
         for side in (Side.MAN, Side.WOMAN):
-            deviations = game.improving_deviations(contract, side)
-            if deviations:
-                witness = DeviationWitness(i, j, side, contract, deviations[0])
-                return StabilityReport("Nash", False, witness)
-    return StabilityReport("Nash", True)
+            for deviation in game.improving_deviations(contract, side):
+                yield DeviationWitness(i, j, side, contract, deviation)
+
+
+def is_nash_stable(inst: Instance, profile: MatchingProfile) -> StabilityReport:
+    """Every matched couple plays a contract no side can improve on alone."""
+    validate_profile(inst, profile)
+    witness = next(_deviations(inst, profile), None)
+    return StabilityReport("Nash", witness is None, witness)
 
 
 def is_internally_stable(inst: Instance, profile: MatchingProfile, eps) -> StabilityReport:
@@ -273,16 +276,9 @@ def is_internally_stable(inst: Instance, profile: MatchingProfile, eps) -> Stabi
     eps = rat(eps)
     ambient = is_externally_stable(inst, profile, eps)
     if not ambient.holds:
-        raise MatchingError(
-            "internal stability is defined on externally stable profiles only"
-        )
-    for i, j in profile.matched_pairs():
-        game = inst.game(i, j)
-        contract = profile.chosen[(i, j)]
-        for side in (Side.MAN, Side.WOMAN):
-            for deviation in game.improving_deviations(contract, side):
-                deviated = profile.with_contract(i, j, deviation)
-                if find_blocking_pair(inst, deviated, eps) is None:
-                    witness = DeviationWitness(i, j, side, contract, deviation)
-                    return StabilityReport("Internal", False, witness, eps)
+        raise MatchingError("internal stability is defined on externally stable profiles only")
+    for witness in _deviations(inst, profile):
+        deviated = profile.with_contract(witness.man, witness.woman, witness.to_contract)
+        if find_blocking_pair(inst, deviated, eps) is None:
+            return StabilityReport("Internal", False, witness, eps)
     return StabilityReport("Internal", True, eps=eps)

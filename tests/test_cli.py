@@ -180,7 +180,7 @@ class TestSolveExternal:
         assert "holds=true" in captured.out
         assert "eps=1" in captured.out
         assert "iterations=" in captured.out and "bound=" in captured.out
-        saved = json.loads(open(out).read())
+        saved = json.loads(Path(out).read_text())
         assert saved["matching"] == {"m0": "w0", "m1": "w1"}
 
     def test_women_proposing(self, tmp_path, capsys):
@@ -189,7 +189,7 @@ class TestSolveExternal:
         rc = main(["solve-external", inst, "--side", "women", "-o", out])
         capsys.readouterr()
         assert rc == 0
-        saved = json.loads(open(out).read())
+        saved = json.loads(Path(out).read_text())
         assert saved["matching"] == {"m0": "w1", "m1": "w0"}
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -374,6 +374,15 @@ class TestSolveExternal:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: ")
 
+    def test_repeated_key_is_exit_2_naming_key_and_file(self, tmp_path, capsys):
+        # json.load alone keeps the last "u", and the couple would solve with u = 7
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(CLASSIC).replace('"u": [[2]]', '"u": [[2]], "u": [[7]]', 1))
+        assert main(["solve-external", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: key 'u' appears twice in one object\n"
+
 
 class TestVerify:
     def test_stable_profile_holds(self, tmp_path, capsys):
@@ -399,6 +408,13 @@ class TestVerify:
         assert rc == 0
         assert "holds=false" in captured.out
         assert "witness kind=blocking man=m0 woman=w0" in captured.out
+
+    def test_repeated_key_in_profile_is_exit_2(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", CLASSIC)
+        prof = tmp_path / "men_opt.json"
+        prof.write_text(json.dumps(MEN_OPT).replace('"m0": "w0"', '"m0": "w1", "m0": "w0"', 1))
+        assert main(["verify", inst, "--profile", str(prof), "--notion", "ext"]) == 2
+        assert capsys.readouterr().err == f"error: {prof}: key 'm0' appears twice in one object\n"
 
     def test_all_notions_run(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)
@@ -529,7 +545,7 @@ class TestJoin:
         captured = capsys.readouterr()
         assert rc == 0
         assert "External0: holds=true" in captured.out
-        assert json.loads(open(out).read())["matching"] == {"m0": "w0", "m1": "w1"}
+        assert json.loads(Path(out).read_text())["matching"] == {"m0": "w0", "m1": "w1"}
 
     def test_women_side(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)
@@ -539,7 +555,7 @@ class TestJoin:
         rc = main(["join", inst, "--a", a, "--b", b, "--side", "women", "-o", out])
         capsys.readouterr()
         assert rc == 0
-        assert json.loads(open(out).read())["matching"] == {"m0": "w1", "m1": "w0"}
+        assert json.loads(Path(out).read_text())["matching"] == {"m0": "w1", "m1": "w0"}
 
     def test_non_integer_instance_joins_at_the_given_margin(self, tmp_path, capsys):
         inst = str(Path(__file__).resolve().parent.parent / "demos" / "data" / "mixed_classes.json")
@@ -551,7 +567,7 @@ class TestJoin:
         rc = main(["join", inst, "--a", profile, "--b", profile, "--eps", "1/2"])
         captured = capsys.readouterr()
         assert rc == 0
-        assert json.loads(captured.out[: captured.out.rindex("}") + 1]) == json.loads(open(profile).read())
+        assert json.loads(captured.out[: captured.out.rindex("}") + 1]) == json.loads(Path(profile).read_text())
         assert captured.out.endswith("\nExternalEps: holds=true eps=1/2\n")
 
     def test_unstable_input_is_exit_2(self, tmp_path, capsys):
@@ -607,6 +623,21 @@ class TestSpe:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error:")
+
+    def test_node_id_given_twice_is_exit_2(self, tmp_path, capsys):
+        # "1" and "01" are both node 1; the later one must not replace the earlier
+        nodes = {"0": {"player": 0, "children": [1, 2]}, "1": {"payoffs": [5]}, "01": {"payoffs": [1]}}
+        tree = write(tmp_path, "tree.json", {"players": ["a"], "nodes": dict(nodes, **{"2": {"payoffs": [3]}})})
+        assert main(["spe", tree, "--outs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tree.nodes: keys '1' and '01' name the same node 1\n"
+
+    def test_zero_padded_node_id_alone_still_parses(self, tmp_path, capsys):
+        nodes = {"0": {"player": 0, "children": [1, 2]}, "01": {"payoffs": [1]}, "2": {"payoffs": [3]}}
+        tree = write(tmp_path, "tree.json", {"players": ["a"], "nodes": nodes})
+        assert main(["spe", tree, "--outs", "0"]) == 0
+        assert capsys.readouterr().out == "admissible=true\nchoose node=0 child=2\noutcome=3\n"
 
 
 class TestAdapt:

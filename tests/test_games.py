@@ -534,7 +534,7 @@ def test_piecewise_linear_matches_reference(points, extra):
 @example(F(-1, 3), F(2, 5), F(7, 4))  # step larger than the range
 @example(F(0), F(10), F(1))  # hi on the grid
 def test_grid_matches_reference(lo, span, step):
-    pairs = _grid_pairs(lo, lo + span, step)
+    pairs = _grid_pairs(lo.as_integer_ratio(), (lo + span).as_integer_ratio(), step)
     assert all(type(n) is type(d) is int and d > 0 for n, d in pairs)
     assert [Fraction(n, d) for n, d in pairs] == reference_grid(lo, lo + span, step)
 
@@ -604,5 +604,5 @@ class TestMenuCap:
 
     def test_repeated_total_capped(self):
         # 801 u-columns over the prisoners' dilemma hull, most holding hundreds of v points
-        with pytest.raises(GameError, match="more than 100000 contracts"):
+        with pytest.raises(GameError, match=r"menu of \d+ contracts exceeds the limit of 100000"):
             RepeatedGame(PD_U, PD_V, F(1, 200))

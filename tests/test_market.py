@@ -11,7 +11,8 @@ count and bound, trace lines) must equal the reference scans in
 ``helpers``, and the index, built from the integers each game hands
 over, must equal the one built from the menus' Fraction payoffs.  The
 same markets check the run below the payoff grid against the oracle's
-exactly stable profiles, and the instance JSON round trip.
+exactly stable profiles, refine's results against the oracle's
+internally stable profiles, and the instance JSON round trip.
 """
 
 import json
@@ -27,23 +28,28 @@ from matchgames import (
     MatchingProfile,
     PiecewiseLinear,
     PotentialGame,
+    RefineStatus,
     RepeatedGame,
     Side,
     StrictlyCompetitiveGame,
     TransferGame,
     ZeroSumGame,
+    brute_force_cne,
     build_instance,
     dump_instance,
     enumerate_stable,
     find_blocking_pair,
     is_individually_rational,
+    is_internally_stable,
     is_stable_variant,
     outside_options,
     parse_instance,
+    refine,
     run_propose_dispose,
     run_with_vanishing_margin,
 )
 from matchgames._market import market_index
+from matchgames.refine import _effective_oo
 
 from helpers import (
     reference_find_blocking_pair,
@@ -259,6 +265,29 @@ def test_the_run_below_the_grid_is_exactly_stable(inst):
         again, state = run_propose_dispose(inst, eps, side)
         assert again == profile
         assert state.iterations <= len(proposers) + sum(map(len, offers))
+
+
+@settings(EXAMPLES, max_examples=150)
+@given(markets())
+def test_refine_results_agree_with_the_oracle(inst):
+    for eps in (F(1), F(1, 2)):
+        internal = list(enumerate_stable(inst, eps, "internal"))
+        for side in (Side.MAN, Side.WOMAN):
+            profile, _ = run_propose_dispose(inst, eps, side)
+            result = refine(inst, profile, eps)
+            chosen = result.profile.chosen
+            if result.status is RefineStatus.INFEASIBLE:
+                # certified: the failed couple's menu has no CNE at refine's own floors
+                i, j = result.failed_couple
+                oo = _effective_oo(inst, outside_options(inst, result.profile, i, j, eps), i, j, eps)
+                assert brute_force_cne(inst.game(i, j), oo) == []
+            elif all(c.id < len(inst.game(i, j).menu()) for (i, j), c in chosen.items()):
+                assert result.status is RefineStatus.CONVERGED
+                assert result.profile in internal
+            else:
+                # a synthesized repeated-game hull point lies off the menus the oracle enumerates
+                assert result.status is RefineStatus.CONVERGED
+                assert is_internally_stable(inst, result.profile, eps).holds
 
 
 @EXAMPLES

@@ -12,12 +12,15 @@ from matchgames import (
     MatchingProfile,
     PotentialGame,
     RefineStatus,
+    brute_force_cne,
     build_instance,
     is_externally_stable,
     is_internally_stable,
+    outside_options,
     refine,
     run_propose_dispose,
 )
+from matchgames.refine import _effective_oo
 
 from helpers import frac, random_class_instance
 
@@ -205,6 +208,17 @@ class TestFailureModes:
         assert result.status is RefineStatus.INFEASIBLE
         assert result.failed_couple == (0, 0)
         assert any("reason=not_feasible_game" in line for line in result.trace)
+
+    def test_infeasible_is_certified_by_the_oracle(self):
+        inst = build_instance(
+            ["m"], ["w"], [-100], [-100], {(0, 0): BimatrixGame(SOLAN_U, SOLAN_V)}
+        )
+        profile, _ = run_propose_dispose(inst, 1)
+        result = refine(inst, profile, 1)
+        assert result.status is RefineStatus.INFEASIBLE
+        i, j = result.failed_couple
+        oo = _effective_oo(inst, outside_options(inst, result.profile, i, j, 1), i, j, F(1))
+        assert brute_force_cne(inst.game(i, j), oo) == []
 
     def test_pass_limit(self):
         inst = build_instance(
