@@ -83,20 +83,13 @@ def from_shapley_shubik(
     for s in sellers:
         if s not in valuations or list(valuations[s]) != buyers:
             raise GameError("every seller needs a valuation per buyer, same buyer order")
-    lo, hi, step = price_grid
-    games = {}
-    for i, s in enumerate(sellers):
-        c = rat(costs[s])
-        for j, b in enumerate(buyers):
-            h = rat(valuations[s][b])
-            games[(i, j)] = TransferGame(
-                lo,
-                hi,
-                step,
-                f_u=PiecewiseLinear([(0, -c), (1, 1 - c)]),
-                f_v=PiecewiseLinear([(0, h), (1, h + 1)]),
-            )
-    return build_instance(sellers, buyers, [0] * len(sellers), [0] * len(buyers), games)
+    for s in valuations:
+        if s not in costs:
+            raise GameError(f"valuations given for seller {s!r}, who has no cost")
+    # the linear case of from_gale_demange: price p is the transfer to the seller
+    f_maps = {s: {b: [(0, -rat(costs[s])), (1, 1 - rat(costs[s]))] for b in buyers} for s in sellers}
+    h_maps = {s: {b: [(0, rat(h)), (1, rat(h) + 1)] for b, h in valuations[s].items()} for s in sellers}
+    return from_gale_demange(f_maps, h_maps, price_grid)
 
 
 def from_gale_demange(
@@ -124,11 +117,7 @@ def from_gale_demange(
             raise GameError("every couple needs both maps, same woman order")
         for j, w in enumerate(women):
             games[(i, j)] = TransferGame(
-                lo,
-                hi,
-                step,
-                f_u=PiecewiseLinear(f_maps[m][w]),
-                f_v=PiecewiseLinear(h_maps[m][w]),
+                lo, hi, step, f_u=PiecewiseLinear(f_maps[m][w]), f_v=PiecewiseLinear(h_maps[m][w])
             )
     return build_instance(men, women, [0] * len(men), [0] * len(women), games)
 
@@ -175,6 +164,12 @@ def from_hatfield_milgrom(
         if k not in prefs:
             raise GameError(f"agent {k!r} has no preference list")
         _check_permutation(k, prefs[k], own + [EMPTY_CONTRACT])
+    for x in relations:
+        if x not in names:
+            raise GameError(f"relation given for {x!r}, which is not in the contract set")
+    for k in prefs:
+        if k not in men and k not in women:
+            raise GameError(f"preference list given for {k!r}, whom no contract relates")
     games = {}
     n = len(names)
     beta = -1

@@ -26,6 +26,7 @@ from .propose import run_propose_dispose
 from .rational import digits_past_limit, fmt, rat
 from .refine import RefineStatus, refine
 from .serde import (
+    MODELS,
     SchemaError,
     dump_instance,
     dump_json,
@@ -186,16 +187,8 @@ def _cmd_spe(args) -> int:
     return 0
 
 
-_ADAPTER_KINDS = {
-    "ordinal": "ordinal",
-    "shapley-shubik": "shapley_shubik",
-    "gale-demange": "gale_demange",
-    "contracts": "contracts",
-}
-
-
 def _cmd_adapt(args) -> int:
-    inst = load_model_file(args.model_file, _ADAPTER_KINDS[args.kind])
+    inst = load_model_file(args.model_file, args.kind.replace("-", "_"))
     dump_json(args.out, dump_instance(inst))
     print(f"wrote {args.out}")
     return 0
@@ -262,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spe)
 
     p = sub.add_parser("adapt", help="build an instance file from a classical model")
-    p.add_argument("kind", choices=sorted(_ADAPTER_KINDS))
+    p.add_argument("kind", choices=sorted(kind.replace("_", "-") for kind in MODELS))
     p.add_argument("model_file")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_adapt)

@@ -27,7 +27,7 @@ from .games import (
     RepeatedGame,
     Side,
 )
-from .geometry import Point, clip_ge, vertex_argmax
+from .geometry import Point, clip_ge
 from .rational import is_neg_inf, rat
 from .stability import MatchingProfile, read_profile
 
@@ -104,10 +104,6 @@ class CneResult:
     reason: Optional[str] = None
 
 
-def _median3(a, b, c):
-    return sorted([a, b, c])[1]
-
-
 def _solve_level(game: LevelGame, oo: OutsideOptions) -> CneResult:
     """The feasible level nearest the value clamped into the bounds.
 
@@ -120,7 +116,7 @@ def _solve_level(game: LevelGame, oo: OutsideOptions) -> CneResult:
     if first >= stop:
         return CneResult(None, "infeasible")
     w = game.value_level
-    target = _median3(lo, hi, w)
+    target = sorted([lo, hi, w])[1]
     at_or_below = game._count_below(target, True) - 1
     near = [k for k in (at_or_below, at_or_below + 1) if first <= k < stop]
 
@@ -154,11 +150,10 @@ def repeated_cne_payoff(game: RepeatedGame, oo: OutsideOptions) -> Optional[Poin
         return None
     enforceable = clip_ge(clip_ge(region, 0, game.alpha), 1, game.beta)
     if enforceable:
-        return vertex_argmax(enforceable, key=lambda p: (p[1], p[0]))
-    u_ok = (not is_neg_inf(oo.u0)) and oo.u0 >= game.alpha
-    if u_ok:
-        return vertex_argmax(region, key=lambda p: (p[1], p[0]))
-    return vertex_argmax(region, key=lambda p: (p[0], p[1]))
+        return max(enforceable, key=lambda p: (p[1], p[0]))
+    if not is_neg_inf(oo.u0) and oo.u0 >= game.alpha:
+        return max(region, key=lambda p: (p[1], p[0]))
+    return max(region, key=lambda p: (p[0], p[1]))
 
 
 def _solve_repeated(game: RepeatedGame, oo: OutsideOptions) -> CneResult:

@@ -31,9 +31,6 @@ class Side(Enum):
     MAN = "man"
     WOMAN = "woman"
 
-    def other(self) -> "Side":
-        return Side.WOMAN if self is Side.MAN else Side.MAN
-
 
 class Contract:
     """A strategy pair together with its exact payoffs.

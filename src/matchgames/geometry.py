@@ -1,7 +1,7 @@
 """Exact 2D convex geometry over Fractions.
 
 Used for repeated-game feasible sets: convex hulls of payoff points,
-axis-aligned halfplane clips, membership tests, and vertex argmaxima.
+axis-aligned halfplane clips, and membership tests.
 Points are (u, v) tuples of Fractions.  Hulls are vertex lists in
 counterclockwise order with no collinear vertices; a hull may degenerate
 to two points (a segment), one point, or the empty list.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 
@@ -94,9 +94,3 @@ def clip_ge(hull: Sequence[Point], axis: int, bound: Fraction) -> list:
                 cuts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
     return convex_hull(kept + cuts)
 
-
-def vertex_argmax(hull: Sequence[Point], key: Callable[[Point], object]) -> Point:
-    """Vertex maximizing the key; linear objectives peak at a vertex."""
-    if not hull:
-        raise ValueError("empty region")
-    return max(hull, key=key)

@@ -44,7 +44,6 @@ def _settle(couple: Couple, lam_loser) -> Contract:
 class MarketState:
     """Trace and bookkeeping of one propose-dispose run."""
 
-    proposing: Side
     iterations: int
     iteration_bound: int
     trace: List[str]
@@ -81,7 +80,7 @@ def run_propose_dispose(
     bound = -(-gap * eps.denominator // (index.scale * eps.numerator)) + len(proposers)
     queue: Deque[int] = deque(range(len(proposers)))
     held: Dict[int, Tuple[int, Contract]] = {}  # responder -> (proposer, contract)
-    state = MarketState(proposing=proposing_side, iterations=0, iteration_bound=bound, trace=[])
+    state = MarketState(iterations=0, iteration_bound=bound, trace=[])
 
     def log(event: str, **fields) -> None:
         state.trace.append(render_event(event, iter=state.iterations, **fields))

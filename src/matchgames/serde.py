@@ -19,7 +19,6 @@ from .games import (
     Game,
     GameError,
     Instance,
-    PiecewiseLinear,
     PotentialGame,
     RepeatedGame,
     StrictlyCompetitiveGame,
@@ -33,6 +32,9 @@ from .stability import SINGLE, MatchingProfile
 
 class SchemaError(ValueError):
     """An input file violates the schema; the message names the field."""
+
+
+Reader = Callable[[Any, str], Any]  # one JSON value and the path that names it in errors
 
 
 def _reject_float(text: str) -> Fraction:
@@ -114,15 +116,26 @@ def _check_keys(obj: Mapping, where: str, required: Tuple[str, ...], optional: T
         raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
 
 
+def _each(value: Any, where: str, read: Reader) -> list:
+    """A JSON list read entry by entry, entry k at where[k]."""
+    return [read(x, f"{where}[{k}]") for k, x in enumerate(_list(value, where))]
+
+
+def _fixed(value: Any, where: str, read: Reader, n: int, shape: str) -> tuple:
+    """A JSON list of exactly n entries, each read as by _each; otherwise the shape is named."""
+    items = _list(value, where)
+    if len(items) != n:
+        raise SchemaError(f"{where}: {shape}")
+    return tuple([read(x, f"{where}[{k}]") for k, x in enumerate(items)])
+
+
 def _breakpoints(value: Any, where: str) -> List[Tuple[Fraction, Fraction]]:
-    pts = _list(value, where)
-    out = []
-    for k, p in enumerate(pts):
-        pair = _list(p, f"{where}[{k}]")
-        if len(pair) != 2:
-            raise SchemaError(f"{where}[{k}]: breakpoints are [x, y] pairs")
-        out.append((_num(pair[0], f"{where}[{k}][0]"), _num(pair[1], f"{where}[{k}][1]")))
-    return out
+    # a plain comprehension (level-game couples read these on the timed path); _fixed names a bad pair
+    return [
+        (_num(p[0], f"{where}[{k}][0]"), _num(p[1], f"{where}[{k}][1]")) if type(p) is list and len(p) == 2
+        else _fixed(p, f"{where}[{k}]", _num, 2, "breakpoints are [x, y] pairs")
+        for k, p in enumerate(_list(value, where))
+    ]
 
 
 def _matrix_in(value: Any, where: str) -> List[List[Fraction]]:
@@ -140,10 +153,6 @@ def _matrix_out(rows) -> list:
     return [[_num_out(x) for x in row] for row in rows]
 
 
-def _points_out(pl: PiecewiseLinear) -> list:
-    return [[_num_out(x), _num_out(y)] for x, y in pl.points]
-
-
 class _Codec(NamedTuple):
     """How one game class travels as JSON.
 
@@ -155,7 +164,7 @@ class _Codec(NamedTuple):
     classes at call time, so they use whatever this module binds then.
     """
 
-    fields: Tuple[Tuple[str, Callable[[Any, str], Any]], ...]
+    fields: Tuple[Tuple[str, Reader], ...]
     resolution: bool
     build: Callable[[Dict[str, Any]], Game]
     dump: Callable[[Any], Dict[str, Any]]
@@ -184,7 +193,7 @@ _CODECS: Dict[str, _Codec] = {
         (("g", _matrix_in), ("f", _breakpoints), ("h", _breakpoints)),
         True,
         lambda p: StrictlyCompetitiveGame(p["g"], p["resolution"], p["f"], p["h"]),
-        lambda g: {"g": _matrix_out(g.g), "f": _points_out(g.f), "h": _points_out(g.h)},
+        lambda g: {"g": _matrix_out(g.g), "f": _matrix_out(g.f.points), "h": _matrix_out(g.h.points)},
     ),
     "transfer": _Codec(
         (("t_min", _num), ("t_max", _num), ("f_u", _breakpoints), ("f_v", _breakpoints)),
@@ -193,8 +202,8 @@ _CODECS: Dict[str, _Codec] = {
         lambda g: {
             "t_min": _num_out(g.levels[0]),
             "t_max": _num_out(g.levels[-1]),
-            "f_u": _points_out(g.f),
-            "f_v": _points_out(g.h),
+            "f_u": _matrix_out(g.f.points),
+            "f_v": _matrix_out(g.h.points),
         },
     ),
     "repeated": _Codec(
@@ -256,7 +265,7 @@ def _integral(value: Any) -> bool:
 
 
 def _strings(value: Any, where: str) -> List[str]:
-    return [_str(x, f"{where}[{k}]") for k, x in enumerate(_list(value, where))]
+    return _each(value, where, _str)
 
 
 def _names(value: Any, where: str) -> List[str]:
@@ -284,10 +293,8 @@ def parse_instance(data: Any, eps=None) -> Tuple[Instance, Fraction]:
         raise SchemaError("instance: men and women must not share names")
     irp = _dict(obj["irp"], "instance.irp")
     _check_keys(irp, "instance.irp", ("men", "women"))
-    irp_men = [_num(x, f"instance.irp.men[{k}]") for k, x in enumerate(_list(irp["men"], "instance.irp.men"))]
-    irp_women = [
-        _num(x, f"instance.irp.women[{k}]") for k, x in enumerate(_list(irp["women"], "instance.irp.women"))
-    ]
+    irp_men = _each(irp["men"], "instance.irp.men", _num)
+    irp_women = _each(irp["women"], "instance.irp.women", _num)
     if len(irp_men) != len(men) or len(irp_women) != len(women):
         raise SchemaError("instance.irp: one reservation payoff per agent")
 
@@ -460,6 +467,12 @@ def load_profile_file(inst: Instance, path: str) -> MatchingProfile:
     return parse_profile(inst, load_json(path))
 
 
+def _node_id(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where}: expected a node id")
+    return value
+
+
 def parse_tree(data: Any) -> GameTree:
     """Game tree file: players, nodes keyed by integer id, optional root."""
     obj = _dict(data, "tree")
@@ -480,8 +493,7 @@ def parse_tree(data: Any) -> GameTree:
         node = _dict(payload, where)
         if "payoffs" in node:
             _check_keys(node, where, ("payoffs",))
-            pay = [_num(x, f"{where}.payoffs[{k}]") for k, x in enumerate(_list(node["payoffs"], f"{where}.payoffs"))]
-            nodes[nid] = TerminalNode(payoffs=tuple(pay))
+            nodes[nid] = TerminalNode(payoffs=tuple(_each(node["payoffs"], f"{where}.payoffs", _num)))
         else:
             _check_keys(node, where, ("player", "children"))
             raw_player = node["player"]
@@ -493,16 +505,9 @@ def parse_tree(data: Any) -> GameTree:
                 player = raw_player
             else:
                 raise SchemaError(f"{where}.player: expected a player name or index")
-            kids = _list(node["children"], f"{where}.children")
-            children = []
-            for k, kid in enumerate(kids):
-                if isinstance(kid, bool) or not isinstance(kid, int):
-                    raise SchemaError(f"{where}.children[{k}]: expected a node id")
-                children.append(kid)
-            nodes[nid] = InternalNode(player=player, children=tuple(children))
-    root = obj.get("root", 0)
-    if isinstance(root, bool) or not isinstance(root, int):
-        raise SchemaError("tree.root: expected a node id")
+            children = tuple(_each(node["children"], f"{where}.children", _node_id))
+            nodes[nid] = InternalNode(player=player, children=children)
+    root = _node_id(obj.get("root", 0), "tree.root")
     try:
         return GameTree(players=players, nodes=nodes, root=root)
     except Exception as exc:
@@ -513,67 +518,52 @@ def load_tree_file(path: str) -> GameTree:
     return parse_tree(load_json(path))
 
 
-_MODEL_KINDS = ("ordinal", "shapley_shubik", "gale_demange", "contracts")
-
-
 def _grid_in(value: Any, where: str) -> Tuple[Fraction, Fraction, Fraction]:
-    grid = _list(value, where)
-    if len(grid) != 3:
-        raise SchemaError(f"{where}: expected [min, max, step]")
-    return (_num(grid[0], f"{where}[0]"), _num(grid[1], f"{where}[1]"), _num(grid[2], f"{where}[2]"))
+    return _fixed(value, where, _num, 3, "expected [min, max, step]")
 
 
-def _mapping(value: Any, where: str, leaf: Callable[[Any, str], Any], depth: int = 1) -> dict:
-    """An object keyed by names, nested depth deep, whose leaves leaf reads."""
-    return {
-        _str(k, f"{where} key"): (
-            leaf(v, f"{where}[{k!r}]") if depth == 1 else _mapping(v, f"{where}[{k!r}]", leaf, depth - 1)
-        )
-        for k, v in _dict(value, where).items()
+def _mapping(leaf: Reader, depth: int = 1) -> Reader:
+    """Reader of an object keyed by names, nested depth deep, whose leaves leaf reads."""
+    inner = leaf if depth == 1 else _mapping(leaf, depth - 1)
+    return lambda value, where: {
+        _str(k, f"{where} key"): inner(v, f"{where}[{k!r}]") for k, v in _dict(value, where).items()
     }
+
+
+# Each model kind: its adapter and the adapter's fields, in argument order, with their readers.
+MODELS: Dict[str, Tuple[Callable[..., Instance], Tuple[Tuple[str, Reader], ...]]] = {
+    "ordinal": (adapters.from_ordinal, (("men", _mapping(_strings)), ("women", _mapping(_strings)))),
+    "shapley_shubik": (
+        adapters.from_shapley_shubik,
+        (("costs", _mapping(_num)), ("valuations", _mapping(_num, 2)), ("price_grid", _grid_in)),
+    ),
+    "gale_demange": (
+        adapters.from_gale_demange,
+        (("f", _mapping(_breakpoints, 2)), ("h", _mapping(_breakpoints, 2)), ("transfer_grid", _grid_in)),
+    ),
+    "contracts": (
+        adapters.from_hatfield_milgrom,
+        (
+            ("contracts", _names),
+            ("relations", _mapping(lambda v, at: _fixed(v, at, _str, 2, "expected [man, woman]"))),
+            ("prefs", _mapping(_strings)),
+        ),
+    ),
+}
 
 
 def parse_model(data: Any, kind: str) -> Instance:
     """Build an instance from a classical-model file of the given kind."""
-    if kind not in _MODEL_KINDS:
+    if kind not in MODELS:
         raise SchemaError(f"unknown model kind {kind!r}")
+    build, fields = MODELS[kind]
     obj = _dict(data, "model")
     if "model" in obj and obj["model"] != kind:
         raise SchemaError(f"model file is tagged {obj['model']!r}, not {kind!r}")
+    _check_keys(obj, "model", tuple(name for name, _read in fields), ("model",))
+    args = [read(obj[name], f"model.{name}") for name, read in fields]
     try:
-        if kind == "ordinal":
-            _check_keys(obj, "model", ("men", "women"), ("model",))
-            return adapters.from_ordinal(
-                _mapping(obj["men"], "model.men", _strings), _mapping(obj["women"], "model.women", _strings)
-            )
-        if kind == "shapley_shubik":
-            _check_keys(obj, "model", ("costs", "valuations", "price_grid"), ("model",))
-            return adapters.from_shapley_shubik(
-                _mapping(obj["costs"], "model.costs", _num),
-                _mapping(obj["valuations"], "model.valuations", _num, depth=2),
-                _grid_in(obj["price_grid"], "model.price_grid"),
-            )
-        if kind == "gale_demange":
-            _check_keys(obj, "model", ("f", "h", "transfer_grid"), ("model",))
-            return adapters.from_gale_demange(
-                _mapping(obj["f"], "model.f", _breakpoints, depth=2),
-                _mapping(obj["h"], "model.h", _breakpoints, depth=2),
-                _grid_in(obj["transfer_grid"], "model.transfer_grid"),
-            )
-        _check_keys(obj, "model", ("contracts", "relations", "prefs"), ("model",))
-        contracts = _names(obj["contracts"], "model.contracts")
-        relations = {}
-        for name, pair in _dict(obj["relations"], "model.relations").items():
-            duo = _list(pair, f"model.relations[{name!r}]")
-            if len(duo) != 2:
-                raise SchemaError(f"model.relations[{name!r}]: expected [man, woman]")
-            relations[_str(name, "model.relations key")] = (
-                _str(duo[0], f"model.relations[{name!r}][0]"),
-                _str(duo[1], f"model.relations[{name!r}][1]"),
-            )
-        return adapters.from_hatfield_milgrom(
-            contracts, relations, _mapping(obj["prefs"], "model.prefs", _strings)
-        )
+        return build(*args)
     except GameError as exc:
         raise SchemaError(f"model: {exc}") from exc
 

@@ -32,6 +32,7 @@ CLASSIC = {
 }
 
 MIXED_CLASSES = Path(__file__).resolve().parent.parent / "demos" / "data" / "mixed_classes.json"
+DEMO_DATA = MIXED_CLASSES.parent
 
 ZERO_SUM_COUPLE = {
     "men": ["m0"],
@@ -416,6 +417,34 @@ class TestVerify:
         assert main(["verify", inst, "--profile", str(prof), "--notion", "ext"]) == 2
         assert capsys.readouterr().err == f"error: {prof}: key 'm0' appears twice in one object\n"
 
+    @pytest.mark.parametrize(
+        "name, eps, notion, witness",
+        [
+            ("wage_split.json", [], "int", "witness kind=deviation man=ben woman=zeta side=man from=0 to=1 u=2 v=-2"),
+            ("wage_split.json", [], "nash", "witness kind=deviation man=ben woman=zeta side=man from=0 to=1 u=2 v=-2"),
+            ("mixed_classes.json", ["--eps", "1/2"], "int", "witness kind=deviation man=m0 woman=w0 side=woman from=0 to=1 u=2 v=4"),
+        ],
+    )
+    def test_deviation_witness_lines(self, tmp_path, capsys, name, eps, notion, witness):
+        inst = str(DEMO_DATA / name)
+        prof = str(tmp_path / "profile.json")
+        assert main(["solve-external", inst, *eps, "-o", prof]) == 0
+        capsys.readouterr()
+        assert main(["verify", inst, "--profile", prof, "--notion", notion, *eps]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == witness
+
+    def test_reservation_witness_line(self, tmp_path, capsys):
+        data = {
+            "men": ["m"],
+            "women": ["w"],
+            "irp": {"men": [0], "women": [0]},
+            "games": {"m": {"w": {"class": "bimatrix", "u": [[-1]], "v": [[1]]}}},
+        }
+        inst = write(tmp_path, "inst.json", data)
+        prof = write(tmp_path, "profile.json", {"matching": {"m": "w"}, "contracts": {"m": contract_entry(-1, 1)}})
+        assert main(["verify", inst, "--profile", prof, "--notion", "ext"]) == 0
+        assert capsys.readouterr().out == "ExternalEps: holds=false eps=1\nwitness kind=reservation man=m woman=-\n"
+
     def test_all_notions_run(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)
         prof = write(tmp_path, "men_opt.json", MEN_OPT)
@@ -691,6 +720,28 @@ class TestAdapt:
         captured = capsys.readouterr()
         assert rc == 2
         assert "tagged" in captured.err
+
+
+    def test_valuation_of_unknown_seller_is_exit_2_naming_it(self, tmp_path, capsys):
+        model = write(
+            tmp_path,
+            "model.json",
+            {
+                "model": "shapley_shubik",
+                "costs": {"s1": 1},
+                "valuations": {"s1": {"b1": 5}, "s2": {"b1": 9}},
+                "price_grid": [0, 10, 1],
+            },
+        )
+        out = tmp_path / "x.json"
+        assert main(["adapt", "shapley-shubik", model, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: model: valuations given for seller 's2', who has no cost\n"
+        assert not out.exists()
+
+    def test_kind_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["adapt", "--help"])
+        assert "{contracts,gale-demange,ordinal,shapley-shubik}" in capsys.readouterr().out
 
 
 class TestEntryPoints:

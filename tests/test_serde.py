@@ -613,3 +613,89 @@ class TestRationalText:
         once = json.dumps(dump_profile(inst, profile), sort_keys=True)
         again = json.dumps(dump_profile(inst, profile), sort_keys=True)
         assert once == again
+
+
+def _profile_case(**entry):
+    """A 1x1 bimatrix couple (u = v = 1) and a profile whose contract entry takes ``entry``."""
+    inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[1]], [[1]])})
+    contract = {"id": 0, "strategy_a": 0, "strategy_b": 0, "u": 1, "v": 1, **entry}
+    return lambda: parse_profile(inst, {"matching": {"m": "w"}, "contracts": {"m": contract}})
+
+
+def _instance_case(**fields):
+    data = minimal_data()
+    data.update(fields)
+    return lambda: parse_instance(data)
+
+
+def _transfer_case(f_u):
+    data = minimal_data()
+    data["games"]["m"]["w"] = {"class": "transfer", "t_min": 0, "t_max": 2, "f_u": f_u, "f_v": [[0, 0], [1, 1]]}
+    return lambda: parse_instance(data)
+
+
+def _tree_case(nodes, **fields):
+    return lambda: parse_tree({"players": ["p"], "nodes": nodes, **fields})
+
+
+SOLO_LEAF = {"0": {"payoffs": [1]}}
+
+
+class TestPinnedRefusals:
+    """The exact message of each list, pair and id reader, on one fault each."""
+
+    @pytest.mark.parametrize(
+        "parse, message",
+        [
+            (_instance_case(irp={"men": ["x"], "women": [0]}), "instance.irp.men[0]: Invalid literal for Fraction: 'x'"),
+            (_instance_case(irp={"men": [0], "women": [0, None]}), f"instance.irp.women[1]: {NUMBER}, got None"),
+            (_transfer_case([[0, 0, 0], [1, 1]]), f"{GAME}.f_u[0]: breakpoints are [x, y] pairs"),
+            (_transfer_case([[0, 0], 1]), f"{GAME}.f_u[1]: expected a list, got 1"),
+            (_instance_case(women=["m"]), "instance: men and women must not share names"),
+            (_instance_case(men=["m", "m"]), "instance.men: names must be distinct"),
+            (_instance_case(men=["m", 1]), "instance.men[1]: expected a string, got 1"),
+            (
+                _tree_case({"0": {"player": 0, "children": ["1"]}, "1": {"payoffs": [1]}}),
+                "tree.nodes['0'].children[0]: expected a node id",
+            ),
+            (
+                _tree_case({"0": {"player": 0, "children": [1, True]}, "1": {"payoffs": [1]}}),
+                "tree.nodes['0'].children[1]: expected a node id",
+            ),
+            (_tree_case(SOLO_LEAF, root="0"), "tree.root: expected a node id"),
+            (_tree_case(SOLO_LEAF, root=False), "tree.root: expected a node id"),
+            (_tree_case({"0": {"payoffs": [None]}}), f"tree.nodes['0'].payoffs[0]: {NUMBER}, got None"),
+            (
+                lambda: parse_model({"costs": {"s": 1}, "valuations": {"s": {"b": 2}}, "price_grid": [0, 10]}, "shapley_shubik"),
+                "model.price_grid: expected [min, max, step]",
+            ),
+            (
+                lambda: parse_model({"f": {}, "h": {}, "transfer_grid": [0, 1, "x"]}, "gale_demange"),
+                "model.transfer_grid[2]: Invalid literal for Fraction: 'x'",
+            ),
+            (
+                lambda: parse_model({"contracts": ["x"], "relations": {"x": ["m"]}, "prefs": {}}, "contracts"),
+                "model.relations['x']: expected [man, woman]",
+            ),
+            (
+                lambda: parse_model({"contracts": ["x"], "relations": {"x": ["m", 2]}, "prefs": {}}, "contracts"),
+                "model.relations['x'][1]: expected a string, got 2",
+            ),
+            (
+                lambda: parse_model({"contracts": ["x", "x"], "relations": {}, "prefs": {}}, "contracts"),
+                "model.contracts: names must be distinct",
+            ),
+            (_profile_case(strategy_a=True), "profile.contracts['m'].strategy_a: invalid strategy descriptor"),
+            (
+                _profile_case(strategy_a=[1, 2, 3]),
+                "profile.contracts['m'].strategy_a: invalid strategy descriptor [1, 2, 3]",
+            ),
+            (_profile_case(id=True), "profile.contracts['m'].id: expected an integer or null"),
+            (_profile_case(id="0"), "profile.contracts['m'].id: expected an integer or null"),
+            (_profile_case(id=None), "profile.contracts['m']: null id is only valid for repeated games"),
+        ],
+    )
+    def test_messages(self, parse, message):
+        with pytest.raises(SchemaError) as info:
+            parse()
+        assert str(info.value) == message
