@@ -233,29 +233,10 @@ class TestShapleyShubik:
                 {"s0": 1, "s1": 1}, {"s0": {"b0": 3}, "s1": {"b1": 3}}, (0, 10, 1)
             )
 
-
     def test_valuations_of_a_seller_without_cost_rejected(self):
         with pytest.raises(GameError) as info:
             from_shapley_shubik({"s1": 1}, {"s1": {"b1": 5}, "s2": {"b1": 9}}, (0, 10, 1))
         assert str(info.value) == "valuations given for seller 's2', who has no cost"
-
-    def test_built_as_the_linear_gale_demange_market(self):
-        costs = {"s0": F(3, 2), "s1": 0}
-        valuations = {"s0": {"b0": 5, "b1": F(7, 3)}, "s1": {"b0": 9, "b1": 1}}
-        inst = from_shapley_shubik(costs, valuations, (0, 10, F(1, 2)))
-        linear = from_gale_demange(
-            {s: {b: [(0, -F(c)), (1, 1 - F(c))] for b in valuations[s]} for s, c in costs.items()},
-            {s: {b: [(0, F(h)), (1, F(h) + 1)] for b, h in row.items()} for s, row in valuations.items()},
-            (0, 10, F(1, 2)),
-        )
-        assert (inst.men, inst.women) == (linear.men, linear.women)
-        for i in range(2):
-            for j in range(2):
-                menu = [(c.strategy_a, c.u, c.v) for c in inst.game(i, j).menu()]
-                assert menu == [(c.strategy_a, c.u, c.v) for c in linear.game(i, j).menu()]
-                # price p pays the seller p - cost and the buyer value - p
-                p, u, v = menu[3]
-                assert (u, v) == (p - F(costs[inst.men[i]]), valuations[inst.men[i]][inst.women[j]] - p)
 
 
 class TestGaleDemange:
@@ -501,6 +482,7 @@ class TestHatfieldMilgrom:
                 "preference list given for 'ghost', whom no contract relates",
             ),
         ],
+        ids=["stray_relation", "stray_preference_list"],
     )
     def test_entries_naming_nothing_rejected(self, relations, prefs, message):
         with pytest.raises(GameError) as info:
