@@ -13,6 +13,7 @@ byte-identical stdout, with rationals in canonical lowest terms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -75,15 +76,18 @@ def _render_report(inst: Instance, report: StabilityReport) -> List[str]:
 
 def _emit_profile(inst: Instance, profile, out: Optional[str]) -> None:
     payload = dump_profile(inst, profile)
-    print(json.dumps(payload, indent=2))
-    if out:
+    if out:  # first, so a file that cannot be written leaves stdout empty
         dump_json(out, payload)
+    print(json.dumps(payload, indent=2))
 
 
 def _write_trace(path: str, lines: List[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_solve_external(args) -> int:
@@ -194,6 +198,7 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; each parse still makes a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchgames",

@@ -12,7 +12,7 @@ bounds the number of iterations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -40,13 +40,49 @@ def _settle(couple: Couple, lam_loser) -> Contract:
     return couple.menu[best]
 
 
+# Field names of each trace event kind, after iter: names and contract ids,
+# then the scaled payoffs, which are divided by the market's scale when rendered.
+_EVENT_FIELDS = {
+    "propose": (("proposer", "responder", "contract"), ("own", "offer")),
+    **dict.fromkeys(
+        ("accept", "auto_replace", "replace", "resettle"),
+        (("proposer", "responder", "contract"), ("own", "offer_old", "offer_new")),
+    ),
+    "exit": (("proposer",), ("own",)),
+    "requeue": (("proposer",), ()),
+    "reject": (("proposer",), ()),
+    "compete": (("proposer", "incumbent", "responder"), ("fallback_p", "fallback_inc", "bid_p", "bid_inc")),
+}
+
+
 @dataclass
 class MarketState:
-    """Trace and bookkeeping of one propose-dispose run."""
+    """Trace and bookkeeping of one propose-dispose run.
+
+    A run records one tuple per event, (kind, iter, *fields, *scaled
+    payoffs).  ``trace`` renders them with ``render_event`` on its first
+    read (``solve-external --trace`` is one) and keeps the lines, so a
+    run whose trace nobody reads renders nothing.
+    """
 
     iterations: int
     iteration_bound: int
-    trace: List[str]
+    _scale: int = field(repr=False)
+    _events: list = field(default_factory=list, init=False, repr=False)
+    _lines: Optional[List[str]] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def trace(self) -> List[str]:
+        if self._lines is None:
+            self._lines = [self._render(*event) for event in self._events]
+        return self._lines
+
+    def _render(self, kind: str, iteration: int, *values) -> str:
+        names, scaled = _EVENT_FIELDS[kind]
+        fields = dict(zip(names, values))
+        for key, x in zip(scaled, values[len(names):]):
+            fields[key] = x if is_neg_inf(x) else Fraction(x, self._scale)
+        return render_event(kind, iter=iteration, **fields)
 
 
 def run_propose_dispose(
@@ -67,9 +103,6 @@ def run_propose_dispose(
     else:
         m, other, proposers, responders = index.women, index.men, inst.women, inst.men
 
-    def exact(x):  # a scaled payoff, or the minus-infinity sentinel, as exact
-        return x if is_neg_inf(x) else Fraction(x, index.scale)
-
     # Responder payoffs are menu or reservation payoffs, so scaled they are
     # integers x, and a scaled payoff reaches x + eps exactly when it exceeds x + lift.
     # Responder r's payoff x is kept only as her bar, bars[r] = x + lift.
@@ -80,10 +113,8 @@ def run_propose_dispose(
     bound = -(-gap * eps.denominator // (index.scale * eps.numerator)) + len(proposers)
     queue: Deque[int] = deque(range(len(proposers)))
     held: Dict[int, Tuple[int, Contract]] = {}  # responder -> (proposer, contract)
-    state = MarketState(iterations=0, iteration_bound=bound, trace=[])
-
-    def log(event: str, **fields) -> None:
-        state.trace.append(render_event(event, iter=state.iterations, **fields))
+    state = MarketState(iterations=0, iteration_bound=bound, _scale=index.scale)
+    events = state._events
 
     def responder_accepts(p: int, r: int, contract: Contract, event: str) -> None:
         couple = m.couples[p][r]
@@ -91,14 +122,9 @@ def run_propose_dispose(
         if new <= bars[r]:
             raise MatchingError("accepted proposal fails to raise the responder")
         held[r] = (p, contract)
-        log(
-            event,
-            proposer=proposers[p],
-            responder=responders[r],
-            contract=contract.id,
-            own=exact(couple.u[contract.id]),
-            offer_old=exact(bars[r] - lift),
-            offer_new=exact(new),
+        events.append(
+            (event, state.iterations, proposers[p], responders[r], contract.id,
+             couple.u[contract.id], bars[r] - lift, new)
         )
         bars[r] = new + lift
 
@@ -111,15 +137,11 @@ def run_propose_dispose(
         p = queue.popleft()
         r, own, contract = m.best(p, bars)
         if r is None:
-            log("exit", proposer=proposers[p], own=exact(own))
+            events.append(("exit", state.iterations, proposers[p], own))
             continue
-        log(
-            "propose",
-            proposer=proposers[p],
-            responder=responders[r],
-            contract=contract.id,
-            own=exact(own),
-            offer=exact(m.couples[p][r].v[contract.id]),
+        events.append(
+            ("propose", state.iterations, proposers[p], responders[r], contract.id,
+             own, m.couples[p][r].v[contract.id])
         )
         if r not in held:
             responder_accepts(p, r, contract, "accept")
@@ -131,31 +153,25 @@ def run_propose_dispose(
         if kept is None or m.couples[q][r].u[kept] < re_solved:
             responder_accepts(p, r, contract, "auto_replace")
             queue.appendleft(q)
-            log("requeue", proposer=proposers[q])
+            events.append(("requeue", state.iterations, proposers[q]))
             continue
         _, beta_p, _ = m.best(p, bars, exclude=r)
         _, beta_q, _ = m.best(q, bars, exclude=r)
         lam_p = _max_offer(m.couples[p][r], beta_p)
         lam_q = _max_offer(m.couples[q][r], beta_q)
-        log(
-            "compete",
-            proposer=proposers[p],
-            incumbent=proposers[q],
-            responder=responders[r],
-            fallback_p=exact(beta_p),
-            fallback_inc=exact(beta_q),
-            bid_p=exact(lam_p),
-            bid_inc=exact(lam_q),
+        events.append(
+            ("compete", state.iterations, proposers[p], proposers[q], responders[r],
+             beta_p, beta_q, lam_p, lam_q)
         )
         if lam_p > lam_q:
             responder_accepts(p, r, _settle(m.couples[p][r], lam_q), "replace")
             queue.appendleft(q)
-            log("requeue", proposer=proposers[q])
+            events.append(("requeue", state.iterations, proposers[q]))
         else:
             # Draws keep the incumbent, who re-settles at the losing bid.
             responder_accepts(q, r, _settle(m.couples[q][r], lam_p), "resettle")
             queue.appendleft(p)
-            log("reject", proposer=proposers[p])
+            events.append(("reject", state.iterations, proposers[p]))
 
     matches: List[Optional[int]] = [None] * inst.n_men
     chosen = {}

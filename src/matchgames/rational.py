@@ -3,8 +3,8 @@
 Every payoff, threshold, and resolution in this library is a
 ``fractions.Fraction``.  Floats are rejected at the boundary (parsing)
 so exactness can't silently degrade mid-computation.  ``render_event``
-writes the trace lines of propose-dispose and refinement with these
-scalars in canonical form.
+writes the trace lines of propose-dispose and refinement, on their
+first read, with these scalars in canonical form.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def render_event(name: str, **fields) -> str:
 
     Rationals (and the minus-infinity sentinel) go through ``fmt``, bools
     read ``true``/``false``, other values through ``str``; a field whose
-    value is None is left out.
+    value is None is left out.  Propose-dispose and refinement call it on
+    the first read of their ``trace`` (``--trace`` reads it), not during
+    the run, so a field too long to print raises ValueError at that read.
     """
     parts = [f"event={name}"]
     for key, value in fields.items():

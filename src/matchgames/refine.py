@@ -17,7 +17,7 @@ equivalent to internal stability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import List, Mapping, Optional, Set, Tuple
@@ -34,13 +34,41 @@ class RefineStatus(Enum):
     INFEASIBLE = "Infeasible"
 
 
+# Field names of each trace event kind ("pass" is a keyword, so the
+# fields reach render_event as a dict).
+_EVENT_FIELDS = {
+    "skip": ("pass", "man", "woman", "frozen"),
+    "visit": ("pass", "man", "woman", "u0", "v0", "contract", "cne"),
+    "stuck": ("pass", "man", "woman", "reason"),
+    "replace": ("pass", "man", "woman", "old", "new", "u", "v", "nash", "frozen"),
+    "pass": ("pass", "changes"),
+    "status": ("status", "passes"),
+}
+
+
 @dataclass
 class RefineResult:
+    """Outcome of ``refine``.
+
+    The run records one tuple per event, (kind, *fields).  ``trace``
+    renders them with ``render_event`` on its first read and keeps the
+    lines, so a run whose trace nobody reads renders nothing.
+    """
+
     profile: MatchingProfile
     status: RefineStatus
     passes: int
-    trace: List[str]
+    _events: list = field(repr=False)
     failed_couple: Optional[Tuple[int, int]] = None
+    _lines: Optional[List[str]] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def trace(self) -> List[str]:
+        if self._lines is None:
+            self._lines = [
+                render_event(kind, **dict(zip(_EVENT_FIELDS[kind], values))) for kind, *values in self._events
+            ]
+        return self._lines
 
 
 def _effective_oo(inst: Instance, raw: OutsideOptions, i: int, j: int, eps: Fraction) -> OutsideOptions:
@@ -77,58 +105,46 @@ def refine(
     if max_passes is None:
         max_menu = max((len(inst.game(i, j).menu()) for i, j in couples), default=1)
         max_passes = 10 * max_menu * max(len(couples), 1)
-    trace: List[str] = []
+    events: list = []
     frozen: Set[Tuple[int, int]] = set()
     current = profile
     passes = 0
-
-    def log(event: str, i: int, j: int, **fields) -> None:
-        # "pass" is a keyword, so it cannot be passed by name
-        fields = {"pass": passes, "man": inst.men[i], "woman": inst.women[j], **fields}
-        trace.append(render_event(event, **fields))
 
     while passes < max_passes:
         passes += 1
         changes = 0
         for i, j in couples:
             if (i, j) in frozen:
-                log("skip", i, j, frozen=True)
+                events.append(("skip", passes, inst.men[i], inst.women[j], True))
                 continue
             game = inst.game(i, j)
             raw = outside_options(inst, current, i, j, eps)
             oo = _effective_oo(inst, raw, i, j, eps)
             contract = current.chosen[(i, j)]
             if is_cne(game, contract, oo):
-                log("visit", i, j, u0=oo.u0, v0=oo.v0, contract=contract.id, cne=True)
+                events.append(("visit", passes, inst.men[i], inst.women[j], oo.u0, oo.v0, contract.id, True))
                 continue
             result = solve_cne(game, oo, policies.get(game.kind, CnePolicy.AUTO))
             if result.contract is None:
-                log("stuck", i, j, reason=result.reason)
-                return RefineResult(current, RefineStatus.INFEASIBLE, passes, trace, (i, j))
+                events.append(("stuck", passes, inst.men[i], inst.women[j], result.reason))
+                return RefineResult(current, RefineStatus.INFEASIBLE, passes, events, (i, j))
             new_contract = result.contract
             current = current.with_contract(i, j, new_contract)
             changes += 1
             nash = game.is_nash_contract(new_contract)
             if nash and is_feasible(game, new_contract, oo):
                 frozen.add((i, j))
-            log(
-                "replace",
-                i,
-                j,
-                old=contract.id,
-                new=new_contract.id,
-                u=new_contract.u,
-                v=new_contract.v,
-                nash=nash,
-                frozen=True if (i, j) in frozen else None,
+            events.append(
+                ("replace", passes, inst.men[i], inst.women[j], contract.id, new_contract.id,
+                 new_contract.u, new_contract.v, nash, True if (i, j) in frozen else None)
             )
             if find_blocking_pair(inst, current, eps) is not None:
                 raise MatchingError(
                     "replacement broke external stability; refinement invariant violated"
                 )
-        trace.append(render_event("pass", **{"pass": passes}, changes=changes))
+        events.append(("pass", passes, changes))
         if changes == 0:
-            trace.append(render_event("status", status=RefineStatus.CONVERGED.value, passes=passes))
-            return RefineResult(current, RefineStatus.CONVERGED, passes, trace)
-    trace.append(render_event("status", status=RefineStatus.PASS_LIMIT.value, passes=passes))
-    return RefineResult(current, RefineStatus.PASS_LIMIT, passes, trace)
+            events.append(("status", RefineStatus.CONVERGED.value, passes))
+            return RefineResult(current, RefineStatus.CONVERGED, passes, events)
+    events.append(("status", RefineStatus.PASS_LIMIT.value, passes))
+    return RefineResult(current, RefineStatus.PASS_LIMIT, passes, events)

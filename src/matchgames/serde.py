@@ -67,9 +67,12 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(path: str, data: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def _num(value: Any, where: str) -> Fraction:

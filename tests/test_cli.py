@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import matchgames
-from matchgames.cli import main
+from matchgames.cli import _build_parser, main
 
 # classic two-couple market with opposed tastes, single-cell games
 CLASSIC = {
@@ -805,3 +805,86 @@ class TestEntryPoints:
         # garbage profile file: clean error, exit 2
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
+
+
+SUBCOMMANDS = ["solve-external", "solve-stable", "verify", "enumerate", "join", "spe", "adapt"]
+
+
+def fresh_parse(argv, capsys):
+    """Exit code and output of a parse by a newly built parser, not the cached one."""
+    with pytest.raises(SystemExit) as exit_info:
+        _build_parser.__wrapped__().parse_args(argv)
+    return exit_info.value.code, capsys.readouterr()
+
+
+class TestCachedParser:
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", CLASSIC)
+        assert main(["solve-external", inst]) == 0
+        plain = capsys.readouterr().out
+        trace = tmp_path / "trace.log"
+        assert main(["solve-external", inst, "--trace", str(trace), "--side", "women", "--eps", "1/2"]) == 0
+        assert capsys.readouterr().out != plain
+        trace.unlink()
+        assert main(["solve-external", inst]) == 0
+        assert capsys.readouterr().out == plain
+        assert "eps=1\n" in plain and '"m0": "w0"' in plain
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("command", [[]] + [[name] for name in SUBCOMMANDS])
+    def test_help_is_a_fresh_parsers_help(self, command, capsys):
+        code, fresh = fresh_parse(command + ["--help"], capsys)
+        assert code == 0 and fresh.out.startswith("usage: matchgames")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + ["--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr() == fresh
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", CLASSIC)
+        argv = ["verify", inst, "--notion", "ext"]  # --profile missing
+        code, fresh = fresh_parse(argv, capsys)
+        assert code == 2 and "--profile" in fresh.err
+        assert main(["solve-external", inst]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr() == fresh
+
+    def test_no_command_twice(self, capsys):
+        assert main([]) == 2
+        first = capsys.readouterr()
+        assert main([]) == 2
+        assert capsys.readouterr() == first
+        assert first.out == "" and first.err.startswith("usage: matchgames")
+
+
+class TestUnwritableOutput:
+    """A file that cannot be written is a usage error naming it, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve-external", "{inst}", "--trace", "{path}"],
+            ["solve-external", "{inst}", "-o", "{path}"],
+            ["solve-stable", "{inst}", "-o", "{path}"],
+            ["join", "{inst}", "--a", "{a}", "--b", "{b}", "-o", "{path}"],
+            ["adapt", "ordinal", "{model}", "-o", "{path}"],
+        ],
+    )
+    def test_missing_directory_is_exit_2(self, tmp_path, capsys, command):
+        files = {
+            "inst": write(tmp_path, "inst.json", CLASSIC),
+            "a": write(tmp_path, "a.json", MEN_OPT),
+            "b": write(tmp_path, "b.json", WOMEN_OPT),
+            "model": write(tmp_path, "model.json", {"model": "ordinal", "men": {"m": ["w"]}, "women": {"w": ["m"]}}),
+            "path": str(tmp_path / "missing" / "out"),
+        }
+        rc = main([arg.format(**files) for arg in command])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {files['path']}: ")
+        assert captured.err.count("\n") == 1

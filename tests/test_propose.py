@@ -21,8 +21,10 @@ from matchgames import (
     run_propose_dispose,
     run_with_vanishing_margin,
 )
+from matchgames import propose
 from matchgames._market import market_index
 from matchgames.propose import _max_offer, _settle
+from matchgames.rational import render_event
 
 from helpers import random_bimatrix_instance
 
@@ -240,6 +242,24 @@ class TestRunInvariants:
         for line in state.trace:
             assert line.startswith("event=")
             assert " iter=" in line
+
+    def test_trace_rendered_on_first_read_only(self, monkeypatch):
+        rendered = []
+
+        def counting(name, **fields):
+            rendered.append(name)
+            return render_event(name, **fields)
+
+        monkeypatch.setattr(propose, "render_event", counting)
+        inst = distinct_payoff_market(random.Random(23))
+        states = [run_propose_dispose(inst, F(1, 2), side)[1] for side in (Side.MAN, Side.WOMAN)]
+        assert rendered == []  # a run whose trace is never read renders nothing
+        for state in states:
+            before = len(rendered)
+            lines = state.trace
+            assert lines and len(rendered) - before == len(lines)
+            assert rendered[before:] == [line.split(" ", 1)[0][len("event="):] for line in lines]
+            assert state.trace == lines and len(rendered) - before == len(lines)
 
     def test_output_among_oracle_stable_profiles(self):
         rng = random.Random(9)

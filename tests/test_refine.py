@@ -1,5 +1,6 @@
 """Refinement passes: convergence, class monotonicity, failure modes."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from matchgames import (
     refine,
     run_propose_dispose,
 )
+from matchgames.rational import render_event
 from matchgames.refine import _effective_oo
 
 from helpers import frac, random_class_instance
@@ -263,3 +265,32 @@ class TestIdempotence:
         profile, _ = run_propose_dispose(inst, F(1, 2))
         result = refine(inst, profile, F(1, 2))
         assert result.trace[-1] == f"event=status status=Converged passes={result.passes}"
+
+
+class TestTrace:
+    def test_trace_rendered_on_first_read_only(self, monkeypatch):
+        rendered = []
+
+        def counting(name, **fields):
+            rendered.append(name)
+            return render_event(name, **fields)
+
+        # the package's name refine is the function, so the module is imported by path
+        monkeypatch.setattr(importlib.import_module("matchgames.refine"), "render_event", counting)
+        rng = random.Random(53)
+        eps = F(1, 2)
+        results = []
+        for _ in range(6):
+            inst = random_class_instance(rng, "zero_sum", eps)
+            profile, _ = run_propose_dispose(inst, eps)
+            results.append(refine(inst, profile, eps))
+        assert rendered == []  # runs whose traces are never read render nothing
+        kinds = set()
+        for result in results:
+            before = len(rendered)
+            lines = result.trace
+            assert len(rendered) - before == len(lines)
+            assert rendered[before:] == [line.split(" ", 1)[0][len("event="):] for line in lines]
+            assert result.trace == lines and len(rendered) - before == len(lines)
+            kinds.update(rendered[before:])
+        assert kinds >= {"skip", "visit", "replace", "pass", "status"}
