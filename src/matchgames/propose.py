@@ -79,8 +79,8 @@ class MarketState:
 
     def _render(self, kind: str, iteration: int, *values) -> str:
         names, scaled = _EVENT_FIELDS[kind]
-        fields = dict(zip(names, values))
-        for key, x in zip(scaled, values[len(names):]):
+        fields = dict(zip(names, values[: len(names)], strict=True))
+        for key, x in zip(scaled, values[len(names) :], strict=True):
             fields[key] = x if is_neg_inf(x) else Fraction(x, self._scale)
         return render_event(kind, iter=iteration, **fields)
 

@@ -66,7 +66,8 @@ class RefineResult:
     def trace(self) -> List[str]:
         if self._lines is None:
             self._lines = [
-                render_event(kind, **dict(zip(_EVENT_FIELDS[kind], values))) for kind, *values in self._events
+                render_event(kind, **dict(zip(_EVENT_FIELDS[kind], values, strict=True)))
+                for kind, *values in self._events
             ]
         return self._lines
 

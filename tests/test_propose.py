@@ -261,6 +261,14 @@ class TestRunInvariants:
             assert rendered[before:] == [line.split(" ", 1)[0][len("event="):] for line in lines]
             assert state.trace == lines and len(rendered) - before == len(lines)
 
+    @pytest.mark.parametrize("drift", [1, -1])
+    def test_event_of_the_wrong_length_fails_on_read(self, drift):
+        _, state = run_propose_dispose(distinct_payoff_market(random.Random(23)), F(1, 2))
+        event = state._events[0]
+        state._events.append(event + (0,) if drift > 0 else event[:-1])
+        with pytest.raises(ValueError):
+            state.trace
+
     def test_output_among_oracle_stable_profiles(self):
         rng = random.Random(9)
         for _ in range(6):

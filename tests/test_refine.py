@@ -294,3 +294,13 @@ class TestTrace:
             assert result.trace == lines and len(rendered) - before == len(lines)
             kinds.update(rendered[before:])
         assert kinds >= {"skip", "visit", "replace", "pass", "status"}
+
+    @pytest.mark.parametrize("drift", [1, -1])
+    def test_event_of_the_wrong_length_fails_on_read(self, drift):
+        eps = F(1, 2)
+        inst = random_class_instance(random.Random(53), "zero_sum", eps)
+        result = refine(inst, run_propose_dispose(inst, eps)[0], eps)
+        event = result._events[-1]
+        result._events.append(event + (0,) if drift > 0 else event[:-1])
+        with pytest.raises(ValueError):
+            result.trace
