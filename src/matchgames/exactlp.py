@@ -81,9 +81,13 @@ def matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
         raise ValueError("ragged matrix")
 
     D = lcm(*(v.denominator for row in A for v in row))
-    low = min(min(row) for row in A)
-    shift = D - low.numerator * (D // low.denominator)  # D * (1 - low)
-    scaled = [[v.numerator * (D // v.denominator) + shift for v in row] for row in A]
+    return _scaled_value([[v.numerator * (D // v.denominator) for v in row] for row in A], D)
+
+
+def _scaled_value(N: Sequence[Sequence[int]], D: int) -> Fraction:
+    """``matrix_game_value`` of the nonempty rectangular matrix whose entry (r, c) is N[r][c] / D, D > 0."""
+    shift = D - min(map(min, N))  # D * (1 - low)
+    scaled = [[x + shift for x in row] for row in N]
     lower = max(map(min, scaled))
     if lower == min(map(max, zip(*scaled))):
         return Fraction(lower - shift, D)

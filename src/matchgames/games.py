@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exactlp import matrix_game_value
+from .exactlp import _scaled_value, matrix_game_value
 from .geometry import Point, convex_hull, hull_contains
 from .rational import NEG_INF, POS_INF, RationalLike, digits_past_limit, fmt, is_neg_inf, rat, str_limit
 
@@ -41,9 +41,10 @@ class Contract:
     games.  ``Game.describe`` puts a contract into words.
 
     Contracts compare and hash by value, so an equal copy stands for a
-    menu's own object.  Level and repeated games' menu contracts hold the
-    menu's integer ``Payoffs`` instead of their fields until the first
-    read (see ``_Unread``); later reads are plain slot reads.
+    menu's own object.  Every game's menu contracts hold the menu's
+    integer ``Payoffs`` instead of their fields until the first read (see
+    ``_Unread``); later reads are plain slot reads.  Only a contract made
+    by hand or synthesized off a repeated game's grid is built eager.
     """
 
     __slots__ = ("id", "strategy_a", "strategy_b", "u", "v", "_payoffs")
@@ -88,7 +89,8 @@ def _on_read(slot) -> property:
 class _Unread(Contract):
     """A lazy menu's contract before its first read of any field.
 
-    That read makes the payoffs and the descriptors from the menu's
+    Every game class builds its menu of these (``_lazy_menu``).  The
+    first read makes the payoffs and the descriptors from the menu's
     integers and turns the object into a plain ``Contract``, whose reads
     are slot reads.  CPython 3.11 specializes an attribute read site for
     one class at a time, and not at all for a class with a
@@ -107,15 +109,17 @@ class _Unread(Contract):
         u, v = Fraction(pay.u[k], pay.du), Fraction(pay.v[k], pay.dv)
         _U.__set__(self, u)
         _V.__set__(self, v)
-        # a level contract's descriptor is its level, a repeated one's its point
-        if pay.levels is None:
-            a = (u, v)
+        # a matrix contract's descriptors are its cell, a level one's its level, a repeated one's its point
+        if pay.cols is not None:
+            a, b = divmod(k, pay.cols)
+        elif pay.levels is None:
+            a = b = (u, v)
         elif pay.levels[1] is pay.u:  # zero-sum: the level is the man's payoff
-            a = u
+            a = b = u
         else:
-            a = Fraction(pay.levels[1][k], pay.levels[0])
+            a = b = Fraction(pay.levels[1][k], pay.levels[0])
         _A.__set__(self, a)
-        _B.__set__(self, a)
+        _B.__set__(self, b)
         self.__class__ = Contract
 
     id = _on_read(_ID)
@@ -133,8 +137,10 @@ class Payoffs(NamedTuple):
 
     du and dv are the lcm of the lowest-terms denominators of the u and
     the v column, so the market index scales them without reading a
-    Fraction.  A level game's levels ride along the same way, as (dl,
-    numerators); they are None where a contract's descriptor is its point.
+    Fraction.  What contract k's descriptors are rides along: a matrix
+    game's ``cols`` makes them the cell divmod(k, cols); a level game's
+    levels, as (dl, numerators), make them level k; with neither they are
+    the contract's point (u, v).
     """
 
     du: int
@@ -142,28 +148,23 @@ class Payoffs(NamedTuple):
     dv: int
     v: Tuple[int, ...]
     levels: Optional[Tuple[int, Tuple[int, ...]]] = None
+    cols: Optional[int] = None
 
 
-def _over_common(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
-    """(L, numerators): pair k, n/d with d > 0, equals numerators[k] / L.
+def _made_payoffs(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
+    """(L, numerators) of numbers a game computes: pair k, n/d with d > 0, is numerators[k] / L.
 
     L is the lcm of the pairs' lowest-terms denominators.  Over M, the lcm
     of the given denominators, pair k is N_k / M, and L = M / gcd(M, N_0, N_1, ...).
+    A pair ``str`` could not print is refused.  Pair k in lowest terms is
+    at most |numerators[k]| over at most L, and an integer below
+    2**(3*limit) has at most limit digits, so one bit_length screens the
+    menu; only a pair past the screen is reduced.
     """
     M = lcm(*{d for _, d in pairs})
     ns = [n * (M // d) for n, d in pairs]
     g = gcd(M, *ns)
-    return M // g, tuple([n // g for n in ns] if g > 1 else ns)
-
-
-def _made_payoffs(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
-    """``_over_common`` for numbers a game computes, refused where ``str`` could not print one.
-
-    Pair k in lowest terms is at most |numerators[k]| over at most L, and
-    an integer below 2**(3*limit) has at most limit digits, so one
-    bit_length screens the menu; only a pair past the screen is reduced.
-    """
-    L, ns = _over_common(pairs)
+    L, ns = M // g, tuple([n // g for n in ns] if g > 1 else ns)
     limit = str_limit()
     if limit and max(L, max(ns), -min(ns)).bit_length() > 3 * limit:
         for n, d in pairs:
@@ -189,20 +190,53 @@ def _lazy_menu(payoffs: Payoffs) -> Tuple[Contract, ...]:
     return tuple(menu)
 
 
-def _matrix(rows: Sequence[Sequence[RationalLike]], name: str) -> List[List[Fraction]]:
+_Matrix = Tuple[int, int, int, Tuple[int, ...]]  # rows, cols, D, entry (r, c) times D at r*cols + c
+
+
+def _read_matrix(m: Sequence[Sequence[RationalLike]], name: str) -> _Matrix:
+    """The one reading of a payoff matrix: a nonempty list or tuple of equally long list or tuple rows.
+
+    D is the lcm of the entries' lowest-terms denominators.  An int entry
+    is read as it is, every other entry through ``rat``.
+    """
+    shape = f"{name} must be a nonempty rectangular matrix"
+    if not isinstance(m, (list, tuple)) or not m or not all([isinstance(row, (list, tuple)) for row in m]):
+        raise GameError(shape)
     try:
-        out = [[rat(x) for x in row] for row in rows]
+        xs = [x if type(x) is int else rat(x) for row in m for x in row]
     except (TypeError, ValueError) as exc:
         raise GameError(f"{name}: {exc}") from exc
-    if not out or not out[0] or any(len(r) != len(out[0]) for r in out):
-        raise GameError(f"{name} must be a nonempty rectangular matrix")
-    return out
+    cols = len(m[0])
+    if not cols or len({len(row) for row in m}) > 1:
+        raise GameError(shape)
+    d = lcm(*[x.denominator for x in xs])  # an int's is 1, a Fraction's in lowest terms
+    ns = [x.numerator for x in xs] if d == 1 else [x.numerator * (d // x.denominator) for x in xs]
+    return len(m), cols, d, tuple(ns)
 
 
-def _stage(u_matrix, v_matrix) -> Tuple[List[List[Fraction]], List[List[Fraction]]]:
-    """A stage game's U and V read as exact matrices of one shape."""
-    U, V = _matrix(u_matrix, "U"), _matrix(v_matrix, "V")
-    if len(V) != len(U) or len(V[0]) != len(U[0]):
+def _rows(m: _Matrix) -> List[Tuple[int, ...]]:
+    """A matrix read by ``_read_matrix`` as rows of its integers (each entry times D)."""
+    _, cols, _, ns = m
+    return [ns[k : k + cols] for k in range(0, len(ns), cols)]
+
+
+def _fractions(m: _Matrix) -> List[List[Fraction]]:
+    """A matrix read by ``_read_matrix`` as rows of ``Fraction``s."""
+    _, cols, d, ns = m
+    # Fraction's one-argument path skips the gcd
+    xs = [Fraction(n) for n in ns] if d == 1 else [Fraction(n, d) for n in ns]
+    return [xs[k : k + cols] for k in range(0, len(xs), cols)]
+
+
+def _value(m: _Matrix) -> Fraction:
+    """``matrix_game_value`` of a matrix read by ``_read_matrix``."""
+    return _scaled_value(_rows(m), m[2])
+
+
+def _stage(u_matrix, v_matrix) -> Tuple[_Matrix, _Matrix]:
+    """A stage game's U and V, read by ``_read_matrix``, of one shape."""
+    U, V = _read_matrix(u_matrix, "U"), _read_matrix(v_matrix, "V")
+    if U[:2] != V[:2]:
         raise GameError("U and V must share dimensions")
     return U, V
 
@@ -307,7 +341,7 @@ class Game:
     kind = "abstract"
 
     _menu: Tuple[Contract, ...]
-    _payoffs: Payoffs  # the menu's payoffs in integers, for the market index
+    _payoffs: Payoffs  # the menu's payoffs in integers: its contracts and the market index read them
 
     def menu(self) -> Tuple[Contract, ...]:
         """The finite contract menu, ordered by id (deterministic)."""
@@ -361,34 +395,42 @@ class Game:
 
 
 class BimatrixGame(Game):
-    """Finite bimatrix game; the menu is all pure strategy cells."""
+    """Finite bimatrix game; the menu is all pure strategy cells, contract r*cols + c cell (r, c).
+
+    The menu's integer ``Payoffs`` are the game's one copy of its payoffs;
+    the ``U`` and ``V`` matrices of ``Fraction``s are made on first access.
+    """
 
     kind = "bimatrix"
 
     def __init__(self, u_matrix: Sequence[Sequence[RationalLike]], v_matrix: Sequence[Sequence[RationalLike]]):
-        self.U, self.V = _stage(u_matrix, v_matrix)
-        self.rows, self.cols = len(self.U), len(self.U[0])
-        self._menu = tuple(
-            Contract(r * self.cols + c, r, c, self.U[r][c], self.V[r][c])
-            for r in range(self.rows)
-            for c in range(self.cols)
-        )
-        self._payoffs = Payoffs(*_integers(self.U), *_integers(self.V))
+        (self.rows, self.cols, du, u), (_, _, dv, v) = _stage(u_matrix, v_matrix)
+        self._payoffs = Payoffs(du, u, dv, v, cols=self.cols)
+        self._menu = _lazy_menu(self._payoffs)
+
+    @cached_property
+    def U(self) -> List[List[Fraction]]:
+        return _fractions((self.rows, self.cols, self._payoffs.du, self._payoffs.u))
+
+    @cached_property
+    def V(self) -> List[List[Fraction]]:
+        return _fractions((self.rows, self.cols, self._payoffs.dv, self._payoffs.v))
 
     def _evaluate(self, a, b):
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < self.rows and 0 <= b < self.cols):
             raise GameError(f"invalid cell ({a},{b})")
-        return (self.U[a][b], self.V[a][b])
+        pay, k = self._payoffs, a * self.cols + b
+        return (Fraction(pay.u[k], pay.du), Fraction(pay.v[k], pay.dv))
 
     def improving_deviations(self, contract, side):
         self.validate_contract(contract)
-        r, c = contract.strategy_a, contract.strategy_b
-        menu = self.menu()
-        if side is Side.MAN:
-            return tuple(
-                menu[r2 * self.cols + c] for r2 in range(self.rows) if self.U[r2][c] > contract.u
-            )
-        return tuple(menu[r * self.cols + c2] for c2 in range(self.cols) if self.V[r][c2] > contract.v)
+        pay, cols, k = self._payoffs, self.cols, contract.id
+        if side is Side.MAN:  # the man moves within the contract's column
+            xs, cells = pay.u, range(k % cols, len(pay.u), cols)
+        else:  # the woman within its row
+            row = k - k % cols
+            xs, cells = pay.v, range(row, row + cols)
+        return tuple(self._menu[j] for j in cells if xs[j] > xs[k])
 
     def describe(self, contract):
         self.validate_contract(contract)
@@ -406,12 +448,10 @@ def validate_potential(
     and the potential with the same sign, column deviations likewise for
     V.  Dimension mismatches are rejected.
     """
-    U = _matrix(u_matrix, "U")
-    V = _matrix(v_matrix, "V")
-    phi = _matrix(phi_matrix, "phi")
-    if not (len(U) == len(V) == len(phi)) or not (len(U[0]) == len(V[0]) == len(phi[0])):
+    U, V, phi = _read_matrix(u_matrix, "U"), _read_matrix(v_matrix, "V"), _read_matrix(phi_matrix, "phi")
+    if not U[:2] == V[:2] == phi[:2]:
         raise GameError("U, V, phi must share dimensions")
-    return _is_potential(_integers(U)[1], _integers(V)[1], _integers(phi)[1], len(U[0]))
+    return _is_potential(U[3], V[3], phi[3], U[1])
 
 
 def _is_potential(u: Sequence[int], v: Sequence[int], phi: Sequence[int], cols: int) -> bool:
@@ -423,11 +463,6 @@ def _is_potential(u: Sequence[int], v: Sequence[int], phi: Sequence[int], cols: 
     return all(_same_order(u[c::cols], phi[c::cols]) for c in range(cols)) and all(
         _same_order(v[k : k + cols], phi[k : k + cols]) for k in range(0, len(v), cols)
     )
-
-
-def _integers(m: List[List[Fraction]]) -> Tuple[int, Tuple[int, ...]]:
-    """(D, the entries row by row times D), D the lcm of their denominators."""
-    return _over_common([x.as_integer_ratio() for row in m for x in row])
 
 
 def _same_order(xs: Sequence[int], ps: Sequence[int]) -> bool:
@@ -444,17 +479,21 @@ def _same_order(xs: Sequence[int], ps: Sequence[int]) -> bool:
 
 
 class PotentialGame(BimatrixGame):
-    """Bimatrix game carrying a validated ordinal potential."""
+    """Bimatrix game carrying a validated ordinal potential, kept in integers; ``phi`` is made on first access."""
 
     kind = "potential"
 
     def __init__(self, u_matrix, v_matrix, phi_matrix):
         super().__init__(u_matrix, v_matrix)
-        self.phi = _matrix(phi_matrix, "phi")
-        if len(self.phi) != self.rows or len(self.phi[0]) != self.cols:
+        self._phi = _read_matrix(phi_matrix, "phi")
+        if self._phi[:2] != (self.rows, self.cols):
             raise GameError("phi must share dimensions with U and V")
-        if not _is_potential(self._payoffs.u, self._payoffs.v, _integers(self.phi)[1], self.cols):
+        if not _is_potential(self._payoffs.u, self._payoffs.v, self._phi[3], self.cols):
             raise GameError("phi is not an ordinal potential for (U, V)")
+
+    @cached_property
+    def phi(self) -> List[List[Fraction]]:
+        return _fractions(self._phi)
 
     def potential_of(self, contract: Contract) -> Fraction:
         self.validate_contract(contract)
@@ -556,22 +595,26 @@ class LevelGame(Game):
         return self._menu[below(w) : below(cur)]  # levels in [w, cur)
 
 
-def _span(g: List[List[Fraction]]) -> List[Pair]:
-    """The least and the greatest entry of g as Pairs."""
-    entries = [x for row in g for x in row]
-    return [min(entries).as_integer_ratio(), max(entries).as_integer_ratio()]
+def _span(g: _Matrix) -> List[Pair]:
+    """The least and the greatest entry of a matrix read by ``_read_matrix``, as Pairs."""
+    _, _, d, ns = g
+    return [(min(ns), d), (max(ns), d)]
 
 
 class ZeroSumGame(LevelGame):
-    """Zero-sum game discretized into payoff levels u = g, v = -g."""
+    """Zero-sum game discretized into payoff levels u = g, v = -g; g is made on first access."""
 
     kind = "zero_sum"
 
     def __init__(self, g_matrix: Sequence[Sequence[RationalLike]], resolution: RationalLike):
-        self.g = _matrix(g_matrix, "g")
+        self._g = _read_matrix(g_matrix, "g")
         res = _positive(resolution, "menu resolution")
-        grid = _grid_pairs(*_span(self.g), res)
-        super().__init__(grid, grid, matrix_game_value(self.g), res, _IDENTITY, _IDENTITY)
+        grid = _grid_pairs(*_span(self._g), res)
+        super().__init__(grid, grid, _value(self._g), res, _IDENTITY, _IDENTITY)
+
+    @cached_property
+    def g(self) -> List[List[Fraction]]:
+        return _fractions(self._g)
 
     def describe(self, contract):
         lev = self.level_of(contract)
@@ -586,7 +629,8 @@ class StrictlyCompetitiveGame(LevelGame):
 
     The menu is gridded on the u scale (so consecutive u values differ
     by at most the resolution) and mapped back to native g levels
-    through the exact piecewise-linear inverse.
+    through the exact piecewise-linear inverse.  g is made on first
+    access, as a zero-sum game's is.
     """
 
     kind = "strictly_competitive"
@@ -598,12 +642,13 @@ class StrictlyCompetitiveGame(LevelGame):
         f_map: PiecewiseLinear,
         h_map: PiecewiseLinear,
     ):
-        self.g = _matrix(g_matrix, "g")
+        self._g = _read_matrix(g_matrix, "g")
         res = _positive(resolution, "menu resolution")
         f, h = _monotone(f_map), _monotone(h_map)
-        grid = _grid_pairs(*f._walk(_span(self.g)), res)  # on the u = f(level) scale
-        super().__init__(f._walk(grid, inverse=True), grid, matrix_game_value(self.g), res, f, h)
+        grid = _grid_pairs(*f._walk(_span(self._g)), res)  # on the u = f(level) scale
+        super().__init__(f._walk(grid, inverse=True), grid, _value(self._g), res, f, h)
 
+    g = ZeroSumGame.g
     describe = ZeroSumGame.describe
 
 
@@ -655,10 +700,12 @@ class RepeatedGame(Game):
         v_matrix: Sequence[Sequence[RationalLike]],
         resolution: RationalLike,
     ):
-        self.U, self.V = _stage(u_matrix, v_matrix)
+        U, V = _stage(u_matrix, v_matrix)
+        self.U, self.V = _fractions(U), _fractions(V)
         self.resolution = _positive(resolution, "menu resolution")
         self.hull = feasible_payoff_hull(self)
-        self.alpha, self.beta = punishment_levels(self)
+        # punishment_levels(self), from the stage's integers
+        self.alpha, self.beta = _value(U), _scaled_value(list(zip(*_rows(V))), V[2])
         ends = (min(self.hull)[0].as_integer_ratio(), max(self.hull)[0].as_integer_ratio())
         us = _grid_pairs(*ends, self.resolution)
         du, u_cols = _made_payoffs(us)
@@ -772,7 +819,7 @@ def _sweep(hull: Sequence[Point], us: Sequence[Pair]) -> List[List[Pair]]:
 
 def zero_sum_value(g_matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
     """Exact value of the mixed extension of a zero-sum matrix game."""
-    return matrix_game_value(_matrix(g_matrix, "g"))
+    return _value(_read_matrix(g_matrix, "g"))
 
 
 def punishment_levels(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Fraction, Fraction]:

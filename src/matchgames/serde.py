@@ -141,11 +141,11 @@ def _breakpoints(value: Any, where: str) -> List[Tuple[Fraction, Fraction]]:
     ]
 
 
-def _matrix_in(value: Any, where: str) -> List[List[Fraction]]:
-    # a JSON integer needs no checks; only other entries get a path to report
+def _matrix_in(value: Any, where: str) -> List[List[Any]]:
+    # a JSON integer stays an int for the games' matrix reader; only other entries get a path to report
     return [
         [
-            Fraction(x) if type(x) is int else _num(x, f"{where}[{r}][{c}]")
+            x if type(x) is int else _num(x, f"{where}[{r}][{c}]")
             for c, x in enumerate(_list(row, f"{where}[{r}]"))
         ]
         for r, row in enumerate(_list(value, where))

@@ -445,6 +445,32 @@ class TestVerify:
         assert main(["verify", inst, "--profile", prof, "--notion", "ext"]) == 0
         assert capsys.readouterr().out == "ExternalEps: holds=false eps=1\nwitness kind=reservation man=m woman=-\n"
 
+    @pytest.mark.parametrize(
+        "notion, out",
+        [
+            ("ext", "ExternalEps: holds=false eps=1\nwitness kind=blocking man=m0 woman=w1 contract=0 u=5 v=5\n"),
+            ("weak", "Weak: holds=false\nwitness kind=reservation man=m1 woman=-\n"),
+            ("uni", "Unilateral: holds=false\nwitness kind=reservation man=m1 woman=-\n"),
+        ],
+    )
+    def test_witness_order(self, tmp_path, capsys, notion, out):
+        # m0 blocks with w1 and m1 is below his reservation payoff: the blocking
+        # scan reaches m0's pair first, the reservation scan m1
+        def cell(x):
+            return {"class": "bimatrix", "u": [[x]], "v": [[x]]}
+
+        data = {
+            "men": ["m0", "m1"],
+            "women": ["w0", "w1"],
+            "irp": {"men": [0, 1], "women": [0, 0]},
+            "games": {"m0": {"w0": cell(0), "w1": cell(5)}, "m1": {"w0": cell(0), "w1": cell(0)}},
+        }
+        inst = write(tmp_path, "inst.json", data)
+        contracts = {"m0": contract_entry(0, 0), "m1": contract_entry(0, 0)}
+        prof = write(tmp_path, "profile.json", {"matching": {"m0": "w0", "m1": "w1"}, "contracts": contracts})
+        assert main(["verify", inst, "--profile", prof, "--notion", notion]) == 0
+        assert capsys.readouterr().out == out
+
     def test_all_notions_run(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)
         prof = write(tmp_path, "men_opt.json", MEN_OPT)

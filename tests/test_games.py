@@ -30,6 +30,7 @@ from matchgames import (
 from matchgames import games
 from matchgames.games import _grid_pairs
 from matchgames.geometry import hull_contains
+from matchgames.serde import dump_game, parse_instance
 
 from helpers import frac, reference_grid, reference_is_potential, reference_map, support_value
 
@@ -105,6 +106,71 @@ class TestMenus:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(GameError):
             BimatrixGame([[1, 2], [3]], [[0, 0], [0, 0]])
+
+
+GOOD = [[1, 2], [3, 4]]
+SHAPE = "{} must be a nonempty rectangular matrix"
+
+
+class TestMatrixRefusals:
+    """The exact message for each malformed matrix a library caller can pass."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BimatrixGame([[1, True], [3, 4]], GOOD), "U: bool is not a rational payoff"),
+            (
+                lambda: BimatrixGame([[1, 0.5], [3, 4]], GOOD),
+                "U: float 0.5 rejected: pass an int, Fraction, or exact string like '1/10'",
+            ),
+            (lambda: BimatrixGame(GOOD, [[1, 2], ["x", 4]]), "V: Invalid literal for Fraction: 'x'"),
+            (lambda: BimatrixGame(GOOD, [[1, "1/0"], [3, 4]]), "V: zero denominator in '1/0'"),
+            (lambda: BimatrixGame([[None]], [[1]]), "U: cannot interpret None as a rational"),
+            (lambda: BimatrixGame([[1, 2], [3]], GOOD), "U must be a nonempty rectangular matrix"),
+            (lambda: BimatrixGame([], GOOD), "U must be a nonempty rectangular matrix"),
+            (lambda: BimatrixGame([[]], GOOD), "U must be a nonempty rectangular matrix"),
+            (lambda: BimatrixGame(GOOD, [[1, 2]]), "U and V must share dimensions"),
+            (lambda: PotentialGame(GOOD, GOOD, [[1, 2, 3], [4, 5, 6]]), "phi must share dimensions with U and V"),
+            (lambda: PotentialGame(GOOD, GOOD, [[1, "y"], [3, 4]]), "phi: Invalid literal for Fraction: 'y'"),
+            (lambda: validate_potential(GOOD, GOOD, [[1, 2]]), "U, V, phi must share dimensions"),
+            (lambda: validate_potential(GOOD, GOOD, [[1, 2], [False, 4]]), "phi: bool is not a rational payoff"),
+        ],
+        ids=[
+            "bool", "float", "literal", "zero_denominator", "none", "ragged", "empty", "empty_row",
+            "stage_shape", "phi_shape", "phi_literal", "potential_shape", "phi_bool",
+        ],
+    )
+    def test_messages(self, build, message):
+        with pytest.raises(GameError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("row", ["12", b"12", {1: 2, 3: 4}, 5], ids=["str", "bytes", "dict", "int"])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            pytest.param(lambda m: BimatrixGame(m, GOOD), "U", id="bimatrix_U"),
+            pytest.param(lambda m: BimatrixGame(GOOD, m), "V", id="bimatrix_V"),
+            pytest.param(lambda m: PotentialGame(m, GOOD, GOOD), "U", id="potential_U"),
+            pytest.param(lambda m: PotentialGame(GOOD, GOOD, m), "phi", id="potential_phi"),
+            pytest.param(lambda m: validate_potential(GOOD, m, GOOD), "V", id="validate_potential_V"),
+            pytest.param(lambda m: ZeroSumGame(m, 1), "g", id="zero_sum"),
+            pytest.param(zero_sum_value, "g", id="zero_sum_value"),
+            pytest.param(
+                lambda m: StrictlyCompetitiveGame(m, 1, PiecewiseLinear(IDENTITY), PiecewiseLinear(IDENTITY)),
+                "g",
+                id="strictly_competitive",
+            ),
+            pytest.param(lambda m: RepeatedGame(m, GOOD, 1), "U", id="repeated_U"),
+            pytest.param(lambda m: RepeatedGame(GOOD, m, 1), "V", id="repeated_V"),
+        ],
+    )
+    def test_a_row_that_is_not_a_list_is_refused(self, build, name, row):
+        # such a row iterates, but it is not a row of numbers: ["12", "34"] is not [[1, 2], [3, 4]]
+        for m in ([row, row], [[1, 2], row], [row]):
+            with pytest.raises(GameError) as info:
+                build(m)
+            assert str(info.value) == SHAPE.format(name)
 
 
 class TestZeroSumValue:
@@ -589,6 +655,67 @@ def test_potential_matches_reference(triple):
     else:
         with pytest.raises(GameError, match="not an ordinal potential"):
             PotentialGame(U, V, phi)
+
+
+def written(draw, x: Fraction):
+    """x as a matrix entry: the Fraction itself, a "p/q" string, or an int when integral."""
+    forms = [x, f"{x.numerator}/{x.denominator}"] + ([int(x)] if x.denominator == 1 else [])
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def matrix_games(draw):
+    """A bimatrix or potential game up to 3×3 and the matrices it was given.
+
+    Entries are ints, "p/q" strings and Fractions mixed.  A potential game
+    has U = phi + a(col) and V = phi + b(row), so phi is a potential.
+    """
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    value = st.fractions(-20, 20, max_denominator=12)
+
+    def matrix(entry):
+        return [[written(draw, entry(r, c)) for c in range(cols)] for r in range(rows)]
+
+    if draw(st.booleans()):
+        U, V = matrix(lambda r, c: draw(value)), matrix(lambda r, c: draw(value))
+        return BimatrixGame(U, V), (U, V, None)
+    phi = [[draw(value) for _c in range(cols)] for _r in range(rows)]
+    a, b = [draw(value) for _c in range(cols)], [draw(value) for _r in range(rows)]
+    U, V = matrix(lambda r, c: phi[r][c] + a[c]), matrix(lambda r, c: phi[r][c] + b[r])
+    Phi = matrix(lambda r, c: phi[r][c])
+    return PotentialGame(U, V, Phi), (U, V, Phi)
+
+
+def one_couple(game_payload):
+    return {"men": ["m"], "women": ["w"], "irp": {"men": [0], "women": [0]}, "games": {"m": {"w": game_payload}}}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrix_games())
+def test_matrix_menus_match_the_fraction_reference(drawn):
+    g, (U, V, phi) = drawn
+    rows, cols = len(U), len(U[0])
+    as_fractions = [[[F(x) for x in row] for row in m] for m in (U, V, phi) if m is not None]
+    assert [g.U, g.V] + ([g.phi] if phi is not None else []) == as_fractions
+    assert all(type(x) is Fraction for m in (g.U, g.V) for row in m for x in row)
+    want = [Contract(r * cols + c, r, c, F(U[r][c]), F(V[r][c])) for r in range(rows) for c in range(cols)]
+    menu = g.menu()
+    assert [fields(c) for c in menu] == [fields(w) for w in want]
+    assert all(type(c.u) is type(c.v) is Fraction and type(c.strategy_a) is type(c.strategy_b) is int for c in menu)
+    for c in menu:
+        r, col = c.strategy_a, c.strategy_b
+        man = tuple(menu[r2 * cols + col] for r2 in range(rows) if F(U[r2][col]) > F(U[r][col]))
+        woman = tuple(menu[r * cols + c2] for c2 in range(cols) if F(V[r][c2]) > F(V[r][col]))
+        assert g.improving_deviations(c, Side.MAN) == man
+        assert g.improving_deviations(c, Side.WOMAN) == woman
+        assert g.is_nash_contract(c) is (not man and not woman)
+        assert g.payoff(c) == (F(U[r][col]), F(V[r][col]))
+        if phi is not None:
+            assert g.potential_of(c) == F(phi[r][col])
+    payload = dump_game(g)
+    back = parse_instance(one_couple(payload), eps=1)[0].game(0, 0)
+    assert dump_game(back) == payload
+    assert [fields(c) for c in back.menu()] == [fields(w) for w in want]
 
 
 class TestMenuCap:

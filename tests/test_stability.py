@@ -104,6 +104,22 @@ class TestFindBlockingPair:
         bp = find_blocking_pair(inst, matched_on(inst, {0: 0}), 0)
         assert bp == BlockingPair(None, 0, None)
 
+    def test_witness_order_against_the_reservation_scan(self):
+        # man 0 blocks with woman 1, man 1 is below his reservation payoff:
+        # the blocking scan checks each man's reservation just before his
+        # row, the reservation scan checks every man first
+        def cell(x):
+            return BimatrixGame([[x]], [[x]])
+
+        games = {(0, 0): cell(0), (0, 1): cell(5), (1, 0): cell(0), (1, 1): cell(0)}
+        inst = build_instance(["m0", "m1"], ["w0", "w1"], [0, 1], [0, 0], games)
+        profile = matched_on(inst, {0: 0, 1: 1})
+        for eps in (0, 1):
+            assert find_blocking_pair(inst, profile, eps) == BlockingPair(0, 1, inst.game(0, 1).menu()[0])
+        assert is_individually_rational(inst, profile).witness == BlockingPair(1, None, None)
+        for mode in ("weak", "unilateral"):
+            assert is_stable_variant(inst, profile, mode).witness == BlockingPair(1, None, None)
+
 
 class TestExternallyStable:
     def test_solver_output_stable(self):
