@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exactlp import _scaled_value, matrix_game_value
+from .exactlp import _scaled_value
 from .geometry import Point, convex_hull, hull_contains
 from .rational import NEG_INF, POS_INF, RationalLike, digits_past_limit, fmt, is_neg_inf, rat, str_limit
 
@@ -210,8 +210,7 @@ def _read_matrix(m: Sequence[Sequence[RationalLike]], name: str) -> _Matrix:
     if not cols or len({len(row) for row in m}) > 1:
         raise GameError(shape)
     d = lcm(*[x.denominator for x in xs])  # an int's is 1, a Fraction's in lowest terms
-    ns = [x.numerator for x in xs] if d == 1 else [x.numerator * (d // x.denominator) for x in xs]
-    return len(m), cols, d, tuple(ns)
+    return len(m), cols, d, tuple([x.numerator * (d // x.denominator) for x in xs])
 
 
 def _rows(m: _Matrix) -> List[Tuple[int, ...]]:
@@ -223,14 +222,18 @@ def _rows(m: _Matrix) -> List[Tuple[int, ...]]:
 def _fractions(m: _Matrix) -> List[List[Fraction]]:
     """A matrix read by ``_read_matrix`` as rows of ``Fraction``s."""
     _, cols, d, ns = m
-    # Fraction's one-argument path skips the gcd
-    xs = [Fraction(n) for n in ns] if d == 1 else [Fraction(n, d) for n in ns]
+    xs = [Fraction(n, d) for n in ns]
     return [xs[k : k + cols] for k in range(0, len(xs), cols)]
 
 
 def _value(m: _Matrix) -> Fraction:
     """``matrix_game_value`` of a matrix read by ``_read_matrix``."""
     return _scaled_value(_rows(m), m[2])
+
+
+def _punishment(U: _Matrix, V: _Matrix) -> Tuple[Fraction, Fraction]:
+    """``punishment_levels`` of the stage game with matrices U and V read by ``_read_matrix``."""
+    return _value(U), _scaled_value(list(zip(*_rows(V))), V[2])
 
 
 def _stage(u_matrix, v_matrix) -> Tuple[_Matrix, _Matrix]:
@@ -704,8 +707,7 @@ class RepeatedGame(Game):
         self.U, self.V = _fractions(U), _fractions(V)
         self.resolution = _positive(resolution, "menu resolution")
         self.hull = feasible_payoff_hull(self)
-        # punishment_levels(self), from the stage's integers
-        self.alpha, self.beta = _value(U), _scaled_value(list(zip(*_rows(V))), V[2])
+        self.alpha, self.beta = _punishment(U, V)
         ends = (min(self.hull)[0].as_integer_ratio(), max(self.hull)[0].as_integer_ratio())
         us = _grid_pairs(*ends, self.resolution)
         du, u_cols = _made_payoffs(us)
@@ -828,7 +830,7 @@ def punishment_levels(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Fractio
     alpha is what the column player can hold the row player down to,
     beta the mirror image; both are matrix-game values.
     """
-    return (matrix_game_value(stage.U), matrix_game_value(list(zip(*stage.V))))
+    return _punishment(*_stage(stage.U, stage.V))
 
 
 def feasible_payoff_hull(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Point, ...]:
