@@ -1,21 +1,19 @@
-"""Exact value of a finite zero-sum matrix game.
+"""Exact value of a finite zero-sum matrix game, read in integers over one denominator.
 
-A matrix with a pure saddle point has that entry as its value.  Any
-other is solved as a linear program with a dense-tableau simplex (Bland's rule,
-so no cycling) run fraction-free: the matrix is scaled to integers and
-every pivot keeps the tableau integral over one known denominator, the
-previous pivot (Edmonds' integer-preserving pivoting).  scipy's LP
-solvers are float-only and would break the exactness contract, hence the
-in-house routine.
+The games hand over matrices read by ``games._read_matrix`` (the public
+entry is ``games.zero_sum_value``).  A matrix with a pure saddle point
+has that entry as its value.  Any other is solved as a linear program
+with a dense-tableau simplex (Bland's rule, so no cycling) run
+fraction-free: every pivot keeps the tableau integral over one known
+denominator, the previous pivot (Edmonds' integer-preserving pivoting).
+scipy's LP solvers are float-only and would break the exactness
+contract, hence the in-house routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import List, Sequence, Tuple
-
-from .rational import rat
 
 
 def _simplex_max(A: List[List[int]]) -> Tuple[int, int]:
@@ -63,29 +61,16 @@ def _simplex_max(A: List[List[int]]) -> Tuple[int, int]:
     return T[m][-1], den
 
 
-def matrix_game_value(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact value of the zero-sum game with the row player maximizing.
-
-    Standard reciprocal transformation: shift all entries positive, then
-    the column player's LP  max sum(q) s.t. A q <= 1, q >= 0  has optimum
-    1/value of the shifted game.  Solving it for D*A, with D the lcm of
-    the entries' denominators, gives the optimum divided by D.  A matrix
-    with a pure saddle point (its largest row minimum equals its smallest
-    column maximum) has that entry as its value, and skips the LP.
-    """
-    A = [[rat(v) for v in row] for row in matrix]
-    if not A or not A[0]:
-        raise ValueError("matrix must be nonempty")
-    n_cols = len(A[0])
-    if any(len(row) != n_cols for row in A):
-        raise ValueError("ragged matrix")
-
-    D = lcm(*(v.denominator for row in A for v in row))
-    return _scaled_value([[v.numerator * (D // v.denominator) for v in row] for row in A], D)
-
-
 def _scaled_value(N: Sequence[Sequence[int]], D: int) -> Fraction:
-    """``matrix_game_value`` of the nonempty rectangular matrix whose entry (r, c) is N[r][c] / D, D > 0."""
+    """Exact value, row player maximizing, of the matrix A = N / D (N nonempty and rectangular, D > 0).
+
+    Standard reciprocal transformation: shift all entries positive; the
+    column player's LP  max sum(q) s.t. A q <= 1, q >= 0  then has optimum
+    1/value of the shifted game, and solving it for the integer matrix D*A
+    gives that optimum divided by D.  A matrix with a pure saddle point (its
+    largest row minimum equals its smallest column maximum) has that entry
+    as its value, and skips the LP.
+    """
     shift = D - min(map(min, N))  # D * (1 - low)
     scaled = [[x + shift for x in row] for row in N]
     lower = max(map(min, scaled))

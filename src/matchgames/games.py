@@ -19,7 +19,7 @@ from math import gcd, lcm
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactlp import _scaled_value
-from .geometry import Point, convex_hull, hull_contains
+from .geometry import Point, _integer_hull, hull_contains
 from .rational import NEG_INF, POS_INF, RationalLike, digits_past_limit, fmt, is_neg_inf, rat, str_limit
 
 
@@ -197,20 +197,25 @@ def _read_matrix(m: Sequence[Sequence[RationalLike]], name: str) -> _Matrix:
     """The one reading of a payoff matrix: a nonempty list or tuple of equally long list or tuple rows.
 
     D is the lcm of the entries' lowest-terms denominators.  An int entry
-    is read as it is, every other entry through ``rat``.
+    is read as it is, every other entry through ``rat`` (``_rat``).
     """
     shape = f"{name} must be a nonempty rectangular matrix"
     if not isinstance(m, (list, tuple)) or not m or not all([isinstance(row, (list, tuple)) for row in m]):
         raise GameError(shape)
-    try:
-        xs = [x if type(x) is int else rat(x) for row in m for x in row]
-    except (TypeError, ValueError) as exc:
-        raise GameError(f"{name}: {exc}") from exc
+    xs = [x if type(x) is int else _rat(x, name) for row in m for x in row]
     cols = len(m[0])
     if not cols or len({len(row) for row in m}) > 1:
         raise GameError(shape)
     d = lcm(*[x.denominator for x in xs])  # an int's is 1, a Fraction's in lowest terms
     return len(m), cols, d, tuple([x.numerator * (d // x.denominator) for x in xs])
+
+
+def _rat(value: RationalLike, what: str) -> Fraction:
+    """``rat`` of a number a game is given; its error becomes a ``GameError`` that names the field."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError) as exc:
+        raise GameError(f"{what}: {exc}") from exc
 
 
 def _rows(m: _Matrix) -> List[Tuple[int, ...]]:
@@ -221,19 +226,12 @@ def _rows(m: _Matrix) -> List[Tuple[int, ...]]:
 
 def _fractions(m: _Matrix) -> List[List[Fraction]]:
     """A matrix read by ``_read_matrix`` as rows of ``Fraction``s."""
-    _, cols, d, ns = m
-    xs = [Fraction(n, d) for n in ns]
-    return [xs[k : k + cols] for k in range(0, len(xs), cols)]
+    return [[Fraction(n, m[2]) for n in row] for row in _rows(m)]
 
 
 def _value(m: _Matrix) -> Fraction:
-    """``matrix_game_value`` of a matrix read by ``_read_matrix``."""
+    """``zero_sum_value`` of a matrix read by ``_read_matrix``."""
     return _scaled_value(_rows(m), m[2])
-
-
-def _punishment(U: _Matrix, V: _Matrix) -> Tuple[Fraction, Fraction]:
-    """``punishment_levels`` of the stage game with matrices U and V read by ``_read_matrix``."""
-    return _value(U), _scaled_value(list(zip(*_rows(V))), V[2])
 
 
 def _stage(u_matrix, v_matrix) -> Tuple[_Matrix, _Matrix]:
@@ -280,21 +278,23 @@ class PiecewiseLinear:
     __slots__ = ("points", "_x_inner", "_y_inner", "_forward", "_backward")
 
     def __init__(self, breakpoints: Sequence[Tuple[RationalLike, RationalLike]]):
-        pts = [(rat(x), rat(y)) for x, y in breakpoints]
+        pts = [(_rat(x, "breakpoints"), _rat(y, "breakpoints")) for x, y in breakpoints]
         if len(pts) < 2:
             raise GameError("piecewise-linear map needs at least two breakpoints")
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
+        self.points: Tuple[Tuple[Fraction, Fraction], ...] = tuple(pts)
+        # the breakpoints scaled once, each axis by its own lcm: (x, y) is the point (x/dx, y/dy)
+        dx, dy = lcm(*[x.denominator for x, _ in pts]), lcm(*[y.denominator for _, y in pts])
+        xs = [x.numerator * (dx // x.denominator) for x, _ in pts]
+        ys = [y.numerator * (dy // y.denominator) for _, y in pts]
         if any(b <= a for a, b in zip(xs, xs[1:])) or any(
             b <= a for a, b in zip(ys, ys[1:])
         ):
             raise GameError("piecewise-linear map must be strictly increasing")
-        self.points: Tuple[Tuple[Fraction, Fraction], ...] = tuple(pts)
-        self._x_inner = tuple(xs[1:-1])
-        self._y_inner = tuple(ys[1:-1])
-        segments = list(zip(pts, pts[1:]))
-        self._forward = tuple(_line(a, b) for a, b in segments)
-        self._backward = tuple(_line(a[::-1], b[::-1]) for a, b in segments)
+        self._x_inner = tuple((x, dx) for x in xs[1:-1])
+        self._y_inner = tuple((y, dy) for y in ys[1:-1])
+        segments = list(zip(zip(xs, ys), zip(xs[1:], ys[1:])))
+        self._forward = tuple(_line(a, b, dx, dy) for a, b in segments)
+        self._backward = tuple(_line(a[::-1], b[::-1], dy, dx) for a, b in segments)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
@@ -314,8 +314,7 @@ class PiecewiseLinear:
         One walk over the segments, comparing integers against the
         breakpoints: on ascending inputs the segment index only moves right.
         """
-        inner, table = (self._y_inner, self._backward) if inverse else (self._x_inner, self._forward)
-        cuts = [(c.numerator, c.denominator) for c in inner]
+        cuts, table = (self._y_inner, self._backward) if inverse else (self._x_inner, self._forward)
         out = []
         k, last = 0, len(cuts)
         for n, d in pairs:
@@ -328,12 +327,14 @@ class PiecewiseLinear:
         return out
 
 
-def _line(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> Tuple[int, int, int]:
-    """Integers (A, B, C) with (A*x + B) / C the line through points a and b."""
-    D = lcm(*(t.denominator for t in a + b))  # every coordinate t is (t*D) / D
-    x1, y1, x2, y2 = (t.numerator * (D // t.denominator) for t in a + b)
-    dx, dy = x2 - x1, y2 - y1
-    A, B, C = dy * D, y1 * dx - x1 * dy, dx * D
+def _line(a: Tuple[int, int], b: Tuple[int, int], dx: int, dy: int) -> Tuple[int, int, int]:
+    """Integers (A, B, C) in lowest terms, C > 0, with (A*x + B) / C the line through a and b.
+
+    a and b are integer points (x, y) standing for (x/dx, y/dy), dx, dy > 0, a left of b.
+    """
+    (x1, y1), (x2, y2) = a, b
+    run, rise = x2 - x1, y2 - y1
+    A, B, C = rise * dx, y1 * run - x1 * rise, run * dy
     g = gcd(A, B, C)  # the lowest terms keep the tables' ints small
     return (A // g, B // g, C // g)
 
@@ -400,8 +401,8 @@ class Game:
 class BimatrixGame(Game):
     """Finite bimatrix game; the menu is all pure strategy cells, contract r*cols + c cell (r, c).
 
-    The menu's integer ``Payoffs`` are the game's one copy of its payoffs;
-    the ``U`` and ``V`` matrices of ``Fraction``s are made on first access.
+    The menu's integer ``Payoffs`` are the game's one copy of its payoffs, read as the stage by
+    ``_matrices``; ``U`` and ``V`` make their ``Fraction`` matrices from them on first access.
     """
 
     kind = "bimatrix"
@@ -411,13 +412,18 @@ class BimatrixGame(Game):
         self._payoffs = Payoffs(du, u, dv, v, cols=self.cols)
         self._menu = _lazy_menu(self._payoffs)
 
+    @property
+    def _matrices(self) -> Tuple[_Matrix, _Matrix]:
+        pay = self._payoffs
+        return (self.rows, self.cols, pay.du, pay.u), (self.rows, self.cols, pay.dv, pay.v)
+
     @cached_property
     def U(self) -> List[List[Fraction]]:
-        return _fractions((self.rows, self.cols, self._payoffs.du, self._payoffs.u))
+        return _fractions(self._matrices[0])
 
     @cached_property
     def V(self) -> List[List[Fraction]]:
-        return _fractions((self.rows, self.cols, self._payoffs.dv, self._payoffs.v))
+        return _fractions(self._matrices[1])
 
     def _evaluate(self, a, b):
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < self.rows and 0 <= b < self.cols):
@@ -516,7 +522,7 @@ _IDENTITY = _Identity()
 
 
 def _positive(value: RationalLike, what: str) -> Fraction:
-    value = rat(value)
+    value = _rat(value, what)
     if value <= 0:
         raise GameError(f"{what} must be positive")
     return value
@@ -674,7 +680,7 @@ class TransferGame(LevelGame):
         f_u: PiecewiseLinear,
         f_v: PiecewiseLinear,
     ):
-        t_min, t_max = rat(t_min), rat(t_max)
+        t_min, t_max = _rat(t_min, "t_min"), _rat(t_max, "t_max")
         res = _positive(step, "transfer grid step")
         if t_min > t_max:
             raise GameError("transfer grid has empty range")
@@ -686,6 +692,27 @@ class TransferGame(LevelGame):
         return f"transfer {fmt(self.level_of(contract))}"
 
 
+def punishment_levels(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Fraction, Fraction]:
+    """Exact mixed minmax levels (alpha, beta) of a bimatrix, potential or repeated game.
+
+    alpha is what the column player can hold the row player down to,
+    beta the mirror image; both are matrix-game values of its integers.
+    """
+    U, V = stage._matrices
+    return _value(U), _scaled_value(list(zip(*_rows(V))), V[2])
+
+
+def feasible_payoff_hull(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Point, ...]:
+    """Exact convex hull (ccw, strict) of the payoff vectors of a bimatrix, potential or repeated game.
+
+    It is taken on the integer cells (u*du, v*dv): scaling each axis by its
+    own positive denominator keeps every order and the sign of every cross
+    product, so the vertices are the same.
+    """
+    (_, _, du, u), (_, _, dv, v) = stage._matrices
+    return tuple([(Fraction(x, du), Fraction(y, dv)) for x, y in _integer_hull(zip(u, v))])
+
+
 class RepeatedGame(Game):
     """Infinitely repeated stage game summarized by its payoff hull.
 
@@ -693,6 +720,9 @@ class RepeatedGame(Game):
     stage cells.  ``alpha`` and ``beta`` are the exact mixed punishment
     levels; a point weakly above both is sustainable without outside
     pressure, so no deviation from it is improving.
+
+    The stage is kept once, in integers (``_matrices``, as ``_read_matrix``
+    read it); ``U``, ``V`` and ``hull`` make their ``Fraction``s on first access.
     """
 
     kind = "repeated"
@@ -703,23 +733,23 @@ class RepeatedGame(Game):
         v_matrix: Sequence[Sequence[RationalLike]],
         resolution: RationalLike,
     ):
-        U, V = _stage(u_matrix, v_matrix)
-        self.U, self.V = _fractions(U), _fractions(V)
+        self._matrices = U, V = _stage(u_matrix, v_matrix)
         self.resolution = _positive(resolution, "menu resolution")
-        self.hull = feasible_payoff_hull(self)
-        self.alpha, self.beta = _punishment(U, V)
-        ends = (min(self.hull)[0].as_integer_ratio(), max(self.hull)[0].as_integer_ratio())
-        us = _grid_pairs(*ends, self.resolution)
+        hull = _integer_hull(zip(U[3], V[3]))  # as in feasible_payoff_hull; hull[0] is its least point
+        self.alpha, self.beta = punishment_levels(self)
+        us = _grid_pairs((hull[0][0], U[2]), (max(hull)[0], U[2]), self.resolution)
         du, u_cols = _made_payoffs(us)
         u_ints, v_pairs = [], []
         # each grid column u holds the v grid between the hull's lowest and highest v there
-        for u_int, lo, hi in zip(u_cols, *_sweep(self.hull, us)):
+        for u_int, lo, hi in zip(u_cols, *_sweep(hull, U[2], V[2], us)):
             column = _grid_pairs(lo, hi, self.resolution, len(v_pairs))
             v_pairs += column
             u_ints += [u_int] * len(column)
         self._payoffs = Payoffs(du, tuple(u_ints), *_made_payoffs(v_pairs))
         self._menu = _lazy_menu(self._payoffs)
         self._by_point = None
+
+    U, V, hull = BimatrixGame.U, BimatrixGame.V, cached_property(feasible_payoff_hull)
 
     def _evaluate(self, a, b):
         if a != b:
@@ -782,30 +812,27 @@ class RepeatedGame(Game):
         return contract.u >= self.alpha and contract.v >= self.beta
 
 
-def _sweep(hull: Sequence[Point], us: Sequence[Pair]) -> List[List[Pair]]:
+def _sweep(hull: List[Tuple[int, int]], du: int, dv: int, us: Sequence[Pair]) -> List[List[Pair]]:
     """The hull's lowest and highest v on each grid column u, as integer pairs.
 
-    Returns two lists of (numerator, denominator), one entry per u of the
-    ascending grid ``us`` of integer pairs (n, d), d > 0, which runs from
-    the hull's least u to its greatest.  The end columns read the
-    vertices there (a point, a vertical segment or a vertical edge); the
-    interior columns walk the lower and upper chains left to right, each
-    edge's line in integers.
+    ``hull`` is a stage's integer hull: vertex (x, y) stands for the point
+    (x/du, y/dv).  Returns two lists of (numerator, denominator), one
+    entry per u of the ascending grid ``us`` of integer pairs (n, d),
+    d > 0, which runs from the hull's least u to its greatest.  The end
+    columns read the vertices there (a point, a vertical segment or a
+    vertical edge); the interior columns walk the lower and upper chains
+    left to right, each edge's line (``_line``) in integers.
     """
 
     def ends(u):
-        vs = [p[1] for p in hull if p[0] == u]
-        return [(v.numerator, v.denominator) for v in (min(vs), max(vs))]
+        ys = [y for x, y in hull if x == u]
+        return [(min(ys), dv), (max(ys), dv)]
 
     k = hull.index(max(hull))  # the lower chain runs from hull[0] to hull[k]
     first, last = ends(hull[0][0]), ends(hull[k][0])
     cols = []
     for side, chain in enumerate((hull[: k + 1], (hull[k:] + hull[:1])[::-1])):
-        edges = [
-            (q[0].numerator, q[0].denominator) + _line(p, q)
-            for p, q in zip(chain, chain[1:])
-            if p[0] != q[0]
-        ]
+        edges = [(q[0], du) + _line(p, q, du, dv) for p, q in zip(chain, chain[1:]) if p[0] != q[0]]
         col = [first[side]]
         i = 0
         for n, d in us[1:-1]:
@@ -822,20 +849,6 @@ def _sweep(hull: Sequence[Point], us: Sequence[Pair]) -> List[List[Pair]]:
 def zero_sum_value(g_matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
     """Exact value of the mixed extension of a zero-sum matrix game."""
     return _value(_read_matrix(g_matrix, "g"))
-
-
-def punishment_levels(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Fraction, Fraction]:
-    """Exact mixed minmax levels (alpha, beta) of a stage game, read from its U and V.
-
-    alpha is what the column player can hold the row player down to,
-    beta the mirror image; both are matrix-game values.
-    """
-    return _punishment(*_stage(stage.U, stage.V))
-
-
-def feasible_payoff_hull(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Point, ...]:
-    """Exact convex hull of the stage game's payoff vectors (ccw, strict), read from its U and V."""
-    return tuple(convex_hull([cell for rows in zip(stage.U, stage.V) for cell in zip(*rows)]))
 
 
 @dataclass(frozen=True)

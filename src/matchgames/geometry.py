@@ -1,17 +1,18 @@
-"""Exact 2D convex geometry over Fractions.
+"""Exact 2D convex geometry: hulls on integer points, clips and membership over Fractions.
 
 Used for repeated-game feasible sets: convex hulls of payoff points,
-axis-aligned halfplane clips, and membership tests.
-Points are (u, v) tuples of Fractions.  Hulls are vertex lists in
-counterclockwise order with no collinear vertices; a hull may degenerate
-to two points (a segment), one point, or the empty list.
+axis-aligned halfplane clips, and membership tests.  A stage game's hull
+is taken on its integers (``_integer_hull``); other points are (u, v)
+tuples of Fractions.  Hulls are vertex lists in counterclockwise order
+with no collinear vertices; a hull may degenerate to two points (a
+segment), one point, or the empty list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Point = Tuple[Fraction, Fraction]
 
@@ -24,20 +25,23 @@ def convex_hull(points: Sequence[Point]) -> list:
     """Strict convex hull, ccw, collinear interior points dropped.
 
     The points are scaled once by the lcm of their denominators, which
-    keeps every order and every cross product's sign, so the sort and the
-    turns are integer arithmetic; the hull is returned as the given points.
+    keeps every order and every cross product's sign, so the hull is
+    ``_integer_hull``'s; it is returned as the given points.
     """
     D = lcm(*(t.denominator for p in points for t in p))
     given = {
         (x.numerator * (D // x.denominator), y.numerator * (D // y.denominator)): (x, y)
         for x, y in points
     }
-    pts = sorted(given)
+    return [given[p] for p in _integer_hull(given)]
+
+
+def _integer_hull(points: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """``convex_hull`` of integer points: the sort and the turns are integer arithmetic."""
+    pts = sorted(set(points))
     if len(pts) > 2:
-        lower = _chain(pts)
-        upper = _chain(pts[::-1])
-        pts = lower[:-1] + upper[:-1]
-    return [given[p] for p in pts]
+        pts = _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
+    return pts
 
 
 def _chain(pts: list) -> list:

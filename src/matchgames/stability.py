@@ -62,9 +62,7 @@ class MatchingProfile:
     def with_contract(self, i: int, j: int, contract: Contract) -> "MatchingProfile":
         if self.matches[i] != j:
             raise MatchingError(f"couple ({i},{j}) is not matched")
-        new_chosen = dict(self.chosen)
-        new_chosen[(i, j)] = contract
-        return MatchingProfile(self.matches, new_chosen)
+        return self._recontracted({**self.chosen, (i, j): contract})
 
 
 def read_profile(inst: Instance, profile: MatchingProfile) -> Tuple[MarketIndex, List[Scaled], List[Scaled]]:

@@ -6,7 +6,7 @@ value against the full matrix, so a returned value is provably correct
 regardless of how it was found.  The ``reference_*`` functions are the
 plain ``Fraction`` code the integer kernels replaced (the menu scans
 behind the market index, the index build that read every payoff's
-denominator, the simplex behind ``matrix_game_value``, the per-column hull
+denominator, the simplex behind ``zero_sum_value``, the per-column hull
 slice behind repeated-game menus, the convex hull's cross products and
 the pairwise ordinal-potential check behind ``validate_potential``), kept
 as the ground truth of their differential tests, and

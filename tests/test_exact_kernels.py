@@ -1,10 +1,12 @@
 """The integer menu and value kernels against the Fraction code they replaced.
 
-``matrix_game_value`` (a fraction-free simplex) must equal the Fraction
+``zero_sum_value`` (a fraction-free simplex) must equal the Fraction
 simplex ``helpers.reference_matrix_game_value`` and the kernel oracle
 ``helpers.support_value``.  Repeated-game menus (one sweep over the hull's
 chains) must equal ``helpers.reference_hull_menu``, which slices the hull
-edge by edge on every u-column.  Level-game menus and the one-pass
+edge by edge on every u-column, and the hull itself (taken on the
+stage's integers) must equal ``helpers.reference_convex_hull`` of the
+stage's cells.  Level-game menus and the one-pass
 ``PiecewiseLinear.walk`` must equal the single-point maps and the slope
 formula ``helpers.reference_map``.  ``geometry.convex_hull`` (cross
 products on integers) and ``geometry.clip_ge`` must equal
@@ -18,10 +20,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from matchgames import PiecewiseLinear, RepeatedGame, StrictlyCompetitiveGame, TransferGame
+from matchgames import (
+    BimatrixGame,
+    PiecewiseLinear,
+    RepeatedGame,
+    StrictlyCompetitiveGame,
+    TransferGame,
+    feasible_payoff_hull,
+    punishment_levels,
+    zero_sum_value,
+)
 from matchgames import exactlp
-from matchgames.exactlp import matrix_game_value
 from matchgames.geometry import clip_ge, convex_hull
+from matchgames.serde import dump_game, parse_instance
 
 from helpers import (
     reference_convex_hull,
@@ -58,7 +69,7 @@ def matrices(draw):
 @example([[F(7, 3)] * 3] * 3)  # all entries equal
 @example([[F(1, 10**15), F(-2, 999_999_999_999_999)], [F(-1, 3), F(5, 10**15 - 1)]])
 def test_matrix_game_value_matches_references(A):
-    v = matrix_game_value(A)
+    v = zero_sum_value(A)
     assert type(v) is Fraction
     assert v == reference_matrix_game_value(A)
     if len(A) * len(A[0]) <= 9:
@@ -75,7 +86,7 @@ def test_saddle_point_value(A, data):
     A[r] = [max(x, v) for x in A[r]]
     for row in A:
         row[c] = min(row[c], v)
-    assert matrix_game_value(A) == v == reference_matrix_game_value(A)
+    assert zero_sum_value(A) == v == reference_matrix_game_value(A)
 
 
 def make_saddle(A, r, c):
@@ -110,7 +121,7 @@ def test_saddle_point_matrices_skip_the_simplex(A, data):
         v = A[0][0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlp, "_simplex_max", refuse_simplex)
-        value = matrix_game_value(A)
+        value = zero_sum_value(A)
     assert type(value) is Fraction and value == v
 
 
@@ -128,7 +139,7 @@ def test_saddle_biased_values_match_the_reference(A):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlp, "_simplex_max", counted)
-        value = matrix_game_value(A)
+        value = zero_sum_value(A)
     assert value == reference_matrix_game_value(A)
     lower, upper = max(map(min, A)), min(map(max, zip(*A)))
     assert len(calls) == (lower != upper)
@@ -174,6 +185,17 @@ def test_repeated_menu_matches_edge_slices(stage):
         assert g.synthesize_contract((c.u, c.v)) is c
     assert g.alpha == reference_matrix_game_value(g.U)
     assert g.beta == reference_matrix_game_value([list(col) for col in zip(*g.V)])
+    # the hull and the levels against references that do not read the game's own hull
+    cells = [(F(u), F(v)) for us, vs in zip(U, V) for u, v in zip(us, vs)]
+    assert g.hull == tuple(reference_convex_hull(cells))
+    stage = BimatrixGame(U, V)
+    assert feasible_payoff_hull(stage) == g.hull
+    assert punishment_levels(g) == punishment_levels(stage) == (g.alpha, g.beta)
+    assert (g.U, g.V) == ([[F(x) for x in row] for row in U], [[F(x) for x in row] for row in V])
+    payload = dump_game(g)
+    doc = {"men": ["m"], "women": ["w"], "irp": {"men": [0], "women": [0]}, "games": {"m": {"w": payload}}}
+    back = parse_instance(doc, eps=1)[0].game(0, 0)
+    assert back.menu() == menu
 
 
 @st.composite

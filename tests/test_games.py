@@ -173,6 +173,40 @@ class TestMatrixRefusals:
             assert str(info.value) == SHAPE.format(name)
 
 
+class TestArgumentRefusals:
+    """A bad number outside a matrix is a GameError naming its field, as a bad matrix entry is."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PiecewiseLinear([(True, 1), (2, 3)]), "breakpoints: bool is not a rational payoff"),
+            (lambda: PiecewiseLinear([(0, 0), (1, "1/0")]), "breakpoints: zero denominator in '1/0'"),
+            (
+                lambda: TransferGame("a", 2, 1, PiecewiseLinear(IDENTITY), PiecewiseLinear(IDENTITY)),
+                "t_min: Invalid literal for Fraction: 'a'",
+            ),
+            (
+                lambda: TransferGame(0, 2.5, 1, PiecewiseLinear(IDENTITY), PiecewiseLinear(IDENTITY)),
+                "t_max: float 2.5 rejected: pass an int, Fraction, or exact string like '1/10'",
+            ),
+            (
+                lambda: TransferGame(0, 2, "1/0", PiecewiseLinear(IDENTITY), PiecewiseLinear(IDENTITY)),
+                "transfer grid step: zero denominator in '1/0'",
+            ),
+            (lambda: RepeatedGame([[1]], [[1]], None), "menu resolution: cannot interpret None as a rational"),
+            (
+                lambda: ZeroSumGame([[1]], 0.5),
+                "menu resolution: float 0.5 rejected: pass an int, Fraction, or exact string like '1/10'",
+            ),
+        ],
+        ids=["breakpoint_bool", "breakpoint_zero_denominator", "t_min", "t_max", "step", "repeated", "zero_sum"],
+    )
+    def test_messages(self, build, message):
+        with pytest.raises(GameError) as info:
+            build()
+        assert str(info.value) == message
+
+
 class TestZeroSumValue:
     def test_pennies(self):
         assert zero_sum_value(PENNIES) == 0
