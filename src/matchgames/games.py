@@ -260,7 +260,9 @@ def _grid_pairs(lo: Pair, hi: Pair, step: Fraction, before: int = 0) -> List[Pai
     a, b = ln * (d // ld), step.numerator * (d // step.denominator)
     count = 1 - (a * hd - hn * d) // (b * hd)
     if before + count > MAX_MENU:
-        raise GameError(f"menu of {before + count} contracts exceeds the limit of {MAX_MENU}")
+        past = digits_past_limit(before + count)  # a size str() cannot print is named by its digits
+        size = f"at least 10**{past}" if past else before + count
+        raise GameError(f"menu of {size} contracts exceeds the limit of {MAX_MENU}")
     pairs = [(a + k * b, d) for k in range(count - 1)]
     pairs.append(hi)
     return pairs

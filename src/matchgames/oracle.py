@@ -9,6 +9,7 @@ outright when the candidate space exceeds a configurable cap.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, List, Optional, Tuple
 
 from .games import Contract, Game, Instance
@@ -104,18 +105,22 @@ def count_profiles(inst: Instance) -> int:
 def enumerate_profiles(inst: Instance, cap: int = 10**7) -> Iterator[MatchingProfile]:
     """Stream every matching profile of the instance.
 
-    Refuses with OracleCapError (carrying the exact count) when the
-    candidate space exceeds cap.  Order is deterministic: matchings in
-    enumerate_matchings order, contracts per couple in menu (id) order,
-    rightmost couple varying fastest.  The first profile of each
-    matching is checked by the constructor; the rest of that matching's
-    profiles share its checked partner map.
+    Refuses with OracleCapError when the candidate space exceeds cap,
+    naming its exact size, or, past 12 agents a side, the number of
+    partial matchings (a lower bound) when that alone exceeds cap.
+    Order is deterministic: matchings in enumerate_matchings order,
+    contracts per couple in menu (id) order, rightmost couple varying
+    fastest.  The first profile of each matching is checked by the
+    constructor; the rest share its checked partner map.
     """
+    k = min(inst.n_men, inst.n_women)
+    if k > 12:  # count_profiles' table has 2**k entries; each matching is at least one profile
+        least = sum(math.comb(inst.n_men, j) * math.perm(inst.n_women, j) for j in range(k + 1))
+        if least > cap:
+            raise OracleCapError(f"candidate space has at least {least} profiles, exceeding cap {cap}")
     total = count_profiles(inst)
     if total > cap:
-        raise OracleCapError(
-            f"candidate space has {total} profiles, exceeding cap {cap}"
-        )
+        raise OracleCapError(f"candidate space has {total} profiles, exceeding cap {cap}")
     for matches in enumerate_matchings(inst.n_men, inst.n_women):
         couples = [(i, j) for i, j in enumerate(matches) if j is not None]
         combos = itertools.product(*(inst.game(i, j).menu() for i, j in couples))

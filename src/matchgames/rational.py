@@ -9,6 +9,7 @@ first read, with these scalars in canonical form.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Union
@@ -22,15 +23,23 @@ POS_INF = float("inf")
 
 RationalLike = Union[Fraction, int, str]
 
+_DIGITS = r"\d+(?:_\d+)*"  # single underscores between digits
+_LITERAL = re.compile(  # CPython 3.13's Fraction string grammar, the widest of 3.10-3.13
+    rf"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>(?:{_DIGITS})?)(?:\s*/\s*(?P<denom>{_DIGITS})"
+    rf"|(?:\.(?P<decimal>(?:{_DIGITS})?))?(?:e(?P<exp>[-+]?{_DIGITS}))?)\s*",
+    re.IGNORECASE,
+)
+
 
 def rat(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
-    Accepted strings: "3", "-7/2", "0.25" and "1e3" (decimal strings are
-    exact); a malformed string or a zero denominator raises ValueError.
-    So does a string with an exponent whose magnitude, or whose value's
-    numerator or denominator, has more digits than
-    ``sys.get_int_max_str_digits()`` (no cap when that limit is 0): such a
+    Strings follow CPython 3.13's ``Fraction`` grammar on every supported
+    Python: "3", "-7/2", " 3 / 4 ", "0.25", "1_000", "-2.5E-2" (decimals
+    are exact).  A malformed string or a zero denominator raises
+    ValueError.  So does a string whose exponent's magnitude, or whose
+    value's numerator or denominator's digit count, exceeds
+    ``sys.get_int_max_str_digits()`` (no cap when that is 0): such a
     number could not be printed.  Floats are rejected: binary floats do
     not carry the exactness contract, so callers must write "0.1" rather
     than 0.1.
@@ -42,40 +51,30 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        limit = _digit_limit(value)
-        try:
-            x = Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        m = _LITERAL.fullmatch(value)
+        if m is None:
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        sign, num, denom, decimal, exp = m.groups()
+        limit = str_limit()
+        e = int(exp or "0")  # bounded before 10**e is made: "1e4000000" costs seconds and 13 million bits
+        if limit and abs(e) > limit:
+            raise ValueError(f"exponent in {value!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
+        # n and d as Fraction makes them, so a digit string past the limit raises int()'s error
+        n, d = int(num or "0"), int(denom or "1")
+        if not d:
+            raise ValueError(f"zero denominator in {value!r}")
+        if decimal:
+            decimal = decimal.replace("_", "")
+            d = 10 ** len(decimal)
+            n = n * d + int(decimal)
+        n, d = (n * 10**e, d) if e >= 0 else (n, d * 10**-e)
+        x = Fraction(-n if sign == "-" else n, d)
         if limit and _longer(max(abs(x.numerator), x.denominator), limit):
-            raise ValueError(
-                f"{value!r} has more than {limit} digits (sys.get_int_max_str_digits())"
-            )
+            raise ValueError(f"{value!r} has more than {limit} digits (sys.get_int_max_str_digits())")
         return x
     if isinstance(value, float):
-        raise TypeError(
-            f"float {value!r} rejected: pass an int, Fraction, or exact string "
-            f"like '1/10'"
-        )
+        raise TypeError(f"float {value!r} rejected: pass an int, Fraction, or exact string like '1/10'")
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def _digit_limit(text: str) -> int:
-    """The digit limit a string with an exponent must keep to, else 0.
-
-    An exponent past the limit is rejected before the number is made:
-    otherwise a short string such as "1e4000000" costs seconds and a
-    13-million-bit integer.  Pythons before 3.10.7 have no limit.
-    """
-    _mantissa, mark, exponent = text.lower().partition("e")
-    limit = str_limit() if mark else 0
-    try:
-        too_big = limit and abs(int(exponent)) > limit
-    except ValueError:
-        return 0  # malformed: Fraction names the literal
-    if too_big:
-        raise ValueError(f"exponent in {text!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
-    return limit
 
 
 # sys.get_int_max_str_digits(): the most digits str() prints, 0 for no limit
@@ -98,10 +97,7 @@ def fmt(value) -> str:
     """Canonical string for a rational: integer if integral, else 'p/q'."""
     if value == NEG_INF:
         return "-inf"
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))  # "p/q", or "n" when the denominator is 1
 
 
 def render_event(name: str, **fields) -> str:

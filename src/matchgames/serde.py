@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import adapters
 from .extensive import GameTree, InternalNode, TerminalNode, TreeNode
@@ -109,14 +109,16 @@ def _dict(value: Any, where: str) -> dict:
     return value
 
 
-def _check_keys(obj: Mapping, where: str, required: Tuple[str, ...], optional: Tuple[str, ...] = ()) -> None:
-    keys = set(obj)
+def _object(value: Any, where: str, required: Tuple[str, ...], optional: Tuple[str, ...] = ()) -> dict:
+    """A JSON object with every required key and no key outside required and optional."""
+    keys = set(_dict(value, where))
     missing = set(required) - keys
     extra = keys - set(required) - set(optional)
     if missing:
         raise SchemaError(f"{where}: missing field(s) {sorted(missing)}")
     if extra:
         raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
+    return value
 
 
 def _each(value: Any, where: str, read: Reader) -> list:
@@ -142,11 +144,11 @@ def _breakpoints(value: Any, where: str) -> List[Tuple[Fraction, Fraction]]:
 
 
 def _matrix_in(value: Any, where: str) -> List[List[Any]]:
-    # a JSON integer stays an int for the games' matrix reader; only other entries get a path to report
+    # a JSON integer stays an int for the games' matrix reader; a path is made only for an error
     return [
         [
             x if type(x) is int else _num(x, f"{where}[{r}][{c}]")
-            for c, x in enumerate(_list(row, f"{where}[{r}]"))
+            for c, x in enumerate(row if type(row) is list else _list(row, f"{where}[{r}]"))
         ]
         for r, row in enumerate(_list(value, where))
     ]
@@ -228,7 +230,7 @@ def _read_game(payload: Any, where: str) -> Tuple[_Codec, Dict[str, Any]]:
         raise SchemaError(f"{where}.class: unknown game class {cls!r}")
     codec = _CODECS[cls]
     required = tuple(name for name, _read in codec.fields) + ("class",)
-    _check_keys(obj, where, required, ("resolution",) if codec.resolution else ())
+    _object(obj, where, required, ("resolution",) if codec.resolution else ())
     fields = {name: read(obj[name], f"{where}.{name}") for name, read in codec.fields}
     if "resolution" in obj:
         fields["resolution"] = _num(obj["resolution"], f"{where}.resolution")
@@ -288,14 +290,12 @@ def parse_instance(data: Any, eps=None) -> Tuple[Instance, Fraction]:
     choose.  Games without an explicit menu resolution get eps/2, or
     the top-level "menu_resolution" when present.
     """
-    obj = _dict(data, "instance")
-    _check_keys(obj, "instance", ("men", "women", "irp", "games"), ("menu_resolution",))
+    obj = _object(data, "instance", ("men", "women", "irp", "games"), ("menu_resolution",))
     men = _names(obj["men"], "instance.men")
     women = _names(obj["women"], "instance.women")
     if set(men) & set(women):
         raise SchemaError("instance: men and women must not share names")
-    irp = _dict(obj["irp"], "instance.irp")
-    _check_keys(irp, "instance.irp", ("men", "women"))
+    irp = _object(obj["irp"], "instance.irp", ("men", "women"))
     irp_men = _each(irp["men"], "instance.irp.men", _num)
     irp_women = _each(irp["women"], "instance.irp.women", _num)
     if len(irp_men) != len(men) or len(irp_women) != len(women):
@@ -407,8 +407,7 @@ def _strategy_in(value: Any, where: str) -> Any:
 
 def parse_profile(inst: Instance, data: Any) -> MatchingProfile:
     """Rebuild a profile against its instance, cross-checking payoffs."""
-    obj = _dict(data, "profile")
-    _check_keys(obj, "profile", ("matching", "contracts"))
+    obj = _object(data, "profile", ("matching", "contracts"))
     matching = _dict(obj["matching"], "profile.matching")
     if set(matching) != set(inst.men):
         raise SchemaError("profile.matching: keys must be exactly the men")
@@ -434,8 +433,7 @@ def parse_profile(inst: Instance, data: Any) -> MatchingProfile:
             continue
         m = inst.men[i]
         where = f"profile.contracts[{m!r}]"
-        entry = _dict(contracts_obj[m], where)
-        _check_keys(entry, where, ("id", "strategy_a", "strategy_b", "u", "v"))
+        entry = _object(contracts_obj[m], where, ("id", "strategy_a", "strategy_b", "u", "v"))
         game = inst.game(i, j)
         u = _num(entry["u"], f"{where}.u")
         v = _num(entry["v"], f"{where}.v")
@@ -478,8 +476,7 @@ def _node_id(value: Any, where: str) -> int:
 
 def parse_tree(data: Any) -> GameTree:
     """Game tree file: players, nodes keyed by integer id, optional root."""
-    obj = _dict(data, "tree")
-    _check_keys(obj, "tree", ("players", "nodes"), ("root",))
+    obj = _object(data, "tree", ("players", "nodes"), ("root",))
     players = _names(obj["players"], "tree.players")
     nodes_obj = _dict(obj["nodes"], "tree.nodes")
     nodes: Dict[int, TreeNode] = {}
@@ -495,10 +492,10 @@ def parse_tree(data: Any) -> GameTree:
         where = f"tree.nodes[{key!r}]"
         node = _dict(payload, where)
         if "payoffs" in node:
-            _check_keys(node, where, ("payoffs",))
+            _object(node, where, ("payoffs",))
             nodes[nid] = TerminalNode(payoffs=tuple(_each(node["payoffs"], f"{where}.payoffs", _num)))
         else:
-            _check_keys(node, where, ("player", "children"))
+            _object(node, where, ("player", "children"))
             raw_player = node["player"]
             if isinstance(raw_player, str):
                 if raw_player not in player_index:
@@ -563,7 +560,7 @@ def parse_model(data: Any, kind: str) -> Instance:
     obj = _dict(data, "model")
     if "model" in obj and obj["model"] != kind:
         raise SchemaError(f"model file is tagged {obj['model']!r}, not {kind!r}")
-    _check_keys(obj, "model", tuple(name for name, _read in fields), ("model",))
+    _object(obj, "model", tuple(name for name, _read in fields), ("model",))
     args = [read(obj[name], f"model.{name}") for name, read in fields]
     try:
         return build(*args)

@@ -11,14 +11,19 @@ slice behind repeated-game menus, the convex hull's cross products and
 the pairwise ordinal-potential check behind ``validate_potential``), kept
 as the ground truth of their differential tests, and
 ``max_weight_assignment`` is an exact Hungarian solver for assignment
-markets.
+markets.  ``other_interpreters`` finds the other CPythons that the demos
+and the number grammar also run under.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import functools
 import random
+import shutil
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -747,3 +752,24 @@ def reference_level_deviations(game, contract, side: Side):
     if side is Side.MAN:
         return tuple(c for c, lev in zip(game.menu(), game.levels) if cur < lev <= w)
     return tuple(c for c, lev in zip(game.menu(), game.levels) if w <= lev < cur)
+
+
+@functools.cache  # probed once per session
+def other_interpreters():
+    """Other CPythons >= 3.10 on PATH that start (broken shims are dropped)."""
+    found = []
+    for minor in range(10, 20):
+        if (3, minor) == sys.version_info[:2]:
+            continue
+        path = shutil.which(f"python3.{minor}")
+        if path is None:
+            continue
+        probe = subprocess.run(
+            [path, "-c", "import sys; print(sys.version_info[:2])"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == str((3, minor)):
+            found.append((f"python3.{minor}", path))
+    return found

@@ -9,13 +9,13 @@ CLI tour writes its artifacts to a ``mktemp -d`` directory whose path
 varies by run; it is replaced by ``$out`` before comparing.
 """
 
-import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import other_interpreters
 from test_cli import checkout_env, declared_script, write_launcher
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -32,26 +32,6 @@ PY_DEMOS = [
 
 def expected(demo):
     return (EXPECTED / (Path(demo).stem + ".txt")).read_text(encoding="utf-8")
-
-
-def other_interpreters():
-    """Other CPythons >= 3.10 on PATH that start (broken shims are dropped)."""
-    found = []
-    for minor in range(10, 20):
-        if (3, minor) == sys.version_info[:2]:
-            continue
-        path = shutil.which(f"python3.{minor}")
-        if path is None:
-            continue
-        probe = subprocess.run(
-            [path, "-c", "import sys; print(sys.version_info[:2])"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        if probe.returncode == 0 and probe.stdout.strip() == str((3, minor)):
-            found.append((f"python3.{minor}", path))
-    return found
 
 
 def demo_runs():

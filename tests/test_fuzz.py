@@ -4,16 +4,22 @@ Each example takes one file from ``demos/data``, replaces one node of its
 JSON (a leaf, a container or the whole document) with an arbitrary JSON
 value or deletes it, then feeds the result to the matching ``parse_*``
 function, which may raise only ``SchemaError``, and to ``cli.main``, which
-may return only 0, 2 or 3.
+may return only 0, 2 or 3.  A second property sets one number of a
+market to a string around ``sys.get_int_max_str_digits()`` digits and
+accepts only a result or an exit 2 that names the number's couple or
+field, or ``--eps``, each within a second.
 """
 
 import contextlib
 import copy
 import io
 import json
+import sys
 import tempfile
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +104,52 @@ def test_mutated_demo_files(data):
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             rc = main(args)
     assert rc in (0, 2, 3), sink.getvalue()
+
+
+# Where each number sits in mixed_classes.json (one couple of every class),
+# and the prefix its error must name; None is --eps.
+NUMBER_SITES = {
+    "bimatrix U": (("games", "m0", "w0", "u", 0, 0), "instance.games['m0']['w0']"),
+    "potential phi": (("games", "m0", "w1", "phi", 0, 0), "instance.games['m0']['w1']"),
+    "zero-sum g": (("games", "m0", "w2", "g", 0, 0), "instance.games['m0']['w2']"),
+    "strictly competitive breakpoint": (("games", "m1", "w0", "f", 1, 0), "instance.games['m1']['w0']"),
+    "transfer t_max": (("games", "m1", "w1", "t_max"), "instance.games['m1']['w1']"),
+    "repeated U": (("games", "m1", "w2", "u", 0, 0), "instance.games['m1']['w2']"),
+    "reservation payoff": (("irp", "men", 0), "instance.irp.men[0]"),
+    "eps": (None, "--eps"),
+}
+NUMBER_SHAPES = {
+    "numerator": lambda k: "9" * k,
+    "denominator": lambda k: "1/" + "9" * k,
+    "exponent": lambda k: f"1e{k}",
+    "negative exponent": lambda k: f"1e-{k}",
+}
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(NUMBER_SITES)),
+    st.sampled_from(sorted(NUMBER_SHAPES)),
+    st.integers(-1, 1),
+)
+def test_numbers_around_the_print_limit(site, shape, offset):
+    path, names = NUMBER_SITES[site]
+    text = NUMBER_SHAPES[shape](sys.get_int_max_str_digits() + offset)
+    document, eps = DOCUMENTS["mixed_classes.json"], "1/2"
+    if path is None:
+        eps = text
+    else:
+        document = mutate(document, path, text)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "market.json"
+        file.write_text(json.dumps(document))
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(["solve-external", str(file), "--eps", eps])
+            except SystemExit as exc:  # argparse refuses a bad --eps
+                rc = exc.code
+        assert time.perf_counter() - start < 1
+    assert rc == 0 or (rc == 2 and names in err.getvalue()), err.getvalue()

@@ -1,7 +1,9 @@
 """Brute-force enumeration oracle: counts, caps, stability classification."""
 
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from matchgames import (
     brute_force_cne,
     build_instance,
     count_profiles,
+    dump_instance,
     enumerate_matchings,
     enumerate_profiles,
     enumerate_stable,
@@ -31,6 +34,7 @@ from matchgames import (
     is_stable_variant,
     pareto_frontier,
 )
+from matchgames.cli import main
 
 from helpers import random_bimatrix_instance, reference_enumerate_stable, reference_profiles
 from test_market import markets
@@ -144,6 +148,25 @@ class TestCountAndCap:
         inst = random_bimatrix_instance(rng, max_agents=3, max_cells=9)
         with pytest.raises(OracleCapError):
             list(enumerate_stable(inst, 0, "external", cap=1))
+
+    def test_large_market_refused_before_the_count_table(self, tmp_path, capsys):
+        # the 20x20 market's partial matchings alone pass the cap, so the
+        # 2**20-entry table of count_profiles is never built
+        agents = range(20)
+        inst = from_ordinal(
+            {f"m{i}": [f"w{j}" for j in agents] for i in agents},
+            {f"w{j}": [f"m{i}" for i in agents] for j in agents},
+        )
+        least = partial_injection_count(20, 20)
+        start = time.perf_counter()
+        with pytest.raises(OracleCapError) as info:
+            list(enumerate_stable(inst, 0))
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == f"candidate space has at least {least} profiles, exceeding cap 10000000"
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(dump_instance(inst)))
+        assert main(["enumerate", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 class TestEnumerateStable:
