@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import floor, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .games import Contract, Instance
+from .games import Contract, Instance, _Menu
 
 
 class Stair(NamedTuple):
@@ -42,9 +42,9 @@ class Stair(NamedTuple):
 
 
 class Couple(NamedTuple):
-    """One couple's menu with its scaled payoffs in id order and both staircases."""
+    """One couple's menu (the game's own ``_Menu``) with its scaled payoffs in id order and both staircases."""
 
-    menu: Tuple[Contract, ...]
+    menu: _Menu
     u: Tuple[int, ...]
     v: Tuple[int, ...]
     by_v: Stair  # keyed by v, maximizes u

@@ -19,8 +19,8 @@ import sys
 from typing import List, Optional
 
 from .cne import CnePolicy
-from .extensive import TreeError, constrained_spe, play
-from .games import GameError, Instance, Side
+from .extensive import constrained_spe, play
+from .games import Instance, Side
 from .lattice import join as lattice_join
 from .oracle import OracleCapError, enumerate_stable
 from .propose import run_propose_dispose
@@ -40,7 +40,6 @@ from .serde import (
 from .stability import (
     BlockingPair,
     DeviationWitness,
-    MatchingError,
     StabilityReport,
     is_externally_stable,
     is_internally_stable,
@@ -93,7 +92,7 @@ def _write_trace(path: str, lines: List[str]) -> None:
 def _cmd_solve_external(args) -> int:
     inst, eps = load_instance_file(args.file, eps=args.eps)
     if eps <= 0:
-        raise SchemaError("solve-external needs a positive eps")
+        raise SchemaError("solve-external needs a positive --eps")
     side = Side.MAN if args.side == "men" else Side.WOMAN
     profile, state = run_propose_dispose(inst, eps, side)
     limit = digits_past_limit(state.iteration_bound)
@@ -116,7 +115,7 @@ _POLICY_NAMES = {"auto": None, "max-potential": {"potential": CnePolicy.MAX_POTE
 def _cmd_solve_stable(args) -> int:
     inst, eps = load_instance_file(args.file, eps=args.eps)
     if eps <= 0:
-        raise SchemaError("solve-stable needs a positive eps")
+        raise SchemaError("solve-stable needs a positive --eps")
     profile, _state = run_propose_dispose(inst, eps, Side.MAN)
     result = refine(inst, profile, eps, policies=_POLICY_NAMES[args.policy], max_passes=args.max_passes)
     _emit_profile(inst, result.profile, args.out)
@@ -279,7 +278,7 @@ def main(argv=None) -> int:
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, GameError, MatchingError, TreeError, ValueError) as exc:
+    except ValueError as exc:  # SchemaError, GameError, MatchingError and TreeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ every downstream comparison stays exact.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import abc
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,13 +42,12 @@ class Contract:
     games.  ``Game.describe`` puts a contract into words.
 
     Contracts compare and hash by value, so an equal copy stands for a
-    menu's own object.  Every game's menu contracts hold the menu's
-    integer ``Payoffs`` instead of their fields until the first read (see
-    ``_Unread``); later reads are plain slot reads.  Only a contract made
-    by hand or synthesized off a repeated game's grid is built eager.
+    menu's own object.  A game's menu (``_Menu``) makes each of its
+    contracts on first access; a contract made by hand or synthesized
+    off a repeated game's grid is a contract like any other.
     """
 
-    __slots__ = ("id", "strategy_a", "strategy_b", "u", "v", "_payoffs")
+    __slots__ = ("id", "strategy_a", "strategy_b", "u", "v")
     __match_args__ = ("id", "strategy_a", "strategy_b", "u", "v")
 
     def __init__(self, id: int, strategy_a: object, strategy_b: object, u: Fraction, v: Fraction):
@@ -72,61 +72,6 @@ class Contract:
             f"Contract(id={self.id!r}, strategy_a={self.strategy_a!r}, "
             f"strategy_b={self.strategy_b!r}, u={self.u!r}, v={self.v!r})"
         )
-
-
-# the slots' own descriptors, which _Unread shadows
-_ID, _A, _B, _U, _V = Contract.id, Contract.strategy_a, Contract.strategy_b, Contract.u, Contract.v
-
-
-def _on_read(slot) -> property:
-    def get(self):
-        self._read()
-        return slot.__get__(self)
-
-    return property(get)
-
-
-class _Unread(Contract):
-    """A lazy menu's contract before its first read of any field.
-
-    Every game class builds its menu of these (``_lazy_menu``).  The
-    first read makes the payoffs and the descriptors from the menu's
-    integers and turns the object into a plain ``Contract``, whose reads
-    are slot reads.  CPython 3.11 specializes an attribute read site for
-    one class at a time, and not at all for a class with a
-    ``__getattr__``.  Every check of a contract reads ``id`` first, so a
-    read site sees each contract unread at most once.
-    """
-
-    __slots__ = ()
-
-    def __reduce_ex__(self, protocol):  # copies and pickles are plain contracts
-        self._read()
-        return self.__reduce_ex__(protocol)
-
-    def _read(self) -> None:
-        pay, k = self._payoffs, _ID.__get__(self)
-        u, v = Fraction(pay.u[k], pay.du), Fraction(pay.v[k], pay.dv)
-        _U.__set__(self, u)
-        _V.__set__(self, v)
-        # a matrix contract's descriptors are its cell, a level one's its level, a repeated one's its point
-        if pay.cols is not None:
-            a, b = divmod(k, pay.cols)
-        elif pay.levels is None:
-            a = b = (u, v)
-        elif pay.levels[1] is pay.u:  # zero-sum: the level is the man's payoff
-            a = b = u
-        else:
-            a = b = Fraction(pay.levels[1][k], pay.levels[0])
-        _A.__set__(self, a)
-        _B.__set__(self, b)
-        self.__class__ = Contract
-
-    id = _on_read(_ID)
-    strategy_a = _on_read(_A)
-    strategy_b = _on_read(_B)
-    u = _on_read(_U)
-    v = _on_read(_V)
 
 
 Pair = Tuple[int, int]  # the number n/d as integers (n, d), d > 0, not always in lowest terms
@@ -178,16 +123,61 @@ def _made_payoffs(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
     return L, ns
 
 
-def _lazy_menu(payoffs: Payoffs) -> Tuple[Contract, ...]:
-    """Contract k of ``payoffs`` for every k, each made on its first read."""
-    menu = []
-    new, set_id = object.__new__, _ID.__set__
-    for k in range(len(payoffs.u)):
-        c = new(_Unread)
-        set_id(c, k)
-        c._payoffs = payoffs
-        menu.append(c)
-    return tuple(menu)
+class _Menu(abc.Sequence):
+    """A game's contracts in id order, each made from the integer ``Payoffs`` on its first read.
+
+    A read by index, slice (a tuple) or iteration returns the same object
+    every time; menus compare and hash by their contracts.  ``made[k]`` is
+    contract k once made, None before; outside ``games`` only
+    ``stability.read_profile`` reads it, so its identity test costs no call.
+    """
+
+    __slots__ = ("_payoffs", "made", "_unmade")
+
+    def __init__(self, payoffs: Payoffs):
+        self._payoffs = payoffs
+        self.made: List[Optional[Contract]] = [None] * len(payoffs.u)
+        self._unmade = len(self.made)  # counted, as ``None in made`` would compare every made contract
+
+    def __len__(self) -> int:
+        return len(self.made)
+
+    def __getitem__(self, k):
+        made = self.made
+        if isinstance(k, slice):
+            return tuple([made[i] or self._make(i) for i in range(len(made))[k]])
+        return made[k] or self._make(range(len(made))[k])
+
+    def __iter__(self):
+        if self._unmade:
+            for k, c in enumerate(self.made):
+                if c is None:
+                    self._make(k)
+        return iter(self.made)
+
+    def __eq__(self, other):
+        if isinstance(other, _Menu):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def _make(self, k: int) -> Contract:
+        pay = self._payoffs
+        u, v = Fraction(pay.u[k], pay.du), Fraction(pay.v[k], pay.dv)
+        # a matrix contract's descriptors are its cell, a level one's its level, a repeated one's its point
+        if pay.cols is not None:
+            a, b = divmod(k, pay.cols)
+        elif pay.levels is None:
+            a = b = (u, v)
+        elif pay.levels[1] is pay.u:  # zero-sum: the level is the man's payoff
+            a = b = u
+        else:
+            a = b = Fraction(pay.levels[1][k], pay.levels[0])
+        self.made[k] = c = Contract(k, a, b, u, v)
+        self._unmade -= 1
+        return c
 
 
 _Matrix = Tuple[int, int, int, Tuple[int, ...]]  # rows, cols, D, entry (r, c) times D at r*cols + c
@@ -346,25 +336,21 @@ class Game:
 
     kind = "abstract"
 
-    _menu: Tuple[Contract, ...]
+    _menu: _Menu
     _payoffs: Payoffs  # the menu's payoffs in integers: its contracts and the market index read them
 
-    def menu(self) -> Tuple[Contract, ...]:
-        """The finite contract menu, ordered by id (deterministic)."""
+    def menu(self) -> Sequence[Contract]:
+        """The finite contract menu, ordered by id (deterministic): a read-only sequence, sliced as tuples."""
         return self._menu
 
     def contract(self, contract_id: int) -> Contract:
-        menu = self.menu()
-        if not 0 <= contract_id < len(menu):
+        if not 0 <= contract_id < len(self._menu):
             raise GameError(f"no contract with id {contract_id} in this menu")
-        return menu[contract_id]
+        return self._menu[contract_id]
 
     def _in_menu(self, contract: Contract) -> bool:
-        menu = self.menu()
-        if not 0 <= contract.id < len(menu):
-            return False
-        listed = menu[contract.id]
-        return listed is contract or listed == contract
+        k, menu = contract.id, self._menu
+        return 0 <= k < len(menu) and (menu.made[k] is contract or menu[k] == contract)
 
     def validate_contract(self, contract: Contract) -> None:
         """Raise unless the contract belongs to this game."""
@@ -412,7 +398,7 @@ class BimatrixGame(Game):
     def __init__(self, u_matrix: Sequence[Sequence[RationalLike]], v_matrix: Sequence[Sequence[RationalLike]]):
         (self.rows, self.cols, du, u), (_, _, dv, v) = _stage(u_matrix, v_matrix)
         self._payoffs = Payoffs(du, u, dv, v, cols=self.cols)
-        self._menu = _lazy_menu(self._payoffs)
+        self._menu = _Menu(self._payoffs)
 
     @property
     def _matrices(self) -> Tuple[_Matrix, _Matrix]:
@@ -560,7 +546,7 @@ class LevelGame(Game):
         vs = [(-n, d) for n, d in levels]
         vs = _made_payoffs(vs if h is _IDENTITY else h._walk(vs))
         self._payoffs = Payoffs(*u_column, *vs, column)
-        self._menu = _lazy_menu(self._payoffs)
+        self._menu = _Menu(self._payoffs)
 
     @cached_property
     def levels(self) -> Tuple[Fraction, ...]:
@@ -748,7 +734,7 @@ class RepeatedGame(Game):
             v_pairs += column
             u_ints += [u_int] * len(column)
         self._payoffs = Payoffs(du, tuple(u_ints), *_made_payoffs(v_pairs))
-        self._menu = _lazy_menu(self._payoffs)
+        self._menu = _Menu(self._payoffs)
         self._by_point = None
 
     U, V, hull = BimatrixGame.U, BimatrixGame.V, cached_property(feasible_payoff_hull)

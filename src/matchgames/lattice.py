@@ -34,6 +34,8 @@ def genericity_holds(
     argmax well-defined in the join.
     """
     eps = rat(eps)
+    if eps.numerator < 0:
+        raise ValueError("eps must be nonnegative")
     index, men1, women1 = read_profile(inst, p1)
     _, men2, women2 = read_profile(inst, p2)
     # scaled by D: |a - b| <= eps exactly when |A - B| * den(eps) <= D * num(eps)

@@ -79,7 +79,9 @@ def enumerate_matchings(n_men: int, n_women: int) -> Iterator[Tuple[Optional[int
 
 def count_profiles(inst: Instance) -> int:
     """Exact number of matching profiles: sum over matchings of the
-    product of menu sizes along the matched couples."""
+    product of menu sizes along the matched couples.  It takes no cap: its
+    table has 2**k entries and each agent of the larger side costs k * 2**k
+    steps, k the size of the smaller side."""
     sizes = [
         [len(inst.game(i, j).menu()) for j in range(inst.n_women)]
         for i in range(inst.n_men)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import adapters
-from .extensive import GameTree, InternalNode, TerminalNode, TreeNode
+from .extensive import GameTree, InternalNode, TerminalNode, TreeError, TreeNode
 from .games import (
     BimatrixGame,
     Game,
@@ -510,7 +510,7 @@ def parse_tree(data: Any) -> GameTree:
     root = _node_id(obj.get("root", 0), "tree.root")
     try:
         return GameTree(players=players, nodes=nodes, root=root)
-    except Exception as exc:
+    except TreeError as exc:
         raise SchemaError(f"tree: {exc}") from exc
 
 

@@ -69,7 +69,8 @@ def read_profile(inst: Instance, profile: MatchingProfile) -> Tuple[MarketIndex,
     """Validate the profile and read every man's and woman's payoff, scaled by D.
 
     One pass: the size and range checks, then each chosen contract.  A
-    menu's own contract object reads its payoffs from the market index;
+    menu's own contract object (by identity in the menu's ``made`` list)
+    reads its payoffs from the market index;
     any other contract must pass ``validate_contract`` (an equal copy or
     a synthesized hull point) and is scaled as an exact Fraction.
     Returns the index with the two payoff lists.
@@ -85,8 +86,8 @@ def read_profile(inst: Instance, profile: MatchingProfile) -> Tuple[MarketIndex,
     rows = index.men.couples
     for (i, j), contract in profile.chosen.items():
         couple = rows[i][j]
-        k, menu = contract.id, couple.menu
-        if k < len(menu) and menu[k] is contract:
+        k, made = contract.id, couple.menu.made
+        if k < len(made) and made[k] is contract:
             men[i], women[j] = couple.u[k], couple.v[k]
             continue
         try:

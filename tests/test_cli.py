@@ -218,6 +218,14 @@ class TestSolveExternal:
         assert rc == 2
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["solve-external", "solve-stable"])
+    @pytest.mark.parametrize("eps", [["--eps", "0"], ["--eps=-1/2"]], ids=["zero", "negative"])
+    def test_nonpositive_eps_refusal_names_the_flag(self, tmp_path, capsys, command, eps):
+        rc = main([command, write(tmp_path, "inst.json", CLASSIC), *eps])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {command} needs a positive --eps\n"
+
     def test_zero_denominator_eps_is_a_usage_error(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)
         with pytest.raises(SystemExit) as exc:
@@ -331,7 +339,6 @@ class TestSolveExternal:
 
     def test_level_menus_stay_unread_after_a_run(self, tmp_path, capsys, monkeypatch):
         from matchgames import cli
-        from matchgames.games import _Unread
 
         loaded, load = [], cli.load_instance_file
 
@@ -356,8 +363,8 @@ class TestSolveExternal:
         [(inst, _eps)] = loaded
         menus = [g.menu() for g in inst.games.values()]
         assert min(map(len, menus)) >= 100
-        unread = sum(type(c) is _Unread for menu in menus for c in menu)
-        assert unread > 0.9 * sum(map(len, menus))
+        unmade = sum(c is None for menu in menus for c in menu.made)
+        assert unmade > 0.9 * sum(map(len, menus))
 
     def test_small_exponents_still_parse(self, tmp_path, capsys):
         data = json.loads(json.dumps(CLASSIC))

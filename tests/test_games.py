@@ -45,6 +45,11 @@ def pd_stage():
     return BimatrixGame(PD_U, PD_V)
 
 
+def unmade(menu):
+    """Ids of the menu's contracts not made yet."""
+    return [k for k, c in enumerate(menu.made) if c is None]
+
+
 class TestPayoff:
     def test_bimatrix_lookup(self):
         g = BimatrixGame([[2, 0], [3, 1]], [[1, 0], [0, 2]])
@@ -360,7 +365,7 @@ class TestRepeated:
             g = fresh()
             c = g.synthesize_contract(point)
             assert c is g.menu()[k]
-            assert all(type(d) is games._Unread for d in g.menu())
+            assert unmade(g.menu()) == [j for j in range(len(points)) if j != k]
             assert (c.id, c.strategy_a, c.u, c.v) == (k, point, *point)
 
     def test_synthesize_makes_a_new_contract_off_the_grid(self):
@@ -371,7 +376,7 @@ class TestRepeated:
             assert type(c) is Contract
             assert (c.id, c.strategy_a, c.strategy_b, c.u, c.v) == (len(g.menu()), point, point, *point)
             g.validate_contract(c)
-        assert all(type(d) is games._Unread for d in g.menu())
+        assert unmade(g.menu()) == list(range(len(g.menu())))
 
     def test_nash_iff_above_punishments(self):
         g = RepeatedGame(PD_U, PD_V, F(1, 2))
@@ -504,6 +509,44 @@ def fields(c):
 
 @pytest.mark.parametrize("make", MENUS)
 class TestContract:
+    def test_the_menu_indexes_as_a_tuple(self, make):
+        menu = make().menu()
+        n = len(menu)
+        assert n >= 4
+        assert menu[-1] is menu[n - 1] and menu[-n] is menu[0]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                menu[k]
+        assert all(type(menu[k]) is Contract and menu[k].id == k for k in range(n))
+
+    def test_a_slice_is_a_tuple_of_the_menus_own_contracts(self, make):
+        menu = make().menu()
+        for part, ids in ((menu[1::2], range(1, len(menu), 2)), (menu[-2:], range(len(menu) - 2, len(menu)))):
+            assert type(part) is tuple and len(part) == len(ids)
+            assert all(c is menu[k] for c, k in zip(part, ids))
+        assert menu[3:1] == ()
+
+    def test_iteration_runs_in_id_order(self, make):
+        menu = make().menu()
+        second = menu[1]
+        got = list(menu)
+        assert [c.id for c in got] == list(range(len(menu)))
+        assert got[1] is second and all(type(c) is Contract and c is menu[c.id] for c in got)
+
+    def test_menus_of_equal_games_are_equal(self, make):
+        menu, twin = make().menu(), make().menu()
+        assert menu == twin and hash(menu) == hash(twin)
+        assert menu != BimatrixGame([[9]], [[9]]).menu() and menu != tuple(menu)
+
+    def test_reading_contract_k_makes_only_k(self, make):
+        n = len(make().menu())
+        for k in range(n):
+            menu = make().menu()
+            assert unmade(menu) == list(range(n))
+            c = menu[k]
+            assert menu[k] is c and menu[k - n] is c
+            assert unmade(menu) == [j for j in range(n) if j != k]
+
     def test_equal_copies_are_on_the_menu(self, make):
         g = make()
         for c in g.menu():

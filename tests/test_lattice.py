@@ -89,6 +89,13 @@ class TestGenericity:
         assert genericity_holds(inst, p1, p2, eps=F(1, 2))
         assert not genericity_holds(inst, p1, p2, eps=1)
 
+    def test_negative_margin_refused(self):
+        inst, men_opt, women_opt = ordinal_profiles()
+        assert not genericity_holds(inst, men_opt, women_opt, eps=1)
+        for eps in (-1, -100, F(-1, 2), "-1/3"):
+            with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+                genericity_holds(inst, men_opt, women_opt, eps=eps)
+
     def test_ordinal_optima_generic(self):
         inst, men_opt, women_opt = ordinal_profiles()
         assert genericity_holds(inst, men_opt, women_opt)
@@ -278,4 +285,8 @@ def test_genericity_on_scaled_payoffs_matches_the_exact_definition(inst, eps):
     ]
     for a in profiles:
         for b in copies:
-            assert genericity_holds(inst, a, b, eps) == fraction_genericity(inst, a, b, eps)
+            if eps < 0:  # a negative margin is refused, as every other margin check refuses it
+                with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+                    genericity_holds(inst, a, b, eps)
+            else:
+                assert genericity_holds(inst, a, b, eps) == fraction_genericity(inst, a, b, eps)
