@@ -54,14 +54,6 @@ class Couple(NamedTuple):
         """The same couple read from the woman's side: u and v trade places."""
         return Couple(self.menu, self.v, self.u, self.by_u, self.by_v)
 
-    def first_blocking(self, u_bar: int, v_bar: int) -> Optional[Contract]:
-        """The lowest-id contract with u > u_bar and v > v_bar, if any."""
-        top = self.by_v.above(v_bar)
-        if top is None or self.u[top] <= u_bar:
-            return None
-        v = self.v
-        return next(self.menu[k] for k, u in enumerate(self.u) if u > u_bar and v[k] > v_bar)
-
 
 # A scaled payoff: an int on the index's grid, an exact Fraction off it.
 Scaled = Union[int, Fraction]

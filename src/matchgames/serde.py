@@ -305,7 +305,6 @@ def parse_instance(data: Any, eps=None) -> Tuple[Instance, Fraction]:
     if set(games_obj) != set(men):
         raise SchemaError("instance.games: keys must be exactly the men")
     parsed: Dict[Tuple[int, int], Tuple[_Codec, Dict[str, Any], str]] = {}
-    integral = all(x.denominator == 1 for x in irp_men + irp_women)
     for i, m in enumerate(men):
         row = _dict(games_obj[m], f"instance.games[{m!r}]")
         if set(row) != set(women):
@@ -314,15 +313,17 @@ def parse_instance(data: Any, eps=None) -> Tuple[Instance, Fraction]:
             where = f"instance.games[{m!r}][{w!r}]"
             codec, fields = _read_game(row[w], where)
             parsed[(i, j)] = (codec, fields, where)
-            integral = integral and all(_integral(x) for x in fields.values())
     default_res = None
     if "menu_resolution" in obj:
         default_res = _num(obj["menu_resolution"], "instance.menu_resolution")
-        integral = integral and default_res.denominator == 1
 
     if eps is not None:
         eps_used = rat(eps)
-    elif integral:
+    elif (  # only the default margin needs every number read to be an integer
+        all(map(_integral, irp_men + irp_women))
+        and (default_res is None or _integral(default_res))
+        and all(_integral(x) for _codec, fields, _where in parsed.values() for x in fields.values())
+    ):
         eps_used = Fraction(1)
     else:
         raise SchemaError(

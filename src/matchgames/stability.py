@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ._market import MarketIndex, Scaled, market_index
@@ -77,12 +78,12 @@ def read_profile(inst: Instance, profile: MatchingProfile) -> Tuple[MarketIndex,
     """
     index = market_index(inst)
     men, women = list(index.men.own_irp), list(index.women.own_irp)
-    if len(profile.matches) != len(men):
+    matches, n_women = profile.matches, len(women)
+    if len(matches) != len(men):
         raise MatchingError("profile size differs from the number of men")
-    n_women = len(women)
-    for i, j in enumerate(profile.matches):
+    for j in matches:
         if j is not None and not 0 <= j < n_women:
-            raise MatchingError(f"man {i} matched to unknown woman {j}")
+            raise MatchingError(f"man {matches.index(j)} matched to unknown woman {j}")
     rows = index.men.couples
     for (i, j), contract in profile.chosen.items():
         couple = rows[i][j]
@@ -149,6 +150,18 @@ class StabilityReport:
     eps: Optional[Fraction] = None
 
 
+def _record(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with every field given.
+
+    It fills ``__dict__`` directly instead of calling the frozen
+    ``__init__``, which sets each field through ``object.__setattr__``;
+    the instance equals, hashes and prints as the constructor's would.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def find_blocking_pair(
     inst: Instance, profile: MatchingProfile, eps
 ) -> Optional[BlockingPair]:
@@ -158,28 +171,42 @@ def find_blocking_pair(
     player (his reservation check) first, then his candidate couples in
     woman order with contracts in id order, then the women's
     reservation checks.  Absent result means the profile is externally
-    stable at margin eps.
+    stable at margin eps.  No bar is made before man 0's reservation
+    check; the women's bars are then made once, and each man's bar in
+    his own row scan, so the witness and its order are those of a scan
+    that made every bar first.
     """
     eps = rat(eps)
     if eps.numerator < 0:
         raise ValueError("eps must be nonnegative")
     index, men_pay, women_pay = read_profile(inst, profile)
-    men_bar, women_bar = index.bars(eps, men_pay, women_pay)
-    matches, men_irp = profile.matches, index.men.own_irp
+    men_irp = index.men.own_irp
+    if men_pay and men_pay[0] < men_irp[0]:
+        return _record(BlockingPair, man=0, woman=None, contract=None)
+    # Bars as MarketIndex.bars makes them, floor(p + D·eps), a man's only when his row is scanned.
+    scale, matches = index.scale, profile.matches
+    lift = scale * eps.numerator // eps.denominator
+    women_bar = [p + lift if type(p) is int else floor(p + scale * eps) for p in women_pay]
     for i, row in enumerate(index.men.couples):
-        if men_pay[i] < men_irp[i]:
-            return BlockingPair(man=i, woman=None, contract=None)
-        mine, bar = matches[i], men_bar[i]
+        pay = men_pay[i]
+        if pay < men_irp[i]:
+            return _record(BlockingPair, man=i, woman=None, contract=None)
+        bar = pay + lift if type(pay) is int else floor(pay + scale * eps)
+        mine = matches[i]
         for j, couple in enumerate(row):
-            if j == mine:
-                continue
-            # Couple.first_blocking's screen, inlined: the best u above woman j's bar
-            top = couple.by_v.tops[bisect_right(couple.by_v.keys, women_bar[j])]
-            if top is not None and couple.u[top] > bar:
-                return BlockingPair(man=i, woman=j, contract=couple.first_blocking(bar, women_bar[j]))
+            # The screen: the best u among the contracts above woman j's bar.  It
+            # rules out most couples, so the man's own couple is skipped only after it.
+            stair, u, v_bar = couple.by_v, couple.u, women_bar[j]
+            top = stair.tops[bisect_right(stair.keys, v_bar)]
+            if top is not None and u[top] > bar and j != mine:
+                v = couple.v  # the screen found a blocking contract; return the lowest id
+                for k in range(len(u)):
+                    if u[k] > bar and v[k] > v_bar:
+                        return _record(BlockingPair, man=i, woman=j, contract=couple.menu[k])
+    women_irp = index.women.own_irp
     for j, pay in enumerate(women_pay):
-        if pay < index.women.own_irp[j]:
-            return BlockingPair(man=None, woman=j, contract=None)
+        if pay < women_irp[j]:
+            return _record(BlockingPair, man=None, woman=j, contract=None)
     return None
 
 
@@ -187,7 +214,7 @@ def is_externally_stable(inst: Instance, profile: MatchingProfile, eps) -> Stabi
     eps = rat(eps)
     witness = find_blocking_pair(inst, profile, eps)
     notion = "ExternalEps" if eps.numerator else "External0"
-    return StabilityReport(notion=notion, holds=witness is None, witness=witness, eps=eps)
+    return _record(StabilityReport, notion=notion, holds=witness is None, witness=witness, eps=eps)
 
 
 def _ir_witness(index: MarketIndex, men_pay, women_pay) -> Optional[BlockingPair]:

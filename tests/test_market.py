@@ -8,7 +8,8 @@ grid, and margins may have a denominator coprime to the index's scale.  Blocking
 witnesses, outside options, the individual-rationality, weak and
 unilateral reports, and whole propose-dispose runs (profile, iteration
 count and bound, trace lines) must equal the reference scans in
-``helpers``, and the index, built from the integers each game hands
+``helpers`` (the blocking witness on every profile the oracle
+enumerates, too), and the index, built from the integers each game hands
 over, must equal the one built from the menus' Fraction payoffs.  The
 same markets check the run below the payoff grid against the oracle's
 exactly stable profiles, refine's results against the oracle's
@@ -31,14 +32,17 @@ from matchgames import (
     RefineStatus,
     RepeatedGame,
     Side,
+    StabilityReport,
     StrictlyCompetitiveGame,
     TransferGame,
     ZeroSumGame,
     brute_force_cne,
     build_instance,
     dump_instance,
+    enumerate_profiles,
     enumerate_stable,
     find_blocking_pair,
+    is_externally_stable,
     is_individually_rational,
     is_internally_stable,
     is_stable_variant,
@@ -205,6 +209,23 @@ def test_blocking_witness_and_outside_options_match_the_scans(case, complete_cas
         for mode in ("weak", "unilateral"):
             assert is_stable_variant(inst, profile, mode) == reference_is_stable_variant(
                 inst, profile, mode
+            )
+
+
+@settings(EXAMPLES, max_examples=40)
+@given(st.data())
+def test_every_enumerated_profile_gets_the_scan_witness(data):
+    # Every profile of the market, not a drawn few: a kernel shortcut that is
+    # wrong on any matching or contract choice shows here.
+    inst = data.draw(markets())
+    margins = (F(0), F(1, 2), F(1), coprime_margin(data.draw, inst, 0))
+    for profile in enumerate_profiles(inst):
+        for eps in margins:
+            witness = find_blocking_pair(inst, profile, eps)
+            assert witness == reference_find_blocking_pair(inst, profile, eps)
+            notion = "ExternalEps" if eps else "External0"
+            assert is_externally_stable(inst, profile, eps) == StabilityReport(
+                notion, witness is None, witness, eps
             )
 
 

@@ -30,6 +30,7 @@ from matchgames import (
     rat,
     run_propose_dispose,
 )
+from matchgames import serde
 from matchgames.rational import digits_past_limit, render_event
 from matchgames.serde import load_json
 
@@ -122,6 +123,25 @@ class TestInstanceParsing:
             parse_instance(data)
         _inst, eps = parse_instance(data, eps=F(1, 4))
         assert eps == F(1, 4)
+
+    def test_the_refusal_without_eps_names_the_flag(self):
+        with pytest.raises(SchemaError) as info:
+            parse_instance(minimal_data(u=[["1/2"]]))
+        assert str(info.value) == (
+            "instance has non-integer payoffs, so there is no default margin; pass --eps"
+        )
+
+    def test_a_given_eps_reads_no_number_for_integrality(self, monkeypatch):
+        # Only the default margin asks whether every number is an integer.
+        def walked(value):
+            raise AssertionError(f"integrality read for {value!r}")
+
+        monkeypatch.setattr(serde, "_integral", walked)
+        data = minimal_data(u=[["1/2", 2]], v=[[1, "3/4"]])
+        data["menu_resolution"] = "1/4"
+        for eps in ("1/2", 1, 0):
+            _inst, used = parse_instance(data, eps=eps)
+            assert used == F(eps)
 
     def test_menu_resolution_defaults_to_half_eps(self):
         data = minimal_data()

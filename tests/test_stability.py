@@ -1,5 +1,6 @@
 """Stability notions: blocking pairs, variants, Nash, internal, and their laws."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from matchgames import (
     MatchingError,
     MatchingProfile,
     Side,
+    StabilityReport,
     build_instance,
     enumerate_profiles,
     find_blocking_pair,
@@ -149,6 +151,68 @@ class TestExternallyStable:
         assert not report.holds
         w = report.witness
         assert w.contract.u > 1 and w.contract.v > 1
+
+
+def witness_cases():
+    """(name, instance, profile, expected witness) for every kind of witness."""
+
+    def cell(x):
+        return BimatrixGame([[x]], [[x]])
+
+    def two_by_two(irp_men, games):
+        return build_instance(["m0", "m1"], ["w0", "w1"], irp_men, [0, 0], games)
+
+    zeros = {(i, j): cell(0) for i in range(2) for j in range(2)}
+    late_man = two_by_two([0, 1], zeros)  # man 1 below his reservation, no blocking pair
+    blocked = two_by_two([0, 0], {**zeros, (1, 0): cell(3)})  # man 1 and woman 0 block
+    low_man = single_couple(cell(1), irp_m=5)
+    low_woman = single_couple(cell(1), irp_w=5)
+    clean = single_couple(cell(1))
+    return [
+        ("man 0 reservation", low_man, matched_on(low_man, {0: 0}), BlockingPair(0, None, None)),
+        ("man 1 reservation", late_man, matched_on(late_man, {0: 0, 1: 1}),
+         BlockingPair(1, None, None)),
+        ("blocking pair", blocked, matched_on(blocked, {0: 0, 1: 1}),
+         BlockingPair(1, 0, blocked.game(1, 0).menu()[0])),
+        ("woman reservation", low_woman, matched_on(low_woman, {0: 0}), BlockingPair(None, 0, None)),
+        ("none", clean, matched_on(clean, {0: 0}), None),
+        ("no men", build_instance([], ["w"], [], [1], {}), MatchingProfile((), {}), None),
+        ("no women", build_instance(["m"], [], [1], [], {}), MatchingProfile((None,), {}), None),
+    ]
+
+
+def behaves_as_built(got, built):
+    """got is a frozen dataclass instance like the one its constructor built."""
+    assert type(got) is type(built)
+    assert got == built and built == got and not got != built
+    assert hash(got) == hash(built)
+    assert repr(got) == repr(built)
+    assert dataclasses.asdict(got) == dataclasses.asdict(built)
+    assert dataclasses.astuple(got) == dataclasses.astuple(built)
+    assert dataclasses.replace(got) == built
+    for field in dataclasses.fields(got):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(got, field.name)
+    assert got == built
+
+
+class TestRecords:
+    """The kernel makes its witnesses and reports without their __init__."""
+
+    @pytest.mark.parametrize("case", witness_cases(), ids=lambda case: case[0])
+    @pytest.mark.parametrize("eps", [0, F(1, 2)])
+    def test_each_witness_kind_behaves_as_built(self, case, eps):
+        _name, inst, profile, want = case
+        witness = find_blocking_pair(inst, profile, eps)
+        assert witness == want
+        if want is not None:
+            behaves_as_built(witness, BlockingPair(want.man, want.woman, want.contract))
+        report = is_externally_stable(inst, profile, eps)
+        notion = "ExternalEps" if eps else "External0"
+        behaves_as_built(report, StabilityReport(notion, want is None, want, F(eps)))
+        assert report.witness == witness
 
 
 class TestVariants:
