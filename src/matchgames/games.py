@@ -180,15 +180,36 @@ class _Menu(abc.Sequence):
         return c
 
 
-_Matrix = Tuple[int, int, int, Tuple[int, ...]]  # rows, cols, D, entry (r, c) times D at r*cols + c
+class _Matrix(NamedTuple):
+    """A payoff matrix read once, in integers: entry (r, c) is numerators[r*cols + c] / D.
+
+    D is the lcm of the entries' lowest-terms denominators, so every entry
+    is an integer exactly when D == 1.
+    """
+
+    rows: int
+    cols: int
+    D: int
+    numerators: Tuple[int, ...]
 
 
-def _read_matrix(m: Sequence[Sequence[RationalLike]], name: str) -> _Matrix:
+def _over_lcm(xs: Sequence[Union[int, Fraction]], rows: int, cols: int) -> _Matrix:
+    """The matrix whose entries, row by row, are xs (ints and Fractions), as integers over their lcm D."""
+    if set(map(type, xs)) == {int}:  # JSON integers, read as they are
+        return _Matrix(rows, cols, 1, tuple(xs))
+    d = lcm(*[x.denominator for x in xs])  # an int's is 1, a Fraction's in lowest terms
+    return _Matrix(rows, cols, d, tuple([x.numerator * (d // x.denominator) for x in xs]))
+
+
+def _read_matrix(m: Union[_Matrix, Sequence[Sequence[RationalLike]]], name: str) -> _Matrix:
     """The one reading of a payoff matrix: a nonempty list or tuple of equally long list or tuple rows.
 
-    D is the lcm of the entries' lowest-terms denominators.  An int entry
-    is read as it is, every other entry through ``rat`` (``_rat``).
+    An int entry is read as it is, every other entry through ``rat``
+    (``_rat``).  A ``_Matrix`` (``serde`` reads a file's matrices into one
+    as it parses them) is returned unchanged.
     """
+    if type(m) is _Matrix:
+        return m
     shape = f"{name} must be a nonempty rectangular matrix"
     if not isinstance(m, (list, tuple)) or not m or not all([isinstance(row, (list, tuple)) for row in m]):
         raise GameError(shape)
@@ -196,8 +217,7 @@ def _read_matrix(m: Sequence[Sequence[RationalLike]], name: str) -> _Matrix:
     cols = len(m[0])
     if not cols or len({len(row) for row in m}) > 1:
         raise GameError(shape)
-    d = lcm(*[x.denominator for x in xs])  # an int's is 1, a Fraction's in lowest terms
-    return len(m), cols, d, tuple([x.numerator * (d // x.denominator) for x in xs])
+    return _over_lcm(xs, len(m), cols)
 
 
 def _rat(value: RationalLike, what: str) -> Fraction:
@@ -216,12 +236,12 @@ def _rows(m: _Matrix) -> List[Tuple[int, ...]]:
 
 def _fractions(m: _Matrix) -> List[List[Fraction]]:
     """A matrix read by ``_read_matrix`` as rows of ``Fraction``s."""
-    return [[Fraction(n, m[2]) for n in row] for row in _rows(m)]
+    return [[Fraction(n, m.D) for n in row] for row in _rows(m)]
 
 
 def _value(m: _Matrix) -> Fraction:
     """``zero_sum_value`` of a matrix read by ``_read_matrix``."""
-    return _scaled_value(_rows(m), m[2])
+    return _scaled_value(_rows(m), m.D)
 
 
 def _stage(u_matrix, v_matrix) -> Tuple[_Matrix, _Matrix]:
@@ -350,7 +370,7 @@ class Game:
 
     def _in_menu(self, contract: Contract) -> bool:
         k, menu = contract.id, self._menu
-        return 0 <= k < len(menu) and (menu.made[k] is contract or menu[k] == contract)
+        return isinstance(k, int) and 0 <= k < len(menu) and (menu.made[k] is contract or menu[k] == contract)
 
     def validate_contract(self, contract: Contract) -> None:
         """Raise unless the contract belongs to this game."""
@@ -403,7 +423,7 @@ class BimatrixGame(Game):
     @property
     def _matrices(self) -> Tuple[_Matrix, _Matrix]:
         pay = self._payoffs
-        return (self.rows, self.cols, pay.du, pay.u), (self.rows, self.cols, pay.dv, pay.v)
+        return _Matrix(self.rows, self.cols, pay.du, pay.u), _Matrix(self.rows, self.cols, pay.dv, pay.v)
 
     @cached_property
     def U(self) -> List[List[Fraction]]:
@@ -448,30 +468,28 @@ def validate_potential(
     U, V, phi = _read_matrix(u_matrix, "U"), _read_matrix(v_matrix, "V"), _read_matrix(phi_matrix, "phi")
     if not U[:2] == V[:2] == phi[:2]:
         raise GameError("U, V, phi must share dimensions")
-    return _is_potential(U[3], V[3], phi[3], U[1])
+    return _is_potential(U.numerators, V.numerators, phi.numerators, U.cols)
 
 
 def _is_potential(u: Sequence[int], v: Sequence[int], phi: Sequence[int], cols: int) -> bool:
     """The ordinal potential check on matrices read row by row as integers.
 
-    Each matrix may be scaled by its own positive constant, which keeps
-    every order in it.
+    Each pair of cells is compared once, in place: down a column U and phi,
+    along a row V and phi, must compare alike (<, = or >).  Each matrix may
+    be scaled by its own positive constant, which keeps every order in it.
     """
-    return all(_same_order(u[c::cols], phi[c::cols]) for c in range(cols)) and all(
-        _same_order(v[k : k + cols], phi[k : k + cols]) for k in range(0, len(v), cols)
-    )
-
-
-def _same_order(xs: Sequence[int], ps: Sequence[int]) -> bool:
-    """Each pair of positions compares alike (<, = or >) in xs and in ps.
-
-    Sorted by (x, p), neighbours must step up in p exactly where they step
-    up in x; orders that agree on neighbours agree on every pair.
-    """
-    pairs = sorted(zip(xs, ps))
-    for (x0, p0), (x1, p1) in zip(pairs, pairs[1:]):
-        if (x0 < x1) != (p0 < p1):
-            return False
+    n = len(phi)
+    for k, p in enumerate(phi):
+        a = u[k]
+        for j in range(k + cols, n, cols):  # the cells below k in its column
+            x, q = u[j], phi[j]
+            if (a < x) != (p < q) or (x < a) != (q < p):
+                return False
+        a = v[k]
+        for j in range(k + 1, k - k % cols + cols):  # the cells right of k in its row
+            x, q = v[j], phi[j]
+            if (a < x) != (p < q) or (x < a) != (q < p):
+                return False
     return True
 
 
@@ -485,7 +503,7 @@ class PotentialGame(BimatrixGame):
         self._phi = _read_matrix(phi_matrix, "phi")
         if self._phi[:2] != (self.rows, self.cols):
             raise GameError("phi must share dimensions with U and V")
-        if not _is_potential(self._payoffs.u, self._payoffs.v, self._phi[3], self.cols):
+        if not _is_potential(self._payoffs.u, self._payoffs.v, self._phi.numerators, self.cols):
             raise GameError("phi is not an ordinal potential for (U, V)")
 
     @cached_property
@@ -687,7 +705,7 @@ def punishment_levels(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Fractio
     beta the mirror image; both are matrix-game values of its integers.
     """
     U, V = stage._matrices
-    return _value(U), _scaled_value(list(zip(*_rows(V))), V[2])
+    return _value(U), _scaled_value(list(zip(*_rows(V))), V.D)
 
 
 def feasible_payoff_hull(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Point, ...]:
@@ -723,13 +741,14 @@ class RepeatedGame(Game):
     ):
         self._matrices = U, V = _stage(u_matrix, v_matrix)
         self.resolution = _positive(resolution, "menu resolution")
-        hull = _integer_hull(zip(U[3], V[3]))  # as in feasible_payoff_hull; hull[0] is its least point
+        # as in feasible_payoff_hull; hull[0] is its least point
+        hull = _integer_hull(zip(U.numerators, V.numerators))
         self.alpha, self.beta = punishment_levels(self)
-        us = _grid_pairs((hull[0][0], U[2]), (max(hull)[0], U[2]), self.resolution)
+        us = _grid_pairs((hull[0][0], U.D), (max(hull)[0], U.D), self.resolution)
         du, u_cols = _made_payoffs(us)
         u_ints, v_pairs = [], []
         # each grid column u holds the v grid between the hull's lowest and highest v there
-        for u_int, lo, hi in zip(u_cols, *_sweep(hull, U[2], V[2], us)):
+        for u_int, lo, hi in zip(u_cols, *_sweep(hull, U.D, V.D, us)):
             column = _grid_pairs(lo, hi, self.resolution, len(v_pairs))
             v_pairs += column
             u_ints += [u_int] * len(column)

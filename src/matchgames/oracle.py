@@ -14,6 +14,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .games import Contract, Game, Instance
 from .cne import OutsideOptions, is_cne
+from .rational import rat
 from .stability import (
     MatchingProfile,
     is_externally_stable,
@@ -152,7 +153,10 @@ def enumerate_stable(
     if notion not in _NOTIONS:
         raise ValueError(f"unknown stability notion {notion!r}")
     # The checkers are looked up as module globals on every call, so a
-    # wrapper installed on this module sees each one.
+    # wrapper installed on this module sees each one.  The margin is read
+    # once, by the notions that take one.
+    if notion in ("external", "internal"):
+        eps = rat(eps)
     if notion == "external":
         holds = lambda p: is_externally_stable(inst, p, eps).holds
     elif notion == "internal":

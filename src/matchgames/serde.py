@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import adapters
 from .extensive import GameTree, InternalNode, TerminalNode, TreeError, TreeNode
@@ -24,6 +24,8 @@ from .games import (
     StrictlyCompetitiveGame,
     TransferGame,
     ZeroSumGame,
+    _Matrix,
+    _over_lcm,
     build_instance,
 )
 from .rational import fmt, rat
@@ -143,15 +145,22 @@ def _breakpoints(value: Any, where: str) -> List[Tuple[Fraction, Fraction]]:
     ]
 
 
-def _matrix_in(value: Any, where: str) -> List[List[Any]]:
-    # a JSON integer stays an int for the games' matrix reader; a path is made only for an error
-    return [
-        [
-            x if type(x) is int else _num(x, f"{where}[{r}][{c}]")
-            for c, x in enumerate(row if type(row) is list else _list(row, f"{where}[{r}]"))
-        ]
-        for r, row in enumerate(_list(value, where))
+def _matrix_in(value: Any, where: str) -> Union[_Matrix, List[list]]:
+    """A payoff matrix read in one pass, as the games' ``_Matrix``; a ragged or empty one as its rows.
+
+    A JSON integer is kept as it is and a path is made only for an error.
+    The game refuses the rows of a matrix that is not rectangular.
+    """
+    rows = _list(value, where)
+    xs = [
+        x if type(x) is int else _num(x, f"{where}[{r}][{c}]")
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row if type(row) is list else _list(row, f"{where}[{r}]"))
     ]
+    if rows and rows[0] and len(set(map(len, rows))) == 1:
+        return _over_lcm(xs, len(rows), len(rows[0]))
+    entries = iter(xs)
+    return [[next(entries) for _x in row] for row in rows]
 
 
 def _matrix_out(rows) -> list:
@@ -263,7 +272,9 @@ def dump_game(game: Game) -> dict:
 
 
 def _integral(value: Any) -> bool:
-    """Every number in a parsed field (a number, or matrix rows or breakpoint pairs) is an integer."""
+    """Every number in a parsed field is an integer; a matrix read whole says so by its D."""
+    if type(value) is _Matrix:
+        return value.D == 1
     if type(value) is Fraction:
         return value.denominator == 1
     return all(x.denominator == 1 for row in value for x in row)

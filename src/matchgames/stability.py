@@ -88,9 +88,12 @@ def read_profile(inst: Instance, profile: MatchingProfile) -> Tuple[MarketIndex,
     for (i, j), contract in profile.chosen.items():
         couple = rows[i][j]
         k, made = contract.id, couple.menu.made
-        if k < len(made) and made[k] is contract:
-            men[i], women[j] = couple.u[k], couple.v[k]
-            continue
+        try:
+            if k < len(made) and made[k] is contract:
+                men[i], women[j] = couple.u[k], couple.v[k]
+                continue
+        except TypeError:  # an id that is not an int is no menu's own contract; validate_contract decides
+            pass
         try:
             inst.games[(i, j)].validate_contract(contract)
         except GameError as exc:

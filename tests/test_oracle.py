@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import matchgames.oracle
 import matchgames.stability
 from matchgames import (
     NEG_INF,
@@ -233,6 +234,36 @@ class TestEnumerateStable:
         inst = from_ordinal(CLASSIC_MEN, CLASSIC_WOMEN)
         with pytest.raises(ValueError):
             list(enumerate_stable(inst, 0, "strong"))
+
+    @pytest.mark.parametrize("eps", [0, 1, "1/2", F(1, 2)])
+    def test_the_margin_is_read_once(self, eps, monkeypatch):
+        inst = random_bimatrix_instance(random.Random(157), max_agents=2, max_cells=4)
+        margins = []
+        original = matchgames.oracle.is_externally_stable
+
+        def spied(inst, profile, eps):
+            margins.append(eps)
+            return original(inst, profile, eps)
+
+        monkeypatch.setattr(matchgames.oracle, "is_externally_stable", spied)
+        for notion in ("external", "internal"):
+            del margins[:]
+            assert list(enumerate_stable(inst, eps, notion)) == list(reference_enumerate_stable(inst, eps, notion))
+            assert margins and type(margins[0]) is Fraction and margins[0] == F(eps)
+            assert all(m is margins[0] for m in margins)
+
+    def test_the_notions_without_a_margin_ignore_eps(self):
+        inst = random_bimatrix_instance(random.Random(157), max_agents=2, max_cells=4)
+        for notion in ("nash", "weak", "unilateral"):
+            assert list(enumerate_stable(inst, "not a margin", notion)) == list(enumerate_stable(inst, 0, notion))
+
+    def test_a_negative_margin_is_refused_at_the_first_profile(self):
+        inst = random_bimatrix_instance(random.Random(157), max_agents=2, max_cells=4)
+        for notion in ("external", "internal"):
+            profiles = enumerate_stable(inst, -1, notion)
+            with pytest.raises(ValueError) as info:
+                next(profiles)
+            assert str(info.value) == "eps must be nonnegative"
 
 
 MARKETS = settings(

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchgames import (
@@ -29,10 +29,13 @@ from matchgames import (
     parse_tree,
     rat,
     run_propose_dispose,
+    validate_potential,
 )
 from matchgames import serde
 from matchgames.rational import digits_past_limit, render_event
-from matchgames.serde import load_json
+from matchgames.serde import dump_game, load_json
+
+from helpers import reference_is_potential
 
 F = Fraction
 
@@ -274,6 +277,206 @@ class TestMatrixEntryErrors:
             parse_instance(data)
         _inst, eps = parse_instance(data, eps="1/2")
         assert eps == F(1, 2)
+
+
+SHAPE = f"{GAME}: U must be a nonempty rectangular matrix"
+NO_MARGIN = "instance has non-integer payoffs, so there is no default margin; pass --eps"
+
+
+class TestMatrixRefusals:
+    """Every refusal of a matrix, in full, through ``parse_instance``, with and without a margin."""
+
+    @pytest.mark.parametrize("eps", [None, 1])
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            ([[1, 1, 1], [2, 2], [3, 3, 3]], SHAPE),
+            ([], SHAPE),
+            ([[]], SHAPE),
+            ([[1, 1, 1], [2, 2, 2], "row"], f"{GAME}.u[2]: expected a list, got 'row'"),
+            ([[1, 1, 1], [2, True, 2], [3, 3, 3]], f'{GAME}.u[1][1]: expected an integer or "p/q" string, got True'),
+            ([[1, 1, 1], [2, 2, "x"], [3, 3, 3]], f"{GAME}.u[1][2]: Invalid literal for Fraction: 'x'"),
+            ([[1, 1, 1], [2, 2, 2], [3, "1/0", 3]], f"{GAME}.u[2][1]: zero denominator in '1/0'"),
+            ([[1, 1, 1], [2, 2, 2], [3, 3, 0.5]], f'{GAME}.u[2][2]: expected an integer or "p/q" string, got 0.5'),
+        ],
+        ids=["ragged", "empty", "empty_row", "row_not_a_list", "true", "x", "zero_denominator", "float"],
+    )
+    def test_full_text(self, u, message, eps):
+        with pytest.raises(SchemaError) as info:
+            parse_instance(potential_data(u=u), eps=eps)
+        assert str(info.value) == message
+
+    def test_a_float_literal_in_the_file(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(potential_data()).replace("[3, 3, 3]", "[3, 3.0, 3]"))
+        with pytest.raises(SchemaError) as info:
+            serde.load_instance_file(str(path))
+        assert str(info.value) == "float literal '3.0' not allowed; write numbers as integers or \"p/q\" strings"
+
+    def test_a_ragged_fractional_matrix_without_eps_has_no_margin(self):
+        data = potential_data(u=[[1, 1, 1], [2, "1/2"], [3, 3, 3]])
+        with pytest.raises(SchemaError) as info:
+            parse_instance(data)
+        assert str(info.value) == NO_MARGIN
+        with pytest.raises(SchemaError) as info:
+            parse_instance(data, eps=1)
+        assert str(info.value) == SHAPE
+
+    def test_a_bad_number_in_a_later_couple_comes_before_a_ragged_matrix(self):
+        # every couple is read before any game is built
+        data = {
+            "men": ["m"],
+            "women": ["w0", "w1"],
+            "irp": {"men": [0], "women": [0, 0]},
+            "games": {
+                "m": {
+                    "w0": {"class": "bimatrix", "u": [[1, 2], [3]], "v": [[1, 2], [3, 4]]},
+                    "w1": {"class": "bimatrix", "u": [[1]], "v": [["x"]]},
+                }
+            },
+        }
+        for eps in (None, 1):
+            with pytest.raises(SchemaError) as info:
+                parse_instance(data, eps=eps)
+            assert str(info.value) == "instance.games['m']['w1'].v[0][0]: Invalid literal for Fraction: 'x'"
+
+    def test_the_default_margin_reads_each_matrix_by_its_d(self, monkeypatch):
+        reads, at_build = [], []
+
+        class Watched(tuple):
+            def __iter__(self):
+                reads.append("iter")
+                return super().__iter__()
+
+            def __getitem__(self, k):
+                reads.append(k)
+                return super().__getitem__(k)
+
+        over_lcm, build_game = serde._over_lcm, serde._build_game
+
+        def watched(xs, rows, cols):
+            m = over_lcm(xs, rows, cols)
+            return m._replace(numerators=Watched(m.numerators))
+
+        def first_build(*args):
+            at_build.append(len(reads))
+            return build_game(*args)
+
+        monkeypatch.setattr(serde, "_over_lcm", watched)
+        monkeypatch.setattr(serde, "_build_game", first_build)
+        data = potential_data(u=[[1, 1, 1], ["4/2", 2, "6/3"], [3, 3, 3]])
+        _inst, eps = parse_instance(data)
+        assert eps == 1
+        assert at_build[0] == 0  # no matrix entry read between the matrix reader and the first game
+        assert reads  # the games do read them
+
+
+MATRIX_CLASSES = ("bimatrix", "potential", "zero_sum", "strictly_competitive", "repeated")
+DOUBLING = [[0, 0], [1, 2]]  # the breakpoints of x -> 2x
+
+
+def file_form(draw, x: Fraction):
+    """x as a file writes it: "p/q", the same over twice the denominator ("4/2"), or an int when integral."""
+    forms = [f"{x.numerator}/{x.denominator}", f"{2 * x.numerator}/{2 * x.denominator}"]
+    return draw(st.sampled_from(forms + ([int(x)] if x.denominator == 1 else [])))
+
+
+@st.composite
+def matrix_couples(draw):
+    """A game class, its matrices as Fractions (1×1 to 4×4) and its payload with each entry in a file form.
+
+    Half the potential games get phi as an exact potential, U = phi + a(col)
+    and V = phi + b(row); the rest draw phi freely and are often refused.
+    """
+    kind = draw(st.sampled_from(MATRIX_CLASSES))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.builds(F, st.integers(-6, 6), st.sampled_from(draw(st.sampled_from([[1], [1], [1, 2, 3]]))))
+
+    def matrix():  # entries from a pool of at most four values, so ties are common
+        cell = st.sampled_from(draw(st.lists(value, min_size=1, max_size=4)))
+        return [[draw(cell) for _c in range(cols)] for _r in range(rows)]
+
+    names = {"potential": ("u", "v", "phi"), "zero_sum": ("g",), "strictly_competitive": ("g",)}
+    ms = {name: matrix() for name in names.get(kind, ("u", "v"))}
+    if kind == "potential" and draw(st.booleans()):
+        phi, a, b = ms["phi"], [draw(value) for _c in range(cols)], [draw(value) for _r in range(rows)]
+        ms["u"] = [[phi[r][c] + a[c] for c in range(cols)] for r in range(rows)]
+        ms["v"] = [[phi[r][c] + b[r] for c in range(cols)] for r in range(rows)]
+    payload = {"class": kind, **{name: [[file_form(draw, x) for x in row] for row in m] for name, m in ms.items()}}
+    if kind == "strictly_competitive":
+        payload["f"] = payload["h"] = DOUBLING
+    if kind in ("zero_sum", "strictly_competitive", "repeated"):
+        payload["resolution"] = 1
+    return kind, ms, payload
+
+
+def constructed(kind, ms):
+    """The game the public constructor makes from the Fraction matrices."""
+    if kind == "bimatrix":
+        return BimatrixGame(ms["u"], ms["v"])
+    if kind == "potential":
+        return PotentialGame(ms["u"], ms["v"], ms["phi"])
+    if kind == "zero_sum":
+        return ZeroSumGame(ms["g"], 1)
+    if kind == "strictly_competitive":
+        return StrictlyCompetitiveGame(ms["g"], 1, PiecewiseLinear(DOUBLING), PiecewiseLinear(DOUBLING))
+    return RepeatedGame(ms["u"], ms["v"], 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrix_couples())
+@example(("bimatrix", {"u": [[F(3, 2)]], "v": [[F(1)]]}, {"class": "bimatrix", "u": [["3/2"]], "v": [["2/2"]]}))
+@example(
+    (
+        "zero_sum",
+        {"g": [[F(3, 2), -1], [0, F(1, 3)]]},
+        {"class": "zero_sum", "g": [["3/2", -1], ["0/2", "2/6"]], "resolution": 1},
+    )
+)
+@example(
+    (
+        "potential",
+        {
+            "u": [[F(1, 2), F(4, 3)], [F(3, 2), F(7, 3)]],
+            "v": [[F(1, 2), 1], [F(3, 2), 2]],
+            "phi": [[F(1, 2), 1], [F(3, 2), 2]],
+        },
+        {
+            "class": "potential",
+            "u": [["1/2", "8/6"], ["3/2", "7/3"]],
+            "v": [["2/4", 1], ["3/2", "4/2"]],
+            "phi": [["1/2", "2/2"], ["6/4", 2]],
+        },
+    )
+)
+def test_the_one_pass_reader_equals_the_constructors(drawn):
+    kind, ms, payload = drawn
+    data = minimal_data()
+    data["games"]["m"]["w"] = payload
+    potential = kind != "potential" or reference_is_potential(ms["u"], ms["v"], ms["phi"])
+    integral = all(x.denominator == 1 for m in ms.values() for row in m for x in row)
+    not_potential = f"{GAME}: phi is not an ordinal potential for (U, V)"
+    # without a margin: refused unless every entry is an integer, then built at eps 1
+    if not integral or not potential:
+        with pytest.raises(SchemaError) as info:
+            parse_instance(data)
+        assert str(info.value) == (NO_MARGIN if not integral else not_potential)
+    else:
+        assert parse_instance(data)[1] == 1
+    if not potential:
+        assert validate_potential(ms["u"], ms["v"], ms["phi"]) is False
+        with pytest.raises(SchemaError) as info:
+            parse_instance(data, eps=1)
+        assert str(info.value) == not_potential
+        return
+    got, want = parse_instance(data, eps=1)[0].game(0, 0), constructed(kind, ms)
+    assert type(got) is type(want)
+    assert got._payoffs == want._payoffs
+    for name in ("U", "V", "phi", "g"):
+        if hasattr(want, name):
+            assert getattr(got, name) == getattr(want, name) == ms[name.lower()]
+    assert list(got.menu()) == list(want.menu())
+    assert dump_game(got) == dump_game(want)
 
 
 class TestFloatRejection:

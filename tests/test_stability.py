@@ -11,6 +11,7 @@ from matchgames import (
     BlockingPair,
     Contract,
     DeviationWitness,
+    GameError,
     MatchingError,
     MatchingProfile,
     Side,
@@ -375,6 +376,24 @@ class TestProfileValidation:
         ):
             with pytest.raises(MatchingError, match=r"^couple \(0,0\): foreign contract"):
                 validate_profile(inst, MatchingProfile((0,), {(0, 0): foreign}))
+
+    @pytest.mark.parametrize("cid", ["a", 0.0, True])
+    def test_an_id_that_is_not_an_int_is_foreign(self, cid):
+        game = BimatrixGame([[1, 2], [3, 4]], [[1, 2], [3, 4]])  # contract 1 is cell (0,1)
+        inst, foreign = single_couple(game), Contract(cid, 0, 0, F(1), F(1))
+        profile = MatchingProfile((0,), {(0, 0): foreign})
+        message = f"foreign contract {foreign!r} for bimatrix game"
+        for check in (
+            lambda: find_blocking_pair(inst, profile, 0),
+            lambda: is_externally_stable(inst, profile, 1),
+            lambda: validate_profile(inst, profile),
+        ):
+            with pytest.raises(MatchingError) as info:
+                check()
+            assert str(info.value) == f"couple (0,0): {message}"
+        with pytest.raises(GameError) as info:
+            game.validate_contract(foreign)
+        assert str(info.value) == message
 
 
 CHECKERS = {
