@@ -195,7 +195,7 @@ class _Matrix(NamedTuple):
 
 def _over_lcm(xs: Sequence[Union[int, Fraction]], rows: int, cols: int) -> _Matrix:
     """The matrix whose entries, row by row, are xs (ints and Fractions), as integers over their lcm D."""
-    if set(map(type, xs)) == {int}:  # JSON integers, read as they are
+    if set(map(type, xs)) == {int}:  # JSON integers: the _Matrix below, without its walk over the entries
         return _Matrix(rows, cols, 1, tuple(xs))
     d = lcm(*[x.denominator for x in xs])  # an int's is 1, a Fraction's in lowest terms
     return _Matrix(rows, cols, d, tuple([x.numerator * (d // x.denominator) for x in xs]))
@@ -364,7 +364,7 @@ class Game:
         return self._menu
 
     def contract(self, contract_id: int) -> Contract:
-        if not 0 <= contract_id < len(self._menu):
+        if not (isinstance(contract_id, int) and 0 <= contract_id < len(self._menu)):
             raise GameError(f"no contract with id {contract_id} in this menu")
         return self._menu[contract_id]
 
@@ -471,14 +471,24 @@ def validate_potential(
     return _is_potential(U.numerators, V.numerators, phi.numerators, U.cols)
 
 
+# A line (row or column) of at most this many cells is checked pair by
+# pair in place; past it a matrix's lines go through their sorted order,
+# so the check costs about rows·cols·log comparisons at any size.
+_PAIRWISE_LINE = 4
+
+
 def _is_potential(u: Sequence[int], v: Sequence[int], phi: Sequence[int], cols: int) -> bool:
     """The ordinal potential check on matrices read row by row as integers.
 
-    Each pair of cells is compared once, in place: down a column U and phi,
-    along a row V and phi, must compare alike (<, = or >).  Each matrix may
-    be scaled by its own positive constant, which keeps every order in it.
+    Down a column U and phi, along a row V and phi, each pair of cells must
+    compare alike (<, = or >).  Each matrix may be scaled by its own
+    positive constant, which keeps every order in it.
     """
     n = len(phi)
+    if max(n // cols, cols) > _PAIRWISE_LINE:
+        return all(_same_order(u[c::cols], phi[c::cols]) for c in range(cols)) and all(
+            _same_order(v[k : k + cols], phi[k : k + cols]) for k in range(0, n, cols)
+        )
     for k, p in enumerate(phi):
         a = u[k]
         for j in range(k + cols, n, cols):  # the cells below k in its column
@@ -490,6 +500,19 @@ def _is_potential(u: Sequence[int], v: Sequence[int], phi: Sequence[int], cols: 
             x, q = v[j], phi[j]
             if (a < x) != (p < q) or (x < a) != (q < p):
                 return False
+    return True
+
+
+def _same_order(xs: Sequence[int], ps: Sequence[int]) -> bool:
+    """Each pair of positions compares alike (<, = or >) in xs and in ps.
+
+    Sorted by (x, p), neighbours must step up in p exactly where they step
+    up in x; orders that agree on neighbours agree on every pair.
+    """
+    pairs = sorted(zip(xs, ps))
+    for (x0, p0), (x1, p1) in zip(pairs, pairs[1:]):
+        if (x0 < x1) != (p0 < p1):
+            return False
     return True
 
 
@@ -797,7 +820,7 @@ class RepeatedGame(Game):
 
     def describe(self, contract):
         self.validate_contract(contract)
-        if contract.id < len(self.menu()):
+        if isinstance(contract.id, int) and contract.id < len(self.menu()):
             return "hull grid point"
         return "synthesized hull point"
 

@@ -394,7 +394,7 @@ def dump_profile(inst: Instance, profile: MatchingProfile) -> dict:
     }
     contracts = {}
     for (i, j), c in sorted(profile.chosen.items()):
-        on_menu = c.id < len(inst.game(i, j).menu())
+        on_menu = isinstance(c.id, int) and c.id < len(inst.game(i, j).menu())
         contracts[inst.men[i]] = {
             "id": c.id if on_menu else None,
             "strategy_a": _strategy_out(c.strategy_a),

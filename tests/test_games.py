@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -683,8 +684,8 @@ def test_grid_matches_reference(lo, span, step):
 
 
 @st.composite
-def potential_triples(draw):
-    """(U, V, phi) of one shape, 1×1 to 4×4, with many ties and mixed denominators.
+def potential_triples(draw, shape=st.tuples(st.integers(1, 4), st.integers(1, 4))):
+    """(U, V, phi) of one shape (rows, cols), by default 1×1 to 4×4, with many ties and mixed denominators.
 
     Each matrix draws its entries from a pool of at most four values
     (negative ones and denominators up to 10^15 included).  Half the time
@@ -692,7 +693,7 @@ def potential_triples(draw):
     by row, so phi is a potential; half of those then get one entry
     redrawn, which often breaks it by a single order.
     """
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows, cols = draw(shape)
     value = st.one_of(
         st.integers(-3, 3).map(F),
         st.builds(F, st.integers(-50, 50), st.integers(1, 10)),
@@ -732,6 +733,31 @@ def test_potential_matches_reference(triple):
     else:
         with pytest.raises(GameError, match="not an ordinal potential"):
             PotentialGame(U, V, phi)
+
+
+# Shapes with a row or a column longer than games._PAIRWISE_LINE cells,
+# whose lines the potential check compares through their sorted order.
+LONG_LINES = st.tuples(st.integers(1, 8), st.integers(5, 8)).flatmap(lambda s: st.sampled_from([s, s[::-1]]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(potential_triples(LONG_LINES))
+def test_potential_on_long_lines_matches_reference(triple):
+    U, V, phi = triple
+    assert validate_potential(U, V, phi) is reference_is_potential(U, V, phi)
+
+
+def test_a_large_potential_game_builds_in_time():
+    """A 300×300 potential game builds in a fraction of a second.
+
+    Comparing every pair of cells in each of its 600 lines would take
+    several seconds; its lines go through their sorted order instead.
+    """
+    m = [[r + c for c in range(300)] for r in range(300)]
+    start = time.perf_counter()
+    game = PotentialGame(m, m, m)
+    assert time.perf_counter() - start < 2
+    assert (game.rows, game.cols) == (300, 300)
 
 
 def written(draw, x: Fraction):

@@ -14,6 +14,7 @@ from matchgames import (
     GameError,
     MatchingError,
     MatchingProfile,
+    RepeatedGame,
     Side,
     StabilityReport,
     build_instance,
@@ -30,6 +31,7 @@ from matchgames import (
     validate_profile,
     woman_payoff,
 )
+from matchgames.serde import dump_profile
 
 from helpers import random_bimatrix_instance, refused_profiles
 
@@ -394,6 +396,21 @@ class TestProfileValidation:
         with pytest.raises(GameError) as info:
             game.validate_contract(foreign)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("cid", ["a", 0.0])
+    def test_a_hull_point_whose_id_is_not_an_int_is_off_the_menu(self, cid):
+        # the prisoners' dilemma repeated at resolution 1/2; (2, 2) lies in its hull
+        game = RepeatedGame([[3, 0], [5, 1]], [[3, 5], [0, 1]], F(1, 2))
+        point = (F(2), F(2))
+        inst, contract = single_couple(game), Contract(cid, point, point, *point)
+        profile = MatchingProfile((0,), {(0, 0): contract})
+        game.validate_contract(contract)
+        assert find_blocking_pair(inst, profile, 0) is None
+        assert game.describe(contract) == "synthesized hull point"
+        assert dump_profile(inst, profile)["contracts"]["m"]["id"] is None
+        with pytest.raises(GameError) as info:
+            game.contract(cid)
+        assert str(info.value) == f"no contract with id {cid} in this menu"
 
 
 CHECKERS = {
