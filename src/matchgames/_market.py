@@ -13,6 +13,11 @@ one integer, exactly for any denominator of either, so the index never
 depends on the margin: one build serves every blocking check, outside
 option and propose-dispose run on the instance.  Only the comparisons
 move to integers; every payoff the library returns or prints is exact.
+
+A level game's menu (``Payoffs.levels`` set) is strictly competitive, so
+it is an anti-monotone chain: u strictly rises and v strictly falls as
+the id grows.  Its staircases are read off the id order, with no sort
+and no scan.
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ def _stair(key: Sequence[int], other: Sequence[int]) -> Stair:
 
 
 def _scaled(xs: Tuple[int, ...], factor: int) -> Tuple[int, ...]:
-    return xs if factor == 1 else tuple(x * factor for x in xs)
+    return xs if factor == 1 else tuple([x * factor for x in xs])
 
 
 def _build(inst: Instance) -> MarketIndex:
@@ -147,7 +152,12 @@ def _build(inst: Instance) -> MarketIndex:
         for game in row:
             pay = game._payoffs
             u, v, menu = _scaled(pay.u, scale // pay.du), _scaled(pay.v, scale // pay.dv), game.menu()
-            out.append(Couple(menu, u, v, _stair(v, u), _stair(u, v)))
+            if pay.levels is None:
+                by_v, by_u = _stair(v, u), _stair(u, v)
+            else:  # a chain: sorted by u the ids ascend and v falls, sorted by v they descend and u falls
+                n = len(u)
+                by_v, by_u = Stair(v[::-1], (*range(n - 1, -1, -1), None)), Stair(u, (*range(n), None))
+            out.append(Couple(menu, u, v, by_v, by_u))
         couples.append(tuple(out))
     irp_men = tuple(x.numerator * (scale // x.denominator) for x in inst.irp_men)
     irp_women = tuple(x.numerator * (scale // x.denominator) for x in inst.irp_women)

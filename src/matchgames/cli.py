@@ -133,7 +133,14 @@ def _cmd_solve_stable(args) -> int:
     return 3
 
 
+def _nonnegative_eps(args) -> None:
+    """Refuse a negative --eps by its flag, before the instance is read."""
+    if args.eps is not None and args.eps < 0:
+        raise SchemaError(f"{args.command} needs a nonnegative --eps")
+
+
 def _cmd_verify(args) -> int:
+    _nonnegative_eps(args)
     inst, eps = load_instance_file(args.file, eps=args.eps)
     profile = load_profile_file(inst, args.profile)
     if args.notion == "ext":
@@ -152,6 +159,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _nonnegative_eps(args)
     inst, eps = load_instance_file(args.file, eps=args.eps)
     notion = "external" if args.notion == "ext" else "internal"
     count = 0
@@ -163,6 +171,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_join(args) -> int:
+    _nonnegative_eps(args)
     inst, eps = load_instance_file(args.file, eps=args.eps)
     margin = 0 if args.eps is None else eps
     p1 = load_profile_file(inst, args.a)

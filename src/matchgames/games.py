@@ -96,31 +96,52 @@ class Payoffs(NamedTuple):
     cols: Optional[int] = None
 
 
-def _made_payoffs(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
-    """(L, numerators) of numbers a game computes: pair k, n/d with d > 0, is numerators[k] / L.
+# A run (n, step, count, d) is the count numbers (n + k*step)/d, k < count, with d > 0 and
+# step != 0: a stretch of an arithmetic progression, ascending or descending as step's sign.
+Run = Tuple[int, int, int, int]
 
-    L is the lcm of the pairs' lowest-terms denominators.  Over M, the lcm
-    of the given denominators, pair k is N_k / M, and L = M / gcd(M, N_0, N_1, ...).
-    A pair ``str`` could not print is refused.  Pair k in lowest terms is
-    at most |numerators[k]| over at most L, and an integer below
-    2**(3*limit) has at most limit digits, so one bit_length screens the
-    menu; only a pair past the screen is reduced.
+
+def _made_payoffs(runs: Sequence[Run]) -> Tuple[int, Tuple[int, ...]]:
+    """(L, numerators) of numbers a game computes, given as runs: number k in run order is numerators[k] / L.
+
+    L is the lcm of the numbers' lowest-terms denominators.  Over M, the lcm
+    of the runs' denominators, the numbers are N_k / M, and L = M / gcd(M, N_0, N_1, ...).
+    A run's numerators over M are a progression, whose gcd is the gcd of its
+    first and its step (only the first for a run of one number), so L takes
+    O(runs) steps and each run's numerators are one ``range``.  A number
+    ``str`` could not print is refused: in lowest terms it is at most
+    |numerators[k]| over at most L, an integer below 2**(3*limit) has at
+    most limit digits, and a run's largest magnitudes are at its ends, so
+    one bit_length screens the menu; only a number past the screen is reduced.
     """
-    M = lcm(*{d for _, d in pairs})
-    ns = [n * (M // d) for n, d in pairs]
-    g = gcd(M, *ns)
-    L, ns = M // g, tuple([n // g for n in ns] if g > 1 else ns)
+    M = lcm(*{run[3] for run in runs})
+    scaled, terms, ends = [], [M], []  # the runs over M, the gcd's terms, each run's first and last
+    for n, s, c, d in runs:
+        f = M // d
+        n, s = n * f, s * f
+        scaled.append((n, s, c))
+        if c > 1:
+            terms += (n, s)
+            ends += (n, n + (c - 1) * s)
+        else:
+            terms.append(n)
+            ends.append(n)
+    g = gcd(*terms)
+    ns: List[int] = []
+    for n, s, c in scaled:
+        ns += range(n // g, (n + c * s) // g, s // g) if c > 1 else (n // g,)
     limit = str_limit()
-    if limit and max(L, max(ns), -min(ns)).bit_length() > 3 * limit:
-        for n, d in pairs:
-            if max(n.bit_length(), d.bit_length()) > 3 * limit:
-                g = gcd(n, d)
-                if digits_past_limit(n // g) or digits_past_limit(d // g):
-                    raise GameError(
-                        f"a menu payoff or level has more than {limit} digits to print "
-                        "(sys.get_int_max_str_digits())"
-                    )
-    return L, ns
+    if limit and (max(M, max(ends), -min(ends)) // g).bit_length() > 3 * limit:
+        for n, s, c, d in runs:
+            for m in range(n, n + c * s, s):
+                if max(m.bit_length(), d.bit_length()) > 3 * limit:
+                    r = gcd(m, d)
+                    if digits_past_limit(m // r) or digits_past_limit(d // r):
+                        raise GameError(
+                            f"a menu payoff or level has more than {limit} digits to print "
+                            "(sys.get_int_max_str_digits())"
+                        )
+    return M // g, tuple(ns)
 
 
 class _Menu(abc.Sequence):
@@ -258,8 +279,8 @@ def _stage(u_matrix, v_matrix) -> Tuple[_Matrix, _Matrix]:
 MAX_MENU = 100_000
 
 
-def _grid_pairs(lo: Pair, hi: Pair, step: Fraction, before: int = 0) -> List[Pair]:
-    """Ascending grid lo, lo+step, ... (all below hi) with hi appended exactly, as Pairs.
+def _grid_runs(lo: Pair, hi: Pair, step: Fraction, before: int = 0) -> List[Run]:
+    """The ascending grid lo, lo+step, ... (all below hi) with hi appended exactly: at most two runs.
 
     Callers check lo <= hi and step > 0.  ``before`` counts the contracts
     the menu already holds, so the cap applies to the whole menu.
@@ -273,9 +294,9 @@ def _grid_pairs(lo: Pair, hi: Pair, step: Fraction, before: int = 0) -> List[Pai
         past = digits_past_limit(before + count)  # a size str() cannot print is named by its digits
         size = f"at least 10**{past}" if past else before + count
         raise GameError(f"menu of {size} contracts exceeds the limit of {MAX_MENU}")
-    pairs = [(a + k * b, d) for k in range(count - 1)]
-    pairs.append(hi)
-    return pairs
+    if (a + (count - 1) * b) * hd == hn * d:  # hi on the grid
+        return [(a, b, count, d)]
+    return [(a, b, count - 1, d), (hn, 1, 1, hd)]
 
 
 class PiecewiseLinear:
@@ -317,26 +338,45 @@ class PiecewiseLinear:
         return self.walk([(y.numerator, y.denominator)], inverse=True)[0]
 
     def walk(self, pairs: Sequence[Pair], inverse: bool = False) -> List[Fraction]:
-        """The map (or its inverse) at each n/d of integer pairs (d > 0)."""
-        return [Fraction(n, d) for n, d in self._walk(pairs, inverse)]
+        """The map (or its inverse) at each n/d of integer pairs (d > 0), each a run of one number."""
+        return [Fraction(n, d) for n, _, _, d in self._walk([(n, 1, 1, d) for n, d in pairs], inverse)]
 
-    def _walk(self, pairs: Sequence[Pair], inverse: bool = False) -> List[Pair]:
-        """``walk`` as integer pairs n/d (d > 0), not in lowest terms.
+    def _walk(self, runs: Sequence[Run], inverse: bool = False) -> List[Run]:
+        """The map (or its inverse) on runs.
 
-        One walk over the segments, comparing integers against the
-        breakpoints: on ascending inputs the segment index only moves right.
+        A run is cut at the breakpoints it crosses (``_pieces``), and each piece maps to one run.
         """
         cuts, table = (self._y_inner, self._backward) if inverse else (self._x_inner, self._forward)
-        out = []
-        k, last = 0, len(cuts)
-        for n, d in pairs:
-            while k < last and n * cuts[k][1] > cuts[k][0] * d:
-                k += 1
-            while k > 0 and n * cuts[k - 1][1] <= cuts[k - 1][0] * d:
-                k -= 1
-            A, B, C = table[k]
-            out.append((A * n + B * d, C * d))
+        out: List[Run] = []
+        for n, s, c, d in runs:
+            if s > 0:
+                out += _pieces(n, s, c, d, cuts, table)
+            else:  # a descending run is mapped in ascending order, then read back
+                pieces = _pieces(n + (c - 1) * s, -s, c, d, cuts, table)
+                out += [(m + (k - 1) * t, -t, k, e) for m, t, k, e in reversed(pieces)]
         return out
+
+
+def _pieces(n: int, s: int, c: int, d: int, cuts, table) -> List[Run]:
+    """The ascending run (n, s, c, d) through a piecewise-linear map, one run per segment it meets.
+
+    ``cuts`` are the interior breakpoints as pairs (X, dx), ascending, and
+    ``table[j]`` the line (A, B, C) of the segment left of cut j: it maps x
+    to (A*x + B) / C.  Point k lies at or left of cut X/dx exactly when
+    k <= (X*d - n*dx) / (s*dx), so one floor division finds where the run
+    crosses each cut, and a point on a cut is mapped on the segment to its
+    left.  A piece from point k0 maps to (A*(n + k0*s) + B*d + i*A*s) / (C*d).
+    """
+    out, start = [], 0
+    for (X, dx), (A, B, C) in zip(cuts, table):
+        end = min(c, (X * d - n * dx) // (s * dx) + 1)  # points at or left of the cut
+        if end > start:
+            out.append((A * (n + start * s) + B * d, A * s, end - start, C * d))
+            start = end
+    if start < c:
+        A, B, C = table[-1]
+        out.append((A * (n + start * s) + B * d, A * s, c - start, C * d))
+    return out
 
 
 def _line(a: Tuple[int, int], b: Tuple[int, int], dx: int, dy: int) -> Tuple[int, int, int]:
@@ -572,19 +612,26 @@ class LevelGame(Game):
     improving for the man when it moves the level from below toward the
     value (never past it), mirrored for the woman.
 
-    The caller gives the levels and the man's payoffs ``us`` (f at each
-    level) as ascending Pairs; both stay integers over their common
-    denominator, and ``levels`` makes their ``Fraction``s on first access.
+    The construction rests on two facts.  A grid of levels is an arithmetic
+    progression, so the caller gives the levels and the man's payoffs
+    ``us`` (f at each level) as runs (``Run``), strictly ascending, and a
+    piecewise-linear map turns a run into one run per segment it meets:
+    the menu takes O(runs) integer steps beside its numerators.  And the
+    game is strictly competitive, so the menu is an anti-monotone chain:
+    u strictly rises and v strictly falls as the id grows, which gives the
+    market index both staircases without a sort (``_market``).  Levels
+    and payoffs stay integers over their common denominators, and
+    ``levels`` makes their ``Fraction``s on first access.
     """
 
-    def __init__(self, levels: Sequence[Pair], us: Sequence[Pair], value_level: Fraction, resolution, f, h):
+    def __init__(self, levels: Sequence[Run], us: Sequence[Run], value_level: Fraction, resolution, f, h):
         self.value_level = value_level
         self.resolution = resolution
         self.f = f
         self.h = h
         column = _made_payoffs(levels)
         u_column = column if us is levels else _made_payoffs(us)
-        vs = [(-n, d) for n, d in levels]
+        vs = [(-n, -s, c, d) for n, s, c, d in levels]
         vs = _made_payoffs(vs if h is _IDENTITY else h._walk(vs))
         self._payoffs = Payoffs(*u_column, *vs, column)
         self._menu = _Menu(self._payoffs)
@@ -647,7 +694,7 @@ class ZeroSumGame(LevelGame):
     def __init__(self, g_matrix: Sequence[Sequence[RationalLike]], resolution: RationalLike):
         self._g = _read_matrix(g_matrix, "g")
         res = _positive(resolution, "menu resolution")
-        grid = _grid_pairs(*_span(self._g), res)
+        grid = _grid_runs(*_span(self._g), res)
         super().__init__(grid, grid, _value(self._g), res, _IDENTITY, _IDENTITY)
 
     @cached_property
@@ -683,7 +730,8 @@ class StrictlyCompetitiveGame(LevelGame):
         self._g = _read_matrix(g_matrix, "g")
         res = _positive(resolution, "menu resolution")
         f, h = _monotone(f_map), _monotone(h_map)
-        grid = _grid_pairs(*f._walk(_span(self._g)), res)  # on the u = f(level) scale
+        lo, hi = f.walk(_span(self._g))
+        grid = _grid_runs(lo.as_integer_ratio(), hi.as_integer_ratio(), res)  # on the u = f(level) scale
         super().__init__(f._walk(grid, inverse=True), grid, _value(self._g), res, f, h)
 
     g = ZeroSumGame.g
@@ -713,7 +761,7 @@ class TransferGame(LevelGame):
         res = _positive(step, "transfer grid step")
         if t_min > t_max:
             raise GameError("transfer grid has empty range")
-        grid = _grid_pairs(t_min.as_integer_ratio(), t_max.as_integer_ratio(), res)
+        grid = _grid_runs(t_min.as_integer_ratio(), t_max.as_integer_ratio(), res)
         f, h = _monotone(f_u), _monotone(f_v)
         super().__init__(grid, f._walk(grid), Fraction(0), res, f, h)
 
@@ -767,15 +815,15 @@ class RepeatedGame(Game):
         # as in feasible_payoff_hull; hull[0] is its least point
         hull = _integer_hull(zip(U.numerators, V.numerators))
         self.alpha, self.beta = punishment_levels(self)
-        us = _grid_pairs((hull[0][0], U.D), (max(hull)[0], U.D), self.resolution)
-        du, u_cols = _made_payoffs(us)
-        u_ints, v_pairs = [], []
+        du, u_cols = _made_payoffs(_grid_runs((hull[0][0], U.D), (max(hull)[0], U.D), self.resolution))
+        u_ints, v_runs = [], []
         # each grid column u holds the v grid between the hull's lowest and highest v there
-        for u_int, lo, hi in zip(u_cols, *_sweep(hull, U.D, V.D, us)):
-            column = _grid_pairs(lo, hi, self.resolution, len(v_pairs))
-            v_pairs += column
-            u_ints += [u_int] * len(column)
-        self._payoffs = Payoffs(du, tuple(u_ints), *_made_payoffs(v_pairs))
+        for u_int, lo, hi in zip(u_cols, *_sweep(hull, U.D, V.D, du, u_cols)):
+            column = _grid_runs(lo, hi, self.resolution, len(u_ints))
+            v_runs += column
+            for run in column:
+                u_ints += [u_int] * run[2]
+        self._payoffs = Payoffs(du, tuple(u_ints), *_made_payoffs(v_runs))
         self._menu = _Menu(self._payoffs)
         self._by_point = None
 
@@ -820,7 +868,7 @@ class RepeatedGame(Game):
 
     def describe(self, contract):
         self.validate_contract(contract)
-        if isinstance(contract.id, int) and contract.id < len(self.menu()):
+        if self._in_menu(contract):
             return "hull grid point"
         return "synthesized hull point"
 
@@ -842,13 +890,13 @@ class RepeatedGame(Game):
         return contract.u >= self.alpha and contract.v >= self.beta
 
 
-def _sweep(hull: List[Tuple[int, int]], du: int, dv: int, us: Sequence[Pair]) -> List[List[Pair]]:
+def _sweep(hull: List[Tuple[int, int]], du: int, dv: int, dg: int, us: Sequence[int]) -> List[List[Pair]]:
     """The hull's lowest and highest v on each grid column u, as integer pairs.
 
     ``hull`` is a stage's integer hull: vertex (x, y) stands for the point
     (x/du, y/dv).  Returns two lists of (numerator, denominator), one
-    entry per u of the ascending grid ``us`` of integer pairs (n, d),
-    d > 0, which runs from the hull's least u to its greatest.  The end
+    entry per u of the ascending grid ``us``, the u values times dg,
+    which runs from the hull's least u to its greatest.  The end
     columns read the vertices there (a point, a vertical segment or a
     vertical edge); the interior columns walk the lower and upper chains
     left to right, each edge's line (``_line``) in integers.
@@ -865,11 +913,11 @@ def _sweep(hull: List[Tuple[int, int]], du: int, dv: int, us: Sequence[Pair]) ->
         edges = [(q[0], du) + _line(p, q, du, dv) for p, q in zip(chain, chain[1:]) if p[0] != q[0]]
         col = [first[side]]
         i = 0
-        for n, d in us[1:-1]:
-            while n * edges[i][1] > edges[i][0] * d:
+        for n in us[1:-1]:
+            while n * edges[i][1] > edges[i][0] * dg:
                 i += 1
             _, _, A, B, C = edges[i]
-            col.append((A * n + B * d, C * d))
+            col.append((A * n + B * dg, C * dg))
         if len(us) > 1:
             col.append(last[side])
         cols.append(col)

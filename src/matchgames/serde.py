@@ -394,9 +394,8 @@ def dump_profile(inst: Instance, profile: MatchingProfile) -> dict:
     }
     contracts = {}
     for (i, j), c in sorted(profile.chosen.items()):
-        on_menu = isinstance(c.id, int) and c.id < len(inst.game(i, j).menu())
         contracts[inst.men[i]] = {
-            "id": c.id if on_menu else None,
+            "id": c.id if inst.game(i, j)._in_menu(c) else None,
             "strategy_a": _strategy_out(c.strategy_a),
             "strategy_b": _strategy_out(c.strategy_b),
             "u": _num_out(c.u),

@@ -50,6 +50,7 @@ from matchgames import (
     man_payoff,
     woman_payoff,
 )
+from matchgames.games import Payoffs
 from matchgames.rational import render_event
 
 
@@ -189,6 +190,18 @@ def reference_grid(lo: Fraction, hi: Fraction, step: Fraction) -> List[Fraction]
         k += 1
     levels.append(hi)
     return levels
+
+
+def reference_column(xs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(L, numerators) of numbers, point by point: L the lcm of their lowest-terms denominators."""
+    L = math.lcm(*[x.denominator for x in xs])
+    return L, tuple(x.numerator * (L // x.denominator) for x in xs)
+
+
+def reference_payoffs(us, vs, levels=None) -> Payoffs:
+    """A level or repeated menu's ``Payoffs``, built point by point from its Fractions."""
+    levels = None if levels is None else reference_column(levels)
+    return Payoffs(*reference_column(us), *reference_column(vs), levels)
 
 
 def reference_hull_menu(game: RepeatedGame) -> List[Tuple[Fraction, Fraction]]:

@@ -793,6 +793,19 @@ class TestEntryPoints:
         assert rc == 2
         assert "--eps" in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "enumerate", "join"])
+    def test_negative_eps_refusal_names_the_flag(self, tmp_path, capsys, command):
+        inst, prof = write(tmp_path, "inst.json", CLASSIC), write(tmp_path, "men_opt.json", MEN_OPT)
+        rest = {
+            "verify": ["--profile", prof, "--notion", "ext"],
+            "enumerate": [],
+            "join": ["--a", prof, "--b", prof],
+        }[command]
+        rc = main([command, inst, *rest, "--eps=-1/2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {command} needs a nonnegative --eps\n"
+
     def test_console_script(self, tmp_path, capsys):
         # the declared script: the installed one when there is one, else the
         # launcher an installer would build from [project.scripts]

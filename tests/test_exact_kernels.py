@@ -6,9 +6,12 @@ simplex ``helpers.reference_matrix_game_value`` and the kernel oracle
 chains) must equal ``helpers.reference_hull_menu``, which slices the hull
 edge by edge on every u-column, and the hull itself (taken on the
 stage's integers) must equal ``helpers.reference_convex_hull`` of the
-stage's cells.  Level-game menus and the one-pass
+stage's cells.  Level-game menus and
 ``PiecewiseLinear.walk`` must equal the single-point maps and the slope
-formula ``helpers.reference_map``.  ``geometry.convex_hull`` (cross
+formula ``helpers.reference_map``.  The run kernel (grids as arithmetic
+runs, maps cut at their breakpoints, payoffs made run by run) and every
+level and repeated menu's integer ``Payoffs`` must equal references built
+point by point in Fractions.  ``geometry.convex_hull`` (cross
 products on integers) and ``geometry.clip_ge`` must equal
 ``helpers.reference_convex_hull``, which takes every cross product in
 Fractions.
@@ -26,20 +29,24 @@ from matchgames import (
     RepeatedGame,
     StrictlyCompetitiveGame,
     TransferGame,
+    ZeroSumGame,
     feasible_payoff_hull,
     punishment_levels,
     zero_sum_value,
 )
 from matchgames import exactlp
+from matchgames.games import _grid_runs, _made_payoffs
 from matchgames.geometry import clip_ge, convex_hull
 from matchgames.serde import dump_game, parse_instance
 
 from helpers import (
+    reference_column,
     reference_convex_hull,
     reference_grid,
     reference_hull_menu,
     reference_map,
     reference_matrix_game_value,
+    reference_payoffs,
     support_value,
 )
 
@@ -179,6 +186,7 @@ def test_repeated_menu_matches_edge_slices(stage):
     g = RepeatedGame(U, V, resolution)
     menu = g.menu()
     assert [(c.u, c.v) for c in menu] == reference_hull_menu(g)
+    assert g._payoffs == reference_payoffs(*zip(*reference_hull_menu(g)))
     assert all(type(c.u) is type(c.v) is Fraction for c in menu)
     assert all(c.id == k and c.strategy_a == c.strategy_b == (c.u, c.v) for k, c in enumerate(menu))
     for c in menu[:: max(1, len(menu) // 5)]:
@@ -239,6 +247,93 @@ def test_walk_matches_slope_formula(pl, extra, scale):
         assert pl.walk(pairs[::order]) == walked
         inverted = [reference_map(pl.points, x, 1) for x in probes[::order]]
         assert pl.walk(pairs[::order], inverse=True) == inverted
+
+
+@st.composite
+def grids(draw):
+    """(lo, hi, step): one point, a step wider than the range, hi on the grid, or any hi."""
+    lo = F(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 2, 3, 4])))
+    step = draw(st.fractions(F(1, 6), 4, max_denominator=6))
+    shape = draw(st.sampled_from(["point", "wide", "on grid", "any"]))
+    if shape == "point":
+        return lo, lo, step
+    if shape == "wide":
+        return lo, lo + step * draw(st.fractions(F(1, 7), F(6, 7), max_denominator=7)), step
+    if shape == "on grid":
+        return lo, lo + step * draw(st.integers(1, 30)), step
+    return lo, lo + draw(st.fractions(0, 20, max_denominator=12)), step
+
+
+@st.composite
+def maps_through(draw, points):
+    """Maps of 2 to 5 breakpoints whose inputs and outputs are often drawn from points."""
+    n = draw(st.integers(2, 5))
+    near = st.fractions(int(min(points)) - 4, int(max(points)) + 4, max_denominator=8)
+    axis = st.lists(st.sampled_from(points) | near, min_size=n, max_size=n, unique=True).map(sorted)
+    return PiecewiseLinear(list(zip(draw(axis), draw(axis))))
+
+
+def expand(runs):
+    """The numbers of runs (n, step, count, d), point by point."""
+    return [F(n + k * s, d) for n, s, c, d in runs for k in range(c)]
+
+
+@EXAMPLES
+@given(grids(), st.data())
+@example((F(3, 2), F(3, 2), F(1, 3)), None)  # lo == hi
+@example((F(-1, 3), F(0), F(7, 4)), None)  # step larger than the range
+@example((F(0), F(10), F(1, 2)), None)  # hi on the grid, breakpoints on grid points below
+def test_the_run_kernel_matches_point_by_point_references(grid, data):
+    lo, hi, step = grid
+    up = _grid_runs(lo.as_integer_ratio(), hi.as_integer_ratio(), step)
+    down = [(-n, -s, c, d) for n, s, c, d in up]
+    points = reference_grid(lo, hi, step)
+    assert expand(up) == points
+    assert _made_payoffs(up) == reference_column(points)
+    if data is None:
+        cuts = sorted({points[0] - 1, *points[1:4], points[-1] + 1})  # interior breakpoints on grid points
+        maps = [PiecewiseLinear([(x, k * k + k) for k, x in enumerate(cuts)])]
+    else:
+        maps = [data.draw(maps_through(points)), data.draw(maps_through([-x for x in points]))]
+    for pl in maps:
+        for runs in (up, down):  # ascending, then descending
+            xs = expand(runs)
+            for inverse in (False, True):
+                want = [reference_map(pl.points, x, int(inverse)) for x in xs]
+                walked = pl._walk(runs, inverse)
+                assert all(type(n) is type(d) is int for n, _, _, d in walked)
+                assert all(s != 0 and c > 0 and d > 0 for _, s, c, d in walked)
+                assert expand(walked) == want
+                assert _made_payoffs(walked) == reference_column(want)
+                assert pl.walk([x.as_integer_ratio() for x in xs], inverse) == want
+
+
+@EXAMPLES
+@given(grids(), st.data())
+def test_level_menu_payoffs_match_point_by_point_references(grid, data):
+    lo, hi, step = grid
+    levels = reference_grid(lo, hi, step)
+    f, h = data.draw(maps_through(levels)), data.draw(maps_through([-x for x in levels]))
+
+    def ref_f(x, inverse=False):
+        return reference_map(f.points, x, int(inverse))
+
+    def ref_h(x):
+        return reference_map(h.points, x, 0)
+
+    transfer = TransferGame(lo, hi, step, f, h)
+    paid = [ref_f(x) for x in levels], [ref_h(-x) for x in levels]
+    assert transfer._payoffs == reference_payoffs(*paid, levels)
+    # g spans [lo, hi]: its least and greatest entries are the grid's ends
+    g = [[lo, data.draw(st.sampled_from(levels))], [hi, lo]]
+    zero_sum = ZeroSumGame(g, step)
+    assert zero_sum._payoffs == reference_payoffs(levels, [-x for x in levels], levels)
+    u_lo, u_hi = ref_f(lo), ref_f(hi)
+    res = (u_hi - u_lo) / data.draw(st.fractions(F(1, 2), 40, max_denominator=3)) if hi > lo else step
+    us = reference_grid(u_lo, u_hi, res)
+    competitive = StrictlyCompetitiveGame(g, res, f, h)
+    native = [ref_f(u, inverse=True) for u in us]
+    assert competitive._payoffs == reference_payoffs(us, [ref_h(-x) for x in native], native)
 
 
 @st.composite

@@ -29,7 +29,7 @@ from matchgames import (
     zero_sum_value,
 )
 from matchgames import games
-from matchgames.games import _grid_pairs
+from matchgames.games import _grid_runs
 from matchgames.geometry import hull_contains
 from matchgames.serde import dump_game, parse_instance
 
@@ -678,9 +678,12 @@ def test_piecewise_linear_matches_reference(points, extra):
 @example(F(-1, 3), F(2, 5), F(7, 4))  # step larger than the range
 @example(F(0), F(10), F(1))  # hi on the grid
 def test_grid_matches_reference(lo, span, step):
-    pairs = _grid_pairs(lo.as_integer_ratio(), (lo + span).as_integer_ratio(), step)
-    assert all(type(n) is type(d) is int and d > 0 for n, d in pairs)
-    assert [Fraction(n, d) for n, d in pairs] == reference_grid(lo, lo + span, step)
+    runs = _grid_runs(lo.as_integer_ratio(), (lo + span).as_integer_ratio(), step)
+    assert 1 <= len(runs) <= 2
+    assert all(type(n) is type(s) is type(c) is type(d) is int for n, s, c, d in runs)
+    assert all(s > 0 and c > 0 and d > 0 for _, s, c, d in runs)
+    points = [Fraction(n + k * s, d) for n, s, c, d in runs for k in range(c)]
+    assert points == reference_grid(lo, lo + span, step)
 
 
 @st.composite

@@ -52,7 +52,7 @@ from matchgames import (
     run_propose_dispose,
     run_with_vanishing_margin,
 )
-from matchgames._market import market_index
+from matchgames._market import _stair, market_index
 from matchgames.refine import _effective_oo
 
 from helpers import (
@@ -268,6 +268,20 @@ def test_the_index_equals_the_build_from_fraction_payoffs(inst):
             "by_u": (got.by_u.keys, got.by_u.tops),
         } == couple
         assert index.women.couples[j][i] == got.mirror()
+
+
+@EXAMPLES
+@given(markets())
+def test_level_staircases_equal_the_sorted_build(inst):
+    # a level menu is a chain (u strictly rising, v strictly falling), so its staircases need no sort
+    index = market_index(inst)
+    levels = [key for key, game in inst.games.items() if game._payoffs.levels is not None]
+    for i, j in levels:
+        couple = index.men.couples[i][j]
+        assert all(a < b for a, b in zip(couple.u, couple.u[1:]))
+        assert all(a > b for a, b in zip(couple.v, couple.v[1:]))
+        assert couple.by_v == _stair(couple.v, couple.u)
+        assert couple.by_u == _stair(couple.u, couple.v)
 
 
 @settings(EXAMPLES, max_examples=100)

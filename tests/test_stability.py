@@ -31,7 +31,7 @@ from matchgames import (
     validate_profile,
     woman_payoff,
 )
-from matchgames.serde import dump_profile
+from matchgames.serde import dump_profile, parse_profile
 
 from helpers import random_bimatrix_instance, refused_profiles
 
@@ -411,6 +411,28 @@ class TestProfileValidation:
         with pytest.raises(GameError) as info:
             game.contract(cid)
         assert str(info.value) == f"no contract with id {cid} in this menu"
+
+    @pytest.mark.parametrize("cid", [3, True, "a", 0.0])
+    def test_a_hull_point_with_a_menu_id_round_trips_as_synthesized(self, cid):
+        # (2, 2) is off the grid, and ids 3 and True (1) name menu contracts with other payoffs
+        game = RepeatedGame([[3, 0], [5, 1]], [[3, 5], [0, 1]], F(1, 2))
+        point = (F(2), F(2))
+        inst, contract = single_couple(game), Contract(cid, point, point, *point)
+        assert point not in {(c.u, c.v) for c in game.menu()}
+        profile = MatchingProfile((0,), {(0, 0): contract})
+        assert game.describe(contract) == "synthesized hull point"
+        dumped = dump_profile(inst, profile)
+        assert dumped["contracts"]["m"]["id"] is None
+        back = parse_profile(inst, dumped).chosen[(0, 0)]
+        assert back == game.synthesize_contract(point) == Contract(len(game.menu()), point, point, *point)
+        assert dump_profile(inst, MatchingProfile((0,), {(0, 0): back})) == dumped
+        # an equal copy of a menu contract keeps its id through the round trip
+        grid = game.menu()[3]
+        copy = Contract(grid.id, grid.strategy_a, grid.strategy_b, grid.u, grid.v)
+        assert game.describe(copy) == "hull grid point"
+        dumped = dump_profile(inst, MatchingProfile((0,), {(0, 0): copy}))
+        assert dumped["contracts"]["m"]["id"] == 3
+        assert parse_profile(inst, dumped).chosen[(0, 0)] is grid
 
 
 CHECKERS = {
