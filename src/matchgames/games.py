@@ -612,6 +612,12 @@ class LevelGame(Game):
     improving for the man when it moves the level from below toward the
     value (never past it), mirrored for the woman.
 
+    The menu is made at construction and the value on first read (a
+    zero-sum or strictly competitive game solves its LP then): external
+    stability and the proposal auction read only menus, and the value
+    serves the constrained equilibria and internal stability of couples
+    that end up matched.
+
     The construction rests on two facts.  A grid of levels is an arithmetic
     progression, so the caller gives the levels and the man's payoffs
     ``us`` (f at each level) as runs (``Run``), strictly ascending, and a
@@ -624,8 +630,9 @@ class LevelGame(Game):
     ``levels`` makes their ``Fraction``s on first access.
     """
 
-    def __init__(self, levels: Sequence[Run], us: Sequence[Run], value_level: Fraction, resolution, f, h):
-        self.value_level = value_level
+    value_level: Fraction
+
+    def __init__(self, levels: Sequence[Run], us: Sequence[Run], resolution, f, h):
         self.resolution = resolution
         self.f = f
         self.h = h
@@ -695,11 +702,15 @@ class ZeroSumGame(LevelGame):
         self._g = _read_matrix(g_matrix, "g")
         res = _positive(resolution, "menu resolution")
         grid = _grid_runs(*_span(self._g), res)
-        super().__init__(grid, grid, _value(self._g), res, _IDENTITY, _IDENTITY)
+        super().__init__(grid, grid, res, _IDENTITY, _IDENTITY)
 
     @cached_property
     def g(self) -> List[List[Fraction]]:
         return _fractions(self._g)
+
+    @cached_property
+    def value_level(self) -> Fraction:
+        return _value(self._g)
 
     def describe(self, contract):
         lev = self.level_of(contract)
@@ -732,9 +743,9 @@ class StrictlyCompetitiveGame(LevelGame):
         f, h = _monotone(f_map), _monotone(h_map)
         lo, hi = f.walk(_span(self._g))
         grid = _grid_runs(lo.as_integer_ratio(), hi.as_integer_ratio(), res)  # on the u = f(level) scale
-        super().__init__(f._walk(grid, inverse=True), grid, _value(self._g), res, f, h)
+        super().__init__(f._walk(grid, inverse=True), grid, res, f, h)
 
-    g = ZeroSumGame.g
+    g, value_level = ZeroSumGame.g, ZeroSumGame.value_level
     describe = ZeroSumGame.describe
 
 
@@ -748,6 +759,7 @@ class TransferGame(LevelGame):
     """
 
     kind = "transfer"
+    value_level = Fraction(0)
 
     def __init__(
         self,
@@ -763,7 +775,7 @@ class TransferGame(LevelGame):
             raise GameError("transfer grid has empty range")
         grid = _grid_runs(t_min.as_integer_ratio(), t_max.as_integer_ratio(), res)
         f, h = _monotone(f_u), _monotone(f_v)
-        super().__init__(grid, f._walk(grid), Fraction(0), res, f, h)
+        super().__init__(grid, f._walk(grid), res, f, h)
 
     def describe(self, contract):
         return f"transfer {fmt(self.level_of(contract))}"
@@ -774,9 +786,20 @@ def punishment_levels(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Fractio
 
     alpha is what the column player can hold the row player down to,
     beta the mirror image; both are matrix-game values of its integers.
+    A repeated game answers with the pair it keeps.
     """
-    U, V = stage._matrices
-    return _value(U), _scaled_value(list(zip(*_rows(V))), V.D)
+    if isinstance(stage, RepeatedGame):
+        return stage.alpha, stage.beta
+    return _alpha(stage), _beta(stage)
+
+
+def _alpha(stage: Union[BimatrixGame, RepeatedGame]) -> Fraction:
+    return _value(stage._matrices[0])
+
+
+def _beta(stage: Union[BimatrixGame, RepeatedGame]) -> Fraction:
+    V = stage._matrices[1]
+    return _scaled_value(list(zip(*_rows(V))), V.D)
 
 
 def feasible_payoff_hull(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Point, ...]:
@@ -796,7 +819,10 @@ class RepeatedGame(Game):
     Contracts are payoff points on a rational grid over the hull of the
     stage cells.  ``alpha`` and ``beta`` are the exact mixed punishment
     levels; a point weakly above both is sustainable without outside
-    pressure, so no deviation from it is improving.
+    pressure, so no deviation from it is improving.  Each is one LP, solved
+    on its first read and kept: external stability and the proposal
+    auction read only the menu, and the levels serve the constrained
+    equilibria and internal stability of couples that end up matched.
 
     The stage is kept once, in integers (``_matrices``, as ``_read_matrix``
     read it); ``U``, ``V`` and ``hull`` make their ``Fraction``s on first access.
@@ -814,7 +840,6 @@ class RepeatedGame(Game):
         self.resolution = _positive(resolution, "menu resolution")
         # as in feasible_payoff_hull; hull[0] is its least point
         hull = _integer_hull(zip(U.numerators, V.numerators))
-        self.alpha, self.beta = punishment_levels(self)
         du, u_cols = _made_payoffs(_grid_runs((hull[0][0], U.D), (max(hull)[0], U.D), self.resolution))
         u_ints, v_runs = [], []
         # each grid column u holds the v grid between the hull's lowest and highest v there
@@ -828,6 +853,7 @@ class RepeatedGame(Game):
         self._by_point = None
 
     U, V, hull = BimatrixGame.U, BimatrixGame.V, cached_property(feasible_payoff_hull)
+    alpha, beta = cached_property(_alpha), cached_property(_beta)
 
     def _evaluate(self, a, b):
         if a != b:

@@ -43,38 +43,54 @@ def rat(value: RationalLike) -> Fraction:
     number could not be printed.  Floats are rejected: binary floats do
     not carry the exactness contract, so callers must write "0.1" rather
     than 0.1.
+
+    Payload numbers are read here one by one, so the exact types
+    ``Fraction``, ``int`` and ``str`` are tried first, by identity; only
+    other types (bool, float, subclasses) take the ``isinstance`` checks.
+    A string without a decimal point or an exponent ("n" or "n/d") is
+    made straight from its two integers: ``int()`` already refuses a
+    digit string past the limit, and lowest terms have no more digits.
     """
-    if type(value) is Fraction or isinstance(value, Fraction):  # re-reading is common
+    kind = type(value)
+    if kind is Fraction:  # re-reading is common
         return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational payoff")
-    if isinstance(value, int):
+    if kind is int:
         return Fraction(value)
-    if isinstance(value, str):
-        m = _LITERAL.fullmatch(value)
-        if m is None:
-            raise ValueError(f"Invalid literal for Fraction: {value!r}")
-        sign, num, denom, decimal, exp = m.groups()
-        limit = str_limit()
-        e = int(exp or "0")  # bounded before 10**e is made: "1e4000000" costs seconds and 13 million bits
-        if limit and abs(e) > limit:
-            raise ValueError(f"exponent in {value!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
-        # n and d as Fraction makes them, so a digit string past the limit raises int()'s error
-        n, d = int(num or "0"), int(denom or "1")
+    if kind is not str:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, bool):
+            raise TypeError("bool is not a rational payoff")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
+            raise TypeError(f"float {value!r} rejected: pass an int, Fraction, or exact string like '1/10'")
+        if not isinstance(value, str):
+            raise TypeError(f"cannot interpret {value!r} as a rational")
+    m = _LITERAL.fullmatch(value)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
+    sign, num, denom, decimal, exp = m.groups()
+    if not decimal and exp is None:  # "n" or "n/d" ("5." too)
+        n, d = int(num), int(denom or "1")
         if not d:
             raise ValueError(f"zero denominator in {value!r}")
-        if decimal:
-            decimal = decimal.replace("_", "")
-            d = 10 ** len(decimal)
-            n = n * d + int(decimal)
-        n, d = (n * 10**e, d) if e >= 0 else (n, d * 10**-e)
-        x = Fraction(-n if sign == "-" else n, d)
-        if limit and _longer(max(abs(x.numerator), x.denominator), limit):
-            raise ValueError(f"{value!r} has more than {limit} digits (sys.get_int_max_str_digits())")
-        return x
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} rejected: pass an int, Fraction, or exact string like '1/10'")
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+        return Fraction(-n if sign == "-" else n, d)
+    limit = str_limit()
+    e = int(exp or "0")  # bounded before 10**e is made: "1e4000000" costs seconds and 13 million bits
+    if limit and abs(e) > limit:
+        raise ValueError(f"exponent in {value!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
+    # n as Fraction makes it, so a digit string past the limit raises int()'s error
+    n, d = int(num or "0"), 1
+    if decimal:
+        decimal = decimal.replace("_", "")
+        d = 10 ** len(decimal)
+        n = n * d + int(decimal)
+    n, d = (n * 10**e, d) if e >= 0 else (n, d * 10**-e)
+    x = Fraction(-n if sign == "-" else n, d)
+    if limit and _longer(max(abs(x.numerator), x.denominator), limit):
+        raise ValueError(f"{value!r} has more than {limit} digits (sys.get_int_max_str_digits())")
+    return x
 
 
 # sys.get_int_max_str_digits(): the most digits str() prints, 0 for no limit

@@ -7,12 +7,12 @@ regardless of how it was found.  The ``reference_*`` functions are the
 plain ``Fraction`` code the integer kernels replaced (the menu scans
 behind the market index, the index build that read every payoff's
 denominator, the simplex behind ``zero_sum_value``, the per-column hull
-slice behind repeated-game menus, the convex hull's cross products and
-the pairwise ordinal-potential check behind ``validate_potential``), kept
-as the ground truth of their differential tests, and
-``max_weight_assignment`` is an exact Hungarian solver for assignment
-markets.  ``other_interpreters`` finds the other CPythons that the demos
-and the number grammar also run under.
+slice behind repeated-game menus, the convex hull's cross products, the
+pairwise ordinal-potential check behind ``validate_potential`` and the
+``isinstance`` ladder behind ``rat``), kept as the ground truth of their
+differential tests, and ``max_weight_assignment`` is an exact Hungarian
+solver for assignment markets.  ``other_interpreters`` finds the other
+CPythons that the demos and the number grammar also run under.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from matchgames import (
     woman_payoff,
 )
 from matchgames.games import Payoffs
-from matchgames.rational import render_event
+from matchgames.rational import _LITERAL, _longer, render_event, str_limit
 
 
 def support_value(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -765,6 +765,47 @@ def reference_level_deviations(game, contract, side: Side):
     if side is Side.MAN:
         return tuple(c for c, lev in zip(game.menu(), game.levels) if cur < lev <= w)
     return tuple(c for c, lev in zip(game.menu(), game.levels) if w <= lev < cur)
+
+
+# ---------------------------------------------------------------------------
+# Numbers read through the isinstance ladder and one path for every string.
+
+
+def reference_rat(value) -> Fraction:
+    """``rational.rat`` without its exact-type dispatch: every value through ``isinstance``.
+
+    Every string goes through ``10**e``, ``str_limit()`` and ``_longer``.
+    """
+    if type(value) is Fraction or isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational payoff")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        m = _LITERAL.fullmatch(value)
+        if m is None:
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        sign, num, denom, decimal, exp = m.groups()
+        limit = str_limit()
+        e = int(exp or "0")
+        if limit and abs(e) > limit:
+            raise ValueError(f"exponent in {value!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
+        n, d = int(num or "0"), int(denom or "1")
+        if not d:
+            raise ValueError(f"zero denominator in {value!r}")
+        if decimal:
+            decimal = decimal.replace("_", "")
+            d = 10 ** len(decimal)
+            n = n * d + int(decimal)
+        n, d = (n * 10**e, d) if e >= 0 else (n, d * 10**-e)
+        x = Fraction(-n if sign == "-" else n, d)
+        if limit and _longer(max(abs(x.numerator), x.denominator), limit):
+            raise ValueError(f"{value!r} has more than {limit} digits (sys.get_int_max_str_digits())")
+        return x
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} rejected: pass an int, Fraction, or exact string like '1/10'")
+    raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
 @functools.cache  # probed once per session

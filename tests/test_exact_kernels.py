@@ -14,9 +14,12 @@ level and repeated menu's integer ``Payoffs`` must equal references built
 point by point in Fractions.  ``geometry.convex_hull`` (cross
 products on integers) and ``geometry.clip_ge`` must equal
 ``helpers.reference_convex_hull``, which takes every cross product in
-Fractions.
+Fractions.  Parsing a market and indexing it solve no LP: a level game's
+value and a repeated game's punishment levels are each one LP, solved on
+first read.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixGame,
+    LevelGame,
     PiecewiseLinear,
     RepeatedGame,
     StrictlyCompetitiveGame,
@@ -34,10 +38,11 @@ from matchgames import (
     punishment_levels,
     zero_sum_value,
 )
-from matchgames import exactlp
+from matchgames import exactlp, games
+from matchgames._market import market_index
 from matchgames.games import _grid_runs, _made_payoffs
 from matchgames.geometry import clip_ge, convex_hull
-from matchgames.serde import dump_game, parse_instance
+from matchgames.serde import dump_game, dump_instance, parse_instance
 
 from helpers import (
     reference_column,
@@ -49,6 +54,7 @@ from helpers import (
     reference_payoffs,
     support_value,
 )
+from test_market import markets
 
 F = Fraction
 EXAMPLES = settings(
@@ -370,3 +376,65 @@ def test_convex_hull_matches_fraction_cross_products(pts, data):
         clipped = clip_ge(hull, axis, bound)
         assert clipped == reference_convex_hull(clipped)
         assert all(p in clipped for p in reference_convex_hull(kept))
+
+
+MIXED = [[1, 3], [4, 2]]  # no pure saddle point: its value 5/2 takes the simplex
+UP = PiecewiseLinear([(-10, -10), (10, 30)])
+LAZY_GAMES = {
+    "z": ZeroSumGame(MIXED, F(1, 2)),
+    "s": StrictlyCompetitiveGame(MIXED, 1, UP, UP),
+    "t": TransferGame(-2, 3, F(1, 3), UP, UP),
+    "r": RepeatedGame(MIXED, [[2, 0], [-1, 3]], F(1, 2)),
+}
+LAZY_MARKET = {
+    "men": ["m"],
+    "women": list(LAZY_GAMES),
+    "irp": {"men": [0], "women": [0] * len(LAZY_GAMES)},
+    "games": {"m": {w: dump_game(g) for w, g in LAZY_GAMES.items()}},
+}
+
+
+@settings(EXAMPLES, max_examples=30)
+@given(markets())
+def test_parsing_runs_no_lp_and_each_value_is_one_lp_on_first_read(inst):
+    calls = []
+    scaled_value = games._scaled_value
+
+    def counted(N, D):
+        calls.append(1)
+        return scaled_value(N, D)
+
+    def read(game, name, lps):
+        before = len(calls)
+        first = getattr(game, name)
+        assert len(calls) == before + lps
+        assert getattr(game, name) is first and len(calls) == before + lps
+        return first
+
+    for doc in (json.loads(json.dumps(dump_instance(inst))), json.loads(json.dumps(LAZY_MARKET))):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(games, "_scaled_value", counted)
+            parsed, _eps = parse_instance(doc, eps=1)
+            market_index(parsed)
+            assert calls == []
+            values = {}
+            for key, game in parsed.games.items():
+                if isinstance(game, RepeatedGame):
+                    values[key] = (read(game, "alpha", 1), read(game, "beta", 1))
+                    before = len(calls)
+                    assert punishment_levels(game) == values[key] and len(calls) == before
+                elif isinstance(game, LevelGame):
+                    values[key] = read(game, "value_level", 0 if isinstance(game, TransferGame) else 1)
+        for key, value in values.items():
+            game = parsed.game(*key)
+            if isinstance(game, RepeatedGame):
+                assert value == punishment_levels(BimatrixGame(game.U, game.V))
+                assert value == (
+                    reference_matrix_game_value(game.U),
+                    reference_matrix_game_value([list(col) for col in zip(*game.V)]),
+                )
+            elif isinstance(game, TransferGame):
+                assert value == 0
+            else:
+                assert value == zero_sum_value(game.g) == reference_matrix_game_value(game.g)

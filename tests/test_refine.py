@@ -13,11 +13,13 @@ from matchgames import (
     MatchingProfile,
     PotentialGame,
     RefineStatus,
+    Side,
     brute_force_cne,
     build_instance,
     is_externally_stable,
     is_internally_stable,
     outside_options,
+    parse_instance,
     refine,
     run_propose_dispose,
 )
@@ -30,6 +32,64 @@ F = Fraction
 
 SOLAN_U = [[2, -10, 3], [3, 2, -10], [-10, 3, 2]]
 SOLAN_V = [[1, -10, 0], [0, 1, -10], [-10, 0, 1]]
+
+# Seed 1's oracle-crosscheck-009 market (bench/gen.py): bimatrix, repeated,
+# transfer and zero-sum couples; refine ends INFEASIBLE from both sides.
+CROSSCHECK_009 = {
+    "men": ["m0", "m1", "m2"],
+    "women": ["w0", "w1", "w2"],
+    "irp": {"men": [-1, -1, 0], "women": [1, 1, -1]},
+    "games": {
+        "m0": {
+            "w0": {
+                "class": "transfer",
+                "t_min": "-11/2",
+                "t_max": "-9/2",
+                "f_u": [["-11/2", "-7/3"], [-5, "313/15"], ["-9/2", "80/3"]],
+                "f_v": [["9/2", "-7/3"], ["19/4", "91/15"], ["11/2", "56/3"]],
+                "resolution": "1/3",
+            },
+            "w1": {"class": "repeated", "u": [[-3, -3], [-2, -1]], "v": [[-4, 4], [3, -4]], "resolution": 8},
+            "w2": {
+                "class": "zero_sum",
+                "g": [[-14, -18, "-44/3"], ["-35/2", "-43/3", -17], [-17, "-47/3", "-103/6"]],
+                "resolution": "4/3",
+            },
+        },
+        "m1": {
+            "w0": {
+                "class": "transfer",
+                "t_min": -14,
+                "t_max": -9,
+                "f_u": [[-14, -6], ["-41/4", "-4/5"], [-9, 20]],
+                "f_v": [[9, -6], ["51/4", "33/5"], [14, 15]],
+                "resolution": "5/3",
+            },
+            "w1": {"class": "bimatrix", "u": [[1, -2], [4, -3]], "v": [[-3, -1], [4, -1]]},
+            "w2": {"class": "bimatrix", "u": [[1, 2], [2, 0]], "v": [[3, 1], [2, 4]]},
+        },
+        "m2": {
+            "w0": {
+                "class": "zero_sum",
+                "g": [["-283/6", "-139/3", "-95/2"], [-46, "-142/3", "-283/6"], [-49, -46, "-281/6"]],
+                "resolution": 1,
+            },
+            "w1": {
+                "class": "transfer",
+                "t_min": "-17/4",
+                "t_max": "-9/4",
+                "f_u": [["-17/4", 0], ["-13/4", 18], ["-9/4", 30]],
+                "f_v": [["9/4", 0], ["11/4", "26/5"], ["17/4", 26]],
+                "resolution": "2/3",
+            },
+            "w2": {
+                "class": "zero_sum",
+                "g": [["-163/3", -54, -53], [-55, "-325/6", "-160/3"], ["-164/3", "-329/6", -53]],
+                "resolution": "2/3",
+            },
+        },
+    },
+}
 
 
 def parse_trace(lines):
@@ -221,6 +281,20 @@ class TestFailureModes:
         i, j = result.failed_couple
         oo = _effective_oo(inst, outside_options(inst, result.profile, i, j, 1), i, j, F(1))
         assert brute_force_cne(inst.game(i, j), oo) == []
+
+    def test_infeasible_market_draw_is_certified_from_both_sides(self):
+        for side in (Side.MAN, Side.WOMAN):
+            inst, eps = parse_instance(CROSSCHECK_009, eps=1)
+            profile, _ = run_propose_dispose(inst, eps, side)
+            result = refine(inst, profile, eps)
+            assert result.status is RefineStatus.INFEASIBLE
+            i, j = result.failed_couple
+            oo = _effective_oo(inst, outside_options(inst, result.profile, i, j, eps), i, j, eps)
+            assert brute_force_cne(inst.game(i, j), oo) == []
+            # the values and punishment levels of unmatched couples are never solved
+            for key, game in inst.games.items():
+                if key not in result.profile.chosen:
+                    assert not {"value_level", "alpha", "beta"} & set(vars(game))
 
     def test_pass_limit(self):
         inst = build_instance(
