@@ -3,8 +3,9 @@
 Subcommands mirror the library: solve-external (propose-dispose),
 solve-stable (propose-dispose then refinement), verify, enumerate,
 join, spe, and adapt.  Exit codes: 0 on success (including a verifier
-reporting holds=false), 2 on validation problems, 3 when a solver
-reports Infeasible or PassLimit or the oracle refuses its cap.
+reporting holds=false), 1 when stdout's reader has gone (a closed pipe;
+no traceback), 2 on validation problems, 3 when a solver reports
+Infeasible or PassLimit or the oracle refuses its cap.
 
 All output is deterministic: identical inputs and flags give
 byte-identical stdout, with rationals in canonical lowest terms.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -283,13 +285,22 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest, not at interpreter exit
+        return code
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # SchemaError, GameError, MatchingError and TreeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout's descriptor at devnull
+        # so the interpreter's own flush at exit cannot fail again, and exit 1
+        # as Python does on EPIPE (the recipe in the ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ import itertools
 import math
 from typing import Iterator, List, Optional, Tuple
 
+from . import stability
 from .games import Contract, Game, Instance
 from .cne import OutsideOptions, is_cne
 from .rational import rat
-from .stability import (
+from .stability import (  # is_externally_stable stays importable from here (bench/spans.py wraps it)
     MatchingProfile,
     is_externally_stable,
     is_internally_stable,
@@ -152,16 +153,17 @@ def enumerate_stable(
     """
     if notion not in _NOTIONS:
         raise ValueError(f"unknown stability notion {notion!r}")
-    # The checkers are looked up as module globals on every call, so a
-    # wrapper installed on this module sees each one.  The margin is read
-    # once, by the notions that take one.
+    # The checkers are looked up on every call: the blocking check on
+    # ``stability`` (no report is built for it here), the others on this
+    # module, so a wrapper installed on either sees each call.  The margin
+    # is read once, by the notions that take one.
     if notion in ("external", "internal"):
         eps = rat(eps)
     if notion == "external":
-        holds = lambda p: is_externally_stable(inst, p, eps).holds
+        holds = lambda p: stability.find_blocking_pair(inst, p, eps) is None
     elif notion == "internal":
         holds = lambda p: (
-            is_externally_stable(inst, p, eps).holds and is_internally_stable(inst, p, eps).holds
+            stability.find_blocking_pair(inst, p, eps) is None and is_internally_stable(inst, p, eps).holds
         )
     elif notion == "nash":
         holds = lambda p: is_nash_stable(inst, p).holds

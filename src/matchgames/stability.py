@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import floor
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -165,6 +166,20 @@ def _record(cls, **fields):
     return record
 
 
+# Reservation witnesses, one per agent index, made on first use and then
+# shared: a BlockingPair is frozen and compares by value.  The caches hold
+# one record per index ever asked for, so they stay as small as the
+# largest market.
+@cache
+def _man_single(i: int) -> BlockingPair:
+    return _record(BlockingPair, man=i, woman=None, contract=None)
+
+
+@cache
+def _woman_single(j: int) -> BlockingPair:
+    return _record(BlockingPair, man=None, woman=j, contract=None)
+
+
 def find_blocking_pair(
     inst: Instance, profile: MatchingProfile, eps
 ) -> Optional[BlockingPair]:
@@ -177,7 +192,9 @@ def find_blocking_pair(
     stable at margin eps.  No bar is made before man 0's reservation
     check; the women's bars are then made once, and each man's bar in
     his own row scan, so the witness and its order are those of a scan
-    that made every bar first.
+    that made every bar first.  A reservation witness is made once per
+    agent index and then shared by every profile that fails that check
+    (the record is frozen and compares by value).
     """
     eps = rat(eps)
     if eps.numerator < 0:
@@ -185,7 +202,7 @@ def find_blocking_pair(
     index, men_pay, women_pay = read_profile(inst, profile)
     men_irp = index.men.own_irp
     if men_pay and men_pay[0] < men_irp[0]:
-        return _record(BlockingPair, man=0, woman=None, contract=None)
+        return _man_single(0)
     # Bars as MarketIndex.bars makes them, floor(p + D·eps), a man's only when his row is scanned.
     scale, matches = index.scale, profile.matches
     lift = scale * eps.numerator // eps.denominator
@@ -193,7 +210,7 @@ def find_blocking_pair(
     for i, row in enumerate(index.men.couples):
         pay = men_pay[i]
         if pay < men_irp[i]:
-            return _record(BlockingPair, man=i, woman=None, contract=None)
+            return _man_single(i)
         bar = pay + lift if type(pay) is int else floor(pay + scale * eps)
         mine = matches[i]
         for j, couple in enumerate(row):
@@ -209,7 +226,7 @@ def find_blocking_pair(
     women_irp = index.women.own_irp
     for j, pay in enumerate(women_pay):
         if pay < women_irp[j]:
-            return _record(BlockingPair, man=None, woman=j, contract=None)
+            return _woman_single(j)
     return None
 
 
@@ -223,10 +240,10 @@ def is_externally_stable(inst: Instance, profile: MatchingProfile, eps) -> Stabi
 def _ir_witness(index: MarketIndex, men_pay, women_pay) -> Optional[BlockingPair]:
     for i, pay in enumerate(men_pay):
         if pay < index.men.own_irp[i]:
-            return BlockingPair(i, None, None)
+            return _man_single(i)
     for j, pay in enumerate(women_pay):
         if pay < index.women.own_irp[j]:
-            return BlockingPair(None, j, None)
+            return _woman_single(j)
     return None
 
 

@@ -852,6 +852,20 @@ class TestEntryPoints:
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
 
+    def test_closed_stdout_is_exit_1_without_a_traceback(self):
+        # The reader closes its end before the child writes a byte, as
+        # a `head` that exits early would.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "matchgames.cli", "solve-stable", str(DEMO_DATA / "wage_split.json"), "--eps", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=checkout_env(),
+        )
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, stderr.decode()
+        assert proc.returncode == 1
+
 
 SUBCOMMANDS = ["solve-external", "solve-stable", "verify", "enumerate", "join", "spe", "adapt"]
 

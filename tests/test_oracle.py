@@ -239,18 +239,22 @@ class TestEnumerateStable:
     def test_the_margin_is_read_once(self, eps, monkeypatch):
         inst = random_bimatrix_instance(random.Random(157), max_agents=2, max_cells=4)
         margins = []
-        original = matchgames.oracle.is_externally_stable
+        original = matchgames.stability.find_blocking_pair
 
         def spied(inst, profile, eps):
             margins.append(eps)
             return original(inst, profile, eps)
 
-        monkeypatch.setattr(matchgames.oracle, "is_externally_stable", spied)
+        # Every blocking check, the oracle's own and those inside
+        # is_internally_stable, goes through the stability module.
+        monkeypatch.setattr(matchgames.stability, "find_blocking_pair", spied)
         for notion in ("external", "internal"):
             del margins[:]
-            assert list(enumerate_stable(inst, eps, notion)) == list(reference_enumerate_stable(inst, eps, notion))
-            assert margins and type(margins[0]) is Fraction and margins[0] == F(eps)
-            assert all(m is margins[0] for m in margins)
+            got = list(enumerate_stable(inst, eps, notion))
+            read = margins[:]  # the reference reads its own margins
+            assert got == list(reference_enumerate_stable(inst, eps, notion))
+            assert read and type(read[0]) is Fraction and read[0] == F(eps)
+            assert all(m is read[0] for m in read)
 
     def test_the_notions_without_a_margin_ignore_eps(self):
         inst = random_bimatrix_instance(random.Random(157), max_agents=2, max_cells=4)
@@ -338,6 +342,23 @@ def test_the_oracle_makes_one_blocking_check_per_check_of_the_reference_loop(ins
                 assert made == count_profiles(inst), hint
     finally:
         matchgames.stability.find_blocking_pair = original
+
+
+@MARKETS
+@given(markets(), st.sampled_from([F(0), F(1, 2), F(1)]))
+def test_the_oracle_builds_no_external_report(inst, eps):
+    # The filters test find_blocking_pair's result itself: a report built
+    # per profile only for its .holds is work the oracle does not need.
+    def refused(*args, **kwargs):
+        raise AssertionError("enumerate_stable built an external-stability report")
+
+    original = matchgames.oracle.is_externally_stable
+    matchgames.oracle.is_externally_stable = refused
+    try:
+        for notion in ("external", "internal"):
+            assert list(enumerate_stable(inst, eps, notion)) == list(reference_enumerate_stable(inst, eps, notion))
+    finally:
+        matchgames.oracle.is_externally_stable = original
 
 
 class TestParetoFrontier:

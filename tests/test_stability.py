@@ -33,7 +33,7 @@ from matchgames import (
 )
 from matchgames.serde import dump_profile, parse_profile
 
-from helpers import random_bimatrix_instance, refused_profiles
+from helpers import random_bimatrix_instance, reference_find_blocking_pair, refused_profiles
 
 F = Fraction
 
@@ -216,6 +216,31 @@ class TestRecords:
         notion = "ExternalEps" if eps else "External0"
         behaves_as_built(report, StabilityReport(notion, want is None, want, F(eps)))
         assert report.witness == witness
+
+    @pytest.mark.parametrize("eps", [0, F(1, 2)])
+    def test_profiles_failing_one_reservation_check_share_its_witness(self, eps):
+        two = BimatrixGame([[1, 2]], [[1, 1]])  # two contracts, each below 5 for both sides
+        low_man, low_woman = single_couple(two, irp_m=5), single_couple(two, irp_w=5)
+        late_man = build_instance(
+            ["m0", "m1"], ["w0", "w1"], [0, 1], [0, 0],
+            {(i, j): BimatrixGame([[0]], [[0]]) for i in range(2) for j in range(2)},
+        )  # man 1 earns 0 below his 1 wherever he is matched, and no pair blocks
+        cases = [
+            (low_man, [profile_at(low_man, {0: 0}, lambda i, j, c, k=k: c.id == k) for k in (0, 1)],
+             BlockingPair(0, None, None)),
+            (late_man, [matched_on(late_man, {0: 0, 1: 1}), matched_on(late_man, {0: 1, 1: 0})],
+             BlockingPair(1, None, None)),
+            (low_woman, [profile_at(low_woman, {0: 0}, lambda i, j, c, k=k: c.id == k) for k in (0, 1)],
+             BlockingPair(None, 0, None)),
+        ]
+        for inst, (first, second), want in cases:
+            assert first != second
+            got = [find_blocking_pair(inst, p, eps) for p in (first, second)]
+            assert got == [reference_find_blocking_pair(inst, p, eps) for p in (first, second)]
+            assert got[0] == got[1] == want
+            assert got[0] is got[1]  # made once per agent and shared
+            # Sharing is safe only because the shared record refuses every write.
+            behaves_as_built(got[1], BlockingPair(want.man, want.woman, want.contract))
 
 
 class TestVariants:
