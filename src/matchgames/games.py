@@ -214,12 +214,15 @@ class _Matrix(NamedTuple):
     numerators: Tuple[int, ...]
 
 
-def _over_lcm(xs: Sequence[Union[int, Fraction]], rows: int, cols: int) -> _Matrix:
-    """The matrix whose entries, row by row, are xs (ints and Fractions), as integers over their lcm D."""
-    if set(map(type, xs)) == {int}:  # JSON integers: the _Matrix below, without its walk over the entries
-        return _Matrix(rows, cols, 1, tuple(xs))
-    d = lcm(*[x.denominator for x in xs])  # an int's is 1, a Fraction's in lowest terms
-    return _Matrix(rows, cols, d, tuple([x.numerator * (d // x.denominator) for x in xs]))
+def _scaled(pairs: Sequence[Pair]) -> Tuple[int, Tuple[int, ...]]:
+    """(D, numerators): numbers given as lowest-terms pairs n/d, as integers over the lcm D of their d."""
+    D = lcm(*[d for _, d in pairs])
+    return D, tuple([n * (D // d) for n, d in pairs])
+
+
+def _over_lcm(pairs: Sequence[Pair], rows: int, cols: int) -> _Matrix:
+    """The matrix whose entries, row by row, are the lowest-terms pairs n/d, as integers over their lcm D."""
+    return _Matrix(rows, cols, *_scaled(pairs))
 
 
 def _read_matrix(m: Union[_Matrix, Sequence[Sequence[RationalLike]]], name: str) -> _Matrix:
@@ -234,7 +237,7 @@ def _read_matrix(m: Union[_Matrix, Sequence[Sequence[RationalLike]]], name: str)
     shape = f"{name} must be a nonempty rectangular matrix"
     if not isinstance(m, (list, tuple)) or not m or not all([isinstance(row, (list, tuple)) for row in m]):
         raise GameError(shape)
-    xs = [x if type(x) is int else _rat(x, name) for row in m for x in row]
+    xs = [(x, 1) if type(x) is int else _rat(x, name).as_integer_ratio() for row in m for x in row]
     cols = len(m[0])
     if not cols or len({len(row) for row in m}) > 1:
         raise GameError(shape)
@@ -299,6 +302,19 @@ def _grid_runs(lo: Pair, hi: Pair, step: Fraction, before: int = 0) -> List[Run]
     return [(a, b, count - 1, d), (hn, 1, 1, hd)]
 
 
+class _Breakpoints(NamedTuple):
+    """A map's breakpoints read once, in integers: breakpoint k is (xs[k]/dx, ys[k]/dy).
+
+    dx and dy are the lcm of the lowest-terms denominators on each axis, as a
+    ``_Matrix``'s D is; ``serde`` reads a file's breakpoint lists into one.
+    """
+
+    dx: int
+    xs: Tuple[int, ...]
+    dy: int
+    ys: Tuple[int, ...]
+
+
 class PiecewiseLinear:
     """Strictly increasing piecewise-linear map with rational breakpoints.
 
@@ -306,28 +322,38 @@ class PiecewiseLinear:
     the first/last segment is extended with its own slope, keeping the
     map a bijection on the rationals.  An input lying on an interior
     breakpoint is evaluated on the segment to its left (both agree there).
+
+    The map keeps one copy of its breakpoints, in integers: a
+    ``_Breakpoints`` record, taken as it is when given one (``serde``
+    reads a file's into one).  ``points`` makes their ``Fraction``s on
+    first read, and the lines of the segments are made on the first walk
+    that needs them, the inverse's on the first inverse walk.
     """
 
-    __slots__ = ("points", "_x_inner", "_y_inner", "_forward", "_backward")
+    __slots__ = ("_breakpoints", "_points", "_tables")
 
-    def __init__(self, breakpoints: Sequence[Tuple[RationalLike, RationalLike]]):
-        pts = [(_rat(x, "breakpoints"), _rat(y, "breakpoints")) for x, y in breakpoints]
-        if len(pts) < 2:
+    def __init__(self, breakpoints: Union[_Breakpoints, Sequence[Tuple[RationalLike, RationalLike]]]):
+        if type(breakpoints) is not _Breakpoints:
+            pts = [(_rat(x, "breakpoints"), _rat(y, "breakpoints")) for x, y in breakpoints]
+            breakpoints = _Breakpoints(
+                *_scaled([x.as_integer_ratio() for x, _ in pts]), *_scaled([y.as_integer_ratio() for _, y in pts])
+            )
+        _, xs, _, ys = breakpoints
+        if len(xs) < 2:
             raise GameError("piecewise-linear map needs at least two breakpoints")
-        self.points: Tuple[Tuple[Fraction, Fraction], ...] = tuple(pts)
-        # the breakpoints scaled once, each axis by its own lcm: (x, y) is the point (x/dx, y/dy)
-        dx, dy = lcm(*[x.denominator for x, _ in pts]), lcm(*[y.denominator for _, y in pts])
-        xs = [x.numerator * (dx // x.denominator) for x, _ in pts]
-        ys = [y.numerator * (dy // y.denominator) for _, y in pts]
-        if any(b <= a for a, b in zip(xs, xs[1:])) or any(
-            b <= a for a, b in zip(ys, ys[1:])
-        ):
+        if any(b <= a for a, b in zip(xs, xs[1:])) or any(b <= a for a, b in zip(ys, ys[1:])):
             raise GameError("piecewise-linear map must be strictly increasing")
-        self._x_inner = tuple((x, dx) for x in xs[1:-1])
-        self._y_inner = tuple((y, dy) for y in ys[1:-1])
-        segments = list(zip(zip(xs, ys), zip(xs[1:], ys[1:])))
-        self._forward = tuple(_line(a, b, dx, dy) for a, b in segments)
-        self._backward = tuple(_line(a[::-1], b[::-1], dy, dx) for a, b in segments)
+        self._breakpoints = breakpoints
+        self._points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
+        self._tables: List[Optional[tuple]] = [None, None]  # the map's, then its inverse's
+
+    @property
+    def points(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        """The breakpoints as ``Fraction`` pairs, made on first read."""
+        if self._points is None:
+            dx, xs, dy, ys = self._breakpoints
+            self._points = tuple([(Fraction(x, dx), Fraction(y, dy)) for x, y in zip(xs, ys)])
+        return self._points
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
@@ -346,35 +372,49 @@ class PiecewiseLinear:
 
         A run is cut at the breakpoints it crosses (``_pieces``), and each piece maps to one run.
         """
-        cuts, table = (self._y_inner, self._backward) if inverse else (self._x_inner, self._forward)
+        way = 1 if inverse else 0
+        table = self._tables[way] or self._table(way)
         out: List[Run] = []
         for n, s, c, d in runs:
             if s > 0:
-                out += _pieces(n, s, c, d, cuts, table)
+                out += _pieces(n, s, c, d, *table)
             else:  # a descending run is mapped in ascending order, then read back
-                pieces = _pieces(n + (c - 1) * s, -s, c, d, cuts, table)
+                pieces = _pieces(n + (c - 1) * s, -s, c, d, *table)
                 out += [(m + (k - 1) * t, -t, k, e) for m, t, k, e in reversed(pieces)]
         return out
 
+    def _table(self, way: int) -> tuple:
+        """(dx, cuts, lines) of the map (way 0), or of its inverse with the axes swapped (way 1), made once.
 
-def _pieces(n: int, s: int, c: int, d: int, cuts, table) -> List[Run]:
+        The interior breakpoints are cuts[j] / dx, ascending, and lines[j]
+        is the line (A, B, C) of the segment left of cut j (``_line``).
+        """
+        dx, xs, dy, ys = self._breakpoints
+        if way:
+            dx, xs, dy, ys = dy, ys, dx, xs
+        pts = list(zip(xs, ys))
+        table = self._tables[way] = (dx, xs[1:-1], [_line(a, b, dx, dy) for a, b in zip(pts, pts[1:])])
+        return table
+
+
+def _pieces(n: int, s: int, c: int, d: int, dx: int, cuts, lines) -> List[Run]:
     """The ascending run (n, s, c, d) through a piecewise-linear map, one run per segment it meets.
 
-    ``cuts`` are the interior breakpoints as pairs (X, dx), ascending, and
-    ``table[j]`` the line (A, B, C) of the segment left of cut j: it maps x
+    ``cuts`` are the interior breakpoints over dx, ascending, and
+    ``lines[j]`` the line (A, B, C) of the segment left of cut j: it maps x
     to (A*x + B) / C.  Point k lies at or left of cut X/dx exactly when
     k <= (X*d - n*dx) / (s*dx), so one floor division finds where the run
     crosses each cut, and a point on a cut is mapped on the segment to its
     left.  A piece from point k0 maps to (A*(n + k0*s) + B*d + i*A*s) / (C*d).
     """
-    out, start = [], 0
-    for (X, dx), (A, B, C) in zip(cuts, table):
-        end = min(c, (X * d - n * dx) // (s * dx) + 1)  # points at or left of the cut
+    out, start, ndx, sdx = [], 0, n * dx, s * dx
+    for X, (A, B, C) in zip(cuts, lines):
+        end = min(c, (X * d - ndx) // sdx + 1)  # points at or left of the cut
         if end > start:
             out.append((A * (n + start * s) + B * d, A * s, end - start, C * d))
             start = end
     if start < c:
-        A, B, C = table[-1]
+        A, B, C = lines[-1]
         out.append((A * (n + start * s) + B * d, A * s, c - start, C * d))
     return out
 

@@ -79,11 +79,22 @@ def enumerate_matchings(n_men: int, n_women: int) -> Iterator[Tuple[Optional[int
             yield tuple(acc) + (None,) * (n_men - i - 1)
 
 
-def count_profiles(inst: Instance) -> int:
+def count_profiles(inst: Instance, cap: Optional[int] = None) -> int:
     """Exact number of matching profiles: sum over matchings of the
-    product of menu sizes along the matched couples.  It takes no cap: its
-    table has 2**k entries and each agent of the larger side costs k * 2**k
-    steps, k the size of the smaller side."""
+    product of menu sizes along the matched couples.  Its table has 2**k
+    entries and each agent of the larger side costs k * 2**k steps, k the
+    size of the smaller side.
+
+    With a cap it refuses with OracleCapError when the count exceeds the
+    cap, naming it; past 12 agents a side it first bounds the count from
+    below by the number of partial matchings (each is at least one
+    profile) and refuses on that bound alone, before the table is built.
+    """
+    k = min(inst.n_men, inst.n_women)
+    if cap is not None and k > 12:
+        least = sum(math.comb(inst.n_men, j) * math.perm(inst.n_women, j) for j in range(k + 1))
+        if least > cap:
+            raise OracleCapError(f"candidate space has at least {least} profiles, exceeding cap {cap}")
     sizes = [
         [len(inst.game(i, j).menu()) for j in range(inst.n_women)]
         for i in range(inst.n_men)
@@ -92,7 +103,7 @@ def count_profiles(inst: Instance) -> int:
         sizes = [list(column) for column in zip(*sizes)]
     # ways[mask]: weighted count of the partial matchings of the rows seen
     # so far that use exactly the columns in mask (columns: the smaller side).
-    ways = [0] * (1 << min(inst.n_men, inst.n_women))
+    ways = [0] * (1 << k)
     ways[0] = 1
     for row in sizes:
         # Descending masks: each update goes to a larger mask, already
@@ -103,28 +114,23 @@ def count_profiles(inst: Instance) -> int:
                 for j, size in enumerate(row):
                     if not mask >> j & 1:
                         ways[mask | 1 << j] += w * size
-    return sum(ways)
+    total = sum(ways)
+    if cap is not None and total > cap:
+        raise OracleCapError(f"candidate space has {total} profiles, exceeding cap {cap}")
+    return total
 
 
 def enumerate_profiles(inst: Instance, cap: int = 10**7) -> Iterator[MatchingProfile]:
     """Stream every matching profile of the instance.
 
-    Refuses with OracleCapError when the candidate space exceeds cap,
-    naming its exact size, or, past 12 agents a side, the number of
-    partial matchings (a lower bound) when that alone exceeds cap.
-    Order is deterministic: matchings in enumerate_matchings order,
-    contracts per couple in menu (id) order, rightmost couple varying
-    fastest.  The first profile of each matching is checked by the
-    constructor; the rest share its checked partner map.
+    Refuses with OracleCapError when the candidate space exceeds cap, as
+    ``count_profiles`` with that cap does.  Order is deterministic:
+    matchings in enumerate_matchings order, contracts per couple in menu
+    (id) order, rightmost couple varying fastest.  The first profile of
+    each matching is checked by the constructor; the rest share its
+    checked partner map.
     """
-    k = min(inst.n_men, inst.n_women)
-    if k > 12:  # count_profiles' table has 2**k entries; each matching is at least one profile
-        least = sum(math.comb(inst.n_men, j) * math.perm(inst.n_women, j) for j in range(k + 1))
-        if least > cap:
-            raise OracleCapError(f"candidate space has at least {least} profiles, exceeding cap {cap}")
-    total = count_profiles(inst)
-    if total > cap:
-        raise OracleCapError(f"candidate space has {total} profiles, exceeding cap {cap}")
+    count_profiles(inst, cap=cap)
     for matches in enumerate_matchings(inst.n_men, inst.n_women):
         couples = [(i, j) for i, j in enumerate(matches) if j is not None]
         combos = itertools.product(*(inst.game(i, j).menu() for i, j in couples))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import adapters
@@ -24,8 +26,10 @@ from .games import (
     StrictlyCompetitiveGame,
     TransferGame,
     ZeroSumGame,
+    _Breakpoints,
     _Matrix,
     _over_lcm,
+    _scaled,
     build_instance,
 )
 from .rational import fmt, rat
@@ -86,6 +90,31 @@ def _num(value: Any, where: str) -> Fraction:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _pair(value: Any, where: str) -> Tuple[int, int]:
+    """What ``_num`` reads, as (n, d) in lowest terms with d > 0, most often without a ``Fraction``.
+
+    A JSON integer is (value, 1), and a plain "n", "-n", "n/d" or "-n/d" in
+    ASCII digits is split and reduced; every other value goes through
+    ``_num``, so the grammar, the digit limit and every error text stay
+    ``rat``'s.
+    """
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        head, slash, tail = value.partition("/")
+        if (head[1:] if head[:1] == "-" else head).isdigit() and (tail.isdigit() or not slash):
+            try:
+                n, d = int(head), int(tail or 1)
+            except ValueError:  # past the digit limit: _num names it
+                pass
+            else:
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+    x = _num(value, where)
+    return x.numerator, x.denominator
+
+
 def _num_out(x: Fraction) -> Any:
     # Integers stay JSON integers; everything else is a canonical string.
     if x.denominator == 1:
@@ -136,31 +165,44 @@ def _fixed(value: Any, where: str, read: Reader, n: int, shape: str) -> tuple:
     return tuple([read(x, f"{where}[{k}]") for k, x in enumerate(items)])
 
 
-def _breakpoints(value: Any, where: str) -> List[Tuple[Fraction, Fraction]]:
-    # a plain comprehension (level-game couples read these on the timed path); _fixed names a bad pair
-    return [
-        (_num(p[0], f"{where}[{k}][0]"), _num(p[1], f"{where}[{k}][1]")) if type(p) is list and len(p) == 2
-        else _fixed(p, f"{where}[{k}]", _num, 2, "breakpoints are [x, y] pairs")
+def _breakpoints(value: Any, where: str) -> _Breakpoints:
+    """A breakpoint list read in one pass, as the games' integer ``_Breakpoints``.
+
+    A plain comprehension (level-game couples read these on the timed
+    path); ``_fixed`` names a bad pair, and the map refuses too few or
+    unordered breakpoints.
+    """
+    pts = [
+        (_pair(p[0], f"{where}[{k}][0]"), _pair(p[1], f"{where}[{k}][1]")) if type(p) is list and len(p) == 2
+        else _fixed(p, f"{where}[{k}]", _pair, 2, "breakpoints are [x, y] pairs")
         for k, p in enumerate(_list(value, where))
     ]
+    return _Breakpoints(*_scaled([x for x, _ in pts]), *_scaled([y for _, y in pts]))
 
 
 def _matrix_in(value: Any, where: str) -> Union[_Matrix, List[list]]:
     """A payoff matrix read in one pass, as the games' ``_Matrix``; a ragged or empty one as its rows.
 
-    A JSON integer is kept as it is and a path is made only for an error.
-    The game refuses the rows of a matrix that is not rectangular.
+    The entries' types are scanned once: a matrix of JSON integers is kept
+    as it is, and otherwise each entry that is not one is read as a pair
+    (``_pair``), a path made only for it.  The game refuses the rows of a
+    matrix that is not rectangular.
     """
     rows = _list(value, where)
-    xs = [
-        x if type(x) is int else _num(x, f"{where}[{r}][{c}]")
+    if rows and rows[0] and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
+        shape, xs = (len(rows), len(rows[0])), list(chain.from_iterable(rows))
+        if set(map(type, xs)) == {int}:
+            return _Matrix(*shape, 1, tuple(xs))
+        pairs = [
+            (x, 1) if type(x) is int else _pair(x, f"{where}[{r}][{c}]")
+            for r, row in enumerate(rows)
+            for c, x in enumerate(row)
+        ]
+        return _over_lcm(pairs, *shape)
+    return [
+        [x if type(x) is int else _num(x, f"{where}[{r}][{c}]") for c, x in enumerate(_list(row, f"{where}[{r}]"))]
         for r, row in enumerate(rows)
-        for c, x in enumerate(row if type(row) is list else _list(row, f"{where}[{r}]"))
     ]
-    if rows and rows[0] and len(set(map(len, rows))) == 1:
-        return _over_lcm(xs, len(rows), len(rows[0]))
-    entries = iter(xs)
-    return [[next(entries) for _x in row] for row in rows]
 
 
 def _matrix_out(rows) -> list:
@@ -272,9 +314,11 @@ def dump_game(game: Game) -> dict:
 
 
 def _integral(value: Any) -> bool:
-    """Every number in a parsed field is an integer; a matrix read whole says so by its D."""
+    """Every number in a parsed field is an integer; a matrix or breakpoints read whole say so by their lcms."""
     if type(value) is _Matrix:
         return value.D == 1
+    if type(value) is _Breakpoints:
+        return value.dx == value.dy == 1
     if type(value) is Fraction:
         return value.denominator == 1
     return all(x.denominator == 1 for row in value for x in row)

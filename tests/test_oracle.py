@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -38,6 +40,7 @@ from matchgames import (
 from matchgames.cli import main
 
 from helpers import random_bimatrix_instance, reference_enumerate_stable, reference_profiles
+from test_cli import checkout_env
 from test_market import markets
 
 F = Fraction
@@ -143,6 +146,49 @@ class TestCountAndCap:
         total = count_profiles(inst)
         with pytest.raises(OracleCapError, match=str(total)):
             list(enumerate_profiles(inst, cap=1))
+
+    def test_count_with_a_cap_names_the_exact_size(self):
+        rng = random.Random(137)
+        inst = random_bimatrix_instance(rng, max_agents=3, max_cells=9)
+        total = count_profiles(inst)
+        assert count_profiles(inst, cap=total) == total
+        with pytest.raises(OracleCapError) as info:
+            count_profiles(inst, cap=total - 1)
+        assert str(info.value) == f"candidate space has {total} profiles, exceeding cap {total - 1}"
+
+    def test_count_with_a_cap_refuses_a_large_market_before_its_table(self):
+        # The 30x30 market's table would have 2**30 entries; with a cap the
+        # count refuses on the partial matchings alone.  The child runs with
+        # its address space capped, so a count that builds the table fails
+        # at once instead of taking the machine's memory.
+        child = "\n".join(
+            [
+                "import time",
+                "try:",
+                "    import resource",
+                "    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+                "except ImportError:",
+                "    pass",
+                "from matchgames import BimatrixGame, OracleCapError, build_instance, count_profiles",
+                "n, game = 30, BimatrixGame([[0, 1]], [[1, 0]])",
+                "names = [f'm{i}' for i in range(n)], [f'w{j}' for j in range(n)]",
+                "inst = build_instance(*names, [0] * n, [0] * n, {(i, j): game for i in range(n) for j in range(n)})",
+                "start = time.perf_counter()",
+                "try:",
+                "    count_profiles(inst, cap=10**7)",
+                "except OracleCapError as exc:",
+                "    print(time.perf_counter() - start)",
+                "    print(exc)",
+            ]
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=checkout_env(), timeout=30
+        )
+        assert run.returncode == 0, run.stderr
+        seconds, message = run.stdout.splitlines()
+        assert float(seconds) < 1
+        least = partial_injection_count(30, 30)
+        assert message == f"candidate space has at least {least} profiles, exceeding cap 10000000"
 
     def test_cap_passthrough_in_enumerate_stable(self):
         rng = random.Random(139)

@@ -36,6 +36,7 @@ from matchgames.rational import digits_past_limit, render_event
 from matchgames.serde import dump_game, load_json
 
 from helpers import reference_is_potential
+from test_rational import number_texts
 
 F = Fraction
 
@@ -477,6 +478,165 @@ def test_the_one_pass_reader_equals_the_constructors(drawn):
             assert getattr(got, name) == getattr(want, name) == ms[name.lower()]
     assert list(got.menu()) == list(want.menu())
     assert dump_game(got) == dump_game(want)
+
+
+def breakpoint_list(draw, value):
+    """Two to four breakpoints of a strictly increasing map, as Fraction pairs."""
+    n = draw(st.integers(2, 4))
+    xs, ys = (sorted(draw(st.sets(value, min_size=n, max_size=n))) for _axis in "xy")
+    return list(zip(xs, ys))
+
+
+@st.composite
+def level_couples(draw):
+    """A strictly competitive or transfer couple: its numbers as Fractions and its payload in file forms.
+
+    Every number is written as ``file_form`` writes it: an int when
+    integral, "p/q", or the same over twice the denominator.
+    """
+    kind = draw(st.sampled_from(["strictly_competitive", "transfer"]))
+    value = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    if kind == "strictly_competitive":
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        numbers = {"g": [[draw(value) for _c in range(cols)] for _r in range(rows)]}
+        maps = ("f", "h")
+    else:
+        numbers = dict(zip(("t_min", "t_max"), sorted([draw(value), draw(value)])))
+        maps = ("f_u", "f_v")
+    numbers.update({name: breakpoint_list(draw, value) for name in maps})
+
+    def form(x):
+        return [form(y) for y in x] if isinstance(x, (list, tuple)) else file_form(draw, x)
+
+    payload = {"class": kind, **{name: form(x) for name, x in numbers.items()}, "resolution": 1}
+    return kind, numbers, payload
+
+
+def level_constructed(kind, numbers):
+    """The game the public constructor makes from the Fraction numbers and breakpoints."""
+    if kind == "strictly_competitive":
+        f, h = PiecewiseLinear(numbers["f"]), PiecewiseLinear(numbers["h"])
+        return StrictlyCompetitiveGame(numbers["g"], 1, f, h)
+    f, h = PiecewiseLinear(numbers["f_u"]), PiecewiseLinear(numbers["f_v"])
+    return TransferGame(numbers["t_min"], numbers["t_max"], 1, f, h)
+
+
+def flat(x):
+    return [z for y in x for z in flat(y)] if isinstance(x, (list, tuple)) else [x]
+
+
+PROBES = [(n, d) for n in range(-15, 16) for d in (1, 2, 3, 4)]  # past every drawn breakpoint on both sides
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(level_couples())
+@example(
+    (
+        "transfer",
+        {"t_min": F(-1, 2), "t_max": F(2), "f_u": [(F(0), F(-2)), (F(1, 2), F(1))], "f_v": [(-1, F(1, 3)), (4, 5)]},
+        {"class": "transfer", "t_min": "-2/4", "t_max": "4/2", "f_u": [["0/2", -2], ["1/2", "2/2"]],
+         "f_v": [[-1, "2/6"], ["8/2", 5]], "resolution": 1},
+    )
+)
+@example(
+    (
+        "strictly_competitive",
+        {"g": [[F(2)]], "f": [(-2, -2), (0, F(1, 2)), (2, 3)], "h": [(-3, -3), (3, 3)]},
+        {"class": "strictly_competitive", "g": [["4/2"]], "f": [[-2, "-4/2"], ["0/3", "1/2"], [2, 3]],
+         "h": [[-3, -3], [3, "6/2"]], "resolution": 1},
+    )
+)
+def test_the_one_pass_reader_equals_the_constructors_on_level_games(drawn):
+    kind, numbers, payload = drawn
+    data = minimal_data()
+    data["games"]["m"]["w"] = payload
+    if all(x.denominator == 1 for x in flat(list(numbers.values()))):
+        assert parse_instance(data)[1] == 1
+    else:
+        with pytest.raises(SchemaError) as info:
+            parse_instance(data)
+        assert str(info.value) == NO_MARGIN
+    got, want = parse_instance(data, eps=1)[0].game(0, 0), level_constructed(kind, numbers)
+    assert type(got) is type(want)
+    assert got._payoffs == want._payoffs
+    assert list(got.menu()) == list(want.menu())
+    maps = ("f", "h") if kind == "strictly_competitive" else ("f_u", "f_v")
+    for name, mine, theirs in zip(maps, (got.f, got.h), (want.f, want.h)):
+        assert mine.points == theirs.points == tuple(numbers[name])
+        for inverse in (False, True):
+            assert mine.walk(PROBES, inverse) == theirs.walk(PROBES, inverse)
+    assert dump_game(got) == dump_game(want)
+
+
+def read_pair(value):
+    """``serde._pair`` of one value at the path "at", or its SchemaError's text."""
+    try:
+        return serde._pair(value, "at")
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+def read_num(value):
+    """``serde._num`` of one value at the path "at" as (numerator, denominator), or its SchemaError's text."""
+    try:
+        x = serde._num(value, "at")
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+    return x.numerator, x.denominator
+
+
+class TestPairReader:
+    """``_pair`` reads each value as ``_num`` does: the same lowest-terms pair, or the same error text."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(st.integers(), number_texts(), st.text(alphabet="0123456789_/.eE+- \t٣", max_size=10)))
+    def test_it_reads_as_num(self, value):
+        got = read_pair(value)
+        assert got == read_num(value)
+        if isinstance(got, tuple):
+            assert list(map(type, got)) == [int, int]
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            ("4/2", (2, 1)),
+            ("-0/5", (0, 1)),
+            ("-25/6", (-25, 6)),
+            ("-12", (-12, 1)),
+            ("3/-4", "SchemaError: at: Invalid literal for Fraction: '3/-4'"),
+            ("+3/4", (3, 4)),
+            ("1/0", "SchemaError: at: zero denominator in '1/0'"),
+            (" 3/4", (3, 4)),
+            ("1_0/3", (10, 3)),
+            ("٣/4", (3, 4)),
+            ("²", "SchemaError: at: Invalid literal for Fraction: '²'"),
+            ("0.25", (1, 4)),
+            ("1e3", (1000, 1)),
+            ("1/", "SchemaError: at: Invalid literal for Fraction: '1/'"),
+            ("-", "SchemaError: at: Invalid literal for Fraction: '-'"),
+            (True, 'SchemaError: at: expected an integer or "p/q" string, got True'),
+            (None, 'SchemaError: at: expected an integer or "p/q" string, got None'),
+        ],
+        ids=repr,
+    )
+    def test_the_edges_of_the_plain_form(self, value, want):
+        assert read_pair(value) == read_num(value) == want
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    @pytest.mark.parametrize("text", ["{}", "-{}", "{}/7", "7/{}"])
+    def test_plain_strings_at_and_past_the_digit_limit(self, text):
+        limit = sys.get_int_max_str_digits()
+        at, past = text.format("9" * limit), text.format("9" * (limit + 1))
+        assert read_pair(at) == read_num(at) == F(at).as_integer_ratio()
+        assert read_pair(past) == read_num(past)
+        assert read_pair(past).startswith("SchemaError: at: Exceeds the limit")
+
+    def test_a_plain_string_makes_no_fraction(self, monkeypatch):
+        def refused(value):
+            raise AssertionError(f"rat called on {value!r}")
+
+        monkeypatch.setattr(serde, "rat", refused)
+        assert [serde._pair(x, "at") for x in ("-25/6", "12", "-6/4", 7)] == [(-25, 6), (12, 1), (-3, 2), (7, 1)]
 
 
 class TestFloatRejection:
