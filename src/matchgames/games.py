@@ -21,7 +21,7 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactlp import _scaled_value
 from .geometry import Point, _integer_hull, hull_contains
-from .rational import NEG_INF, POS_INF, RationalLike, digits_past_limit, fmt, is_neg_inf, rat, str_limit
+from .rational import NEG_INF, POS_INF, RationalLike, _ratio, digits_past_limit, fmt, is_neg_inf, rat, str_limit
 
 
 class GameError(ValueError):
@@ -33,6 +33,7 @@ class Side(Enum):
     WOMAN = "woman"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Contract:
     """A strategy pair together with its exact payoffs.
 
@@ -47,31 +48,11 @@ class Contract:
     off a repeated game's grid is a contract like any other.
     """
 
-    __slots__ = ("id", "strategy_a", "strategy_b", "u", "v")
-    __match_args__ = ("id", "strategy_a", "strategy_b", "u", "v")
-
-    def __init__(self, id: int, strategy_a: object, strategy_b: object, u: Fraction, v: Fraction):
-        self.id = id
-        self.strategy_a = strategy_a
-        self.strategy_b = strategy_b
-        self.u = u
-        self.v = v
-
-    def __eq__(self, other):
-        if isinstance(other, Contract):
-            return (self.id, self.strategy_a, self.strategy_b, self.u, self.v) == (
-                other.id, other.strategy_a, other.strategy_b, other.u, other.v
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.id, self.strategy_a, self.strategy_b, self.u, self.v))
-
-    def __repr__(self):
-        return (
-            f"Contract(id={self.id!r}, strategy_a={self.strategy_a!r}, "
-            f"strategy_b={self.strategy_b!r}, u={self.u!r}, v={self.v!r})"
-        )
+    id: int
+    strategy_a: object
+    strategy_b: object
+    u: Fraction
+    v: Fraction
 
 
 Pair = Tuple[int, int]  # the number n/d as integers (n, d), d > 0, not always in lowest terms
@@ -228,26 +209,26 @@ def _over_lcm(pairs: Sequence[Pair], rows: int, cols: int) -> _Matrix:
 def _read_matrix(m: Union[_Matrix, Sequence[Sequence[RationalLike]]], name: str) -> _Matrix:
     """The one reading of a payoff matrix: a nonempty list or tuple of equally long list or tuple rows.
 
-    An int entry is read as it is, every other entry through ``rat``
-    (``_rat``).  A ``_Matrix`` (``serde`` reads a file's matrices into one
-    as it parses them) is returned unchanged.
+    An int entry is read as it is, every other entry as a pair
+    (``_pair``).  A ``_Matrix`` (``serde`` reads a file's matrices into
+    one as it parses them) is returned unchanged.
     """
     if type(m) is _Matrix:
         return m
     shape = f"{name} must be a nonempty rectangular matrix"
     if not isinstance(m, (list, tuple)) or not m or not all([isinstance(row, (list, tuple)) for row in m]):
         raise GameError(shape)
-    xs = [(x, 1) if type(x) is int else _rat(x, name).as_integer_ratio() for row in m for x in row]
+    xs = [(x, 1) if type(x) is int else _pair(x, name) for row in m for x in row]
     cols = len(m[0])
     if not cols or len({len(row) for row in m}) > 1:
         raise GameError(shape)
     return _over_lcm(xs, len(m), cols)
 
 
-def _rat(value: RationalLike, what: str) -> Fraction:
-    """``rat`` of a number a game is given; its error becomes a ``GameError`` that names the field."""
+def _pair(value: RationalLike, what: str) -> Pair:
+    """A number a game is given, as ``rational._ratio`` reads it; an error becomes a ``GameError`` naming the field."""
     try:
-        return rat(value)
+        return _ratio(value)
     except (TypeError, ValueError) as exc:
         raise GameError(f"{what}: {exc}") from exc
 
@@ -334,10 +315,8 @@ class PiecewiseLinear:
 
     def __init__(self, breakpoints: Union[_Breakpoints, Sequence[Tuple[RationalLike, RationalLike]]]):
         if type(breakpoints) is not _Breakpoints:
-            pts = [(_rat(x, "breakpoints"), _rat(y, "breakpoints")) for x, y in breakpoints]
-            breakpoints = _Breakpoints(
-                *_scaled([x.as_integer_ratio() for x, _ in pts]), *_scaled([y.as_integer_ratio() for _, y in pts])
-            )
+            pts = [(_pair(x, "breakpoints"), _pair(y, "breakpoints")) for x, y in breakpoints]
+            breakpoints = _Breakpoints(*_scaled([x for x, _ in pts]), *_scaled([y for _, y in pts]))
         _, xs, _, ys = breakpoints
         if len(xs) < 2:
             raise GameError("piecewise-linear map needs at least two breakpoints")
@@ -356,12 +335,10 @@ class PiecewiseLinear:
         return self._points
 
     def __call__(self, x: RationalLike) -> Fraction:
-        x = rat(x)
-        return self.walk([(x.numerator, x.denominator)])[0]
+        return self.walk([_ratio(x)])[0]
 
     def inverse(self, y: RationalLike) -> Fraction:
-        y = rat(y)
-        return self.walk([(y.numerator, y.denominator)], inverse=True)[0]
+        return self.walk([_ratio(y)], inverse=True)[0]
 
     def walk(self, pairs: Sequence[Pair], inverse: bool = False) -> List[Fraction]:
         """The map (or its inverse) at each n/d of integer pairs (d > 0), each a run of one number."""
@@ -631,10 +608,10 @@ _IDENTITY = _Identity()
 
 
 def _positive(value: RationalLike, what: str) -> Fraction:
-    value = _rat(value, what)
-    if value <= 0:
+    n, d = _pair(value, what)
+    if n <= 0:
         raise GameError(f"{what} must be positive")
-    return value
+    return Fraction(n, d)
 
 
 def _monotone(m) -> PiecewiseLinear:
@@ -809,11 +786,11 @@ class TransferGame(LevelGame):
         f_u: PiecewiseLinear,
         f_v: PiecewiseLinear,
     ):
-        t_min, t_max = _rat(t_min, "t_min"), _rat(t_max, "t_max")
+        lo, hi = _pair(t_min, "t_min"), _pair(t_max, "t_max")
         res = _positive(step, "transfer grid step")
-        if t_min > t_max:
+        if lo[0] * hi[1] > hi[0] * lo[1]:
             raise GameError("transfer grid has empty range")
-        grid = _grid_runs(t_min.as_integer_ratio(), t_max.as_integer_ratio(), res)
+        grid = _grid_runs(lo, hi, res)
         f, h = _monotone(f_u), _monotone(f_v)
         super().__init__(grid, f._walk(grid), res, f, h)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ._market import Couple, market_index
@@ -69,13 +70,10 @@ class MarketState:
     iteration_bound: int
     _scale: int = field(repr=False)
     _events: list = field(default_factory=list, init=False, repr=False)
-    _lines: Optional[List[str]] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def trace(self) -> List[str]:
-        if self._lines is None:
-            self._lines = [self._render(*event) for event in self._events]
-        return self._lines
+        return [self._render(*event) for event in self._events]
 
     def _render(self, kind: str, iteration: int, *values) -> str:
         names, scaled = _EVENT_FIELDS[kind]

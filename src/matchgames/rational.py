@@ -1,10 +1,12 @@
-"""Exact rational scalars and the minus-infinity sentinel.
+"""Exact rational scalars, their one reader, and the minus-infinity sentinel.
 
-Every payoff, threshold, and resolution in this library is a
-``fractions.Fraction``.  Floats are rejected at the boundary (parsing)
-so exactness can't silently degrade mid-computation.  ``render_event``
-writes the trace lines of propose-dispose and refinement, on their
-first read, with these scalars in canonical form.
+Every number the library is given is read here: ``_ratio`` reads it as
+integers (n, d) in lowest terms, and ``rat`` as a ``fractions.Fraction``.
+Floats are rejected at the boundary so exactness can't silently degrade
+mid-computation: payoffs, thresholds and resolutions are ``Fraction``s,
+or integers over a known denominator (menus and the market index).
+``render_event`` writes the trace lines of propose-dispose and
+refinement, on their first read, with these scalars in canonical form.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 Rational = Fraction
 
@@ -42,55 +45,68 @@ def rat(value: RationalLike) -> Fraction:
     ``sys.get_int_max_str_digits()`` (no cap when that is 0): such a
     number could not be printed.  Floats are rejected: binary floats do
     not carry the exactness contract, so callers must write "0.1" rather
-    than 0.1.
+    than 0.1.  A ``Fraction`` is returned as it is; every other value is
+    the ``Fraction`` of its pair (``_ratio``).
+    """
+    if isinstance(value, Fraction):  # re-reading is common
+        return value
+    return Fraction(*_ratio(value))
 
-    Payload numbers are read here one by one, so the exact types
-    ``Fraction``, ``int`` and ``str`` are tried first, by identity; only
-    other types (bool, float, subclasses) take the ``isinstance`` checks.
-    A string without a decimal point or an exponent ("n" or "n/d") is
-    made straight from its two integers: ``int()`` already refuses a
-    digit string past the limit, and lowest terms have no more digits.
+
+def _ratio(value: RationalLike) -> Tuple[int, int]:
+    """What ``rat`` reads, as the integers (n, d) in lowest terms with d > 0: the one number reader.
+
+    Payload numbers are read here one by one, so the exact types ``int``
+    and ``str`` are tried first, by identity; only other types (bool,
+    float, ``Fraction``, subclasses) take the ``isinstance`` checks.  A
+    plain "n", "-n", "n/d" or "-n/d" in ASCII digits is split and reduced
+    with no regex: ``int()`` already refuses a digit string past the
+    limit, and lowest terms have no more digits.  Every other string is
+    matched once against the compiled grammar.
     """
     kind = type(value)
-    if kind is Fraction:  # re-reading is common
-        return value
     if kind is int:
-        return Fraction(value)
+        return value, 1
     if kind is not str:
         if isinstance(value, Fraction):
-            return value
+            return value.numerator, value.denominator
         if isinstance(value, bool):
             raise TypeError("bool is not a rational payoff")
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value), 1
         if isinstance(value, float):
             raise TypeError(f"float {value!r} rejected: pass an int, Fraction, or exact string like '1/10'")
         if not isinstance(value, str):
             raise TypeError(f"cannot interpret {value!r} as a rational")
+    if value.isascii():
+        head, slash, tail = value.partition("/")
+        if (head[1:] if head[:1] == "-" else head).isdigit() and (tail.isdigit() or not slash):
+            n, d = int(head), int(tail or 1)  # past the digit limit, the grammar path's error: it counts no sign
+            if d:  # "n/0" is named on the grammar's path
+                g = gcd(n, d)
+                return n // g, d // g
     m = _LITERAL.fullmatch(value)
     if m is None:
         raise ValueError(f"Invalid literal for Fraction: {value!r}")
     sign, num, denom, decimal, exp = m.groups()
-    if not decimal and exp is None:  # "n" or "n/d" ("5." too)
-        n, d = int(num), int(denom or "1")
-        if not d:
-            raise ValueError(f"zero denominator in {value!r}")
-        return Fraction(-n if sign == "-" else n, d)
     limit = str_limit()
     e = int(exp or "0")  # bounded before 10**e is made: "1e4000000" costs seconds and 13 million bits
     if limit and abs(e) > limit:
         raise ValueError(f"exponent in {value!r} exceeds the limit of {limit} (sys.get_int_max_str_digits())")
     # n as Fraction makes it, so a digit string past the limit raises int()'s error
-    n, d = int(num or "0"), 1
+    n, d = int(num or "0"), int(denom or "1")
+    if not d:
+        raise ValueError(f"zero denominator in {value!r}")
     if decimal:
         decimal = decimal.replace("_", "")
         d = 10 ** len(decimal)
         n = n * d + int(decimal)
     n, d = (n * 10**e, d) if e >= 0 else (n, d * 10**-e)
-    x = Fraction(-n if sign == "-" else n, d)
-    if limit and _longer(max(abs(x.numerator), x.denominator), limit):
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if limit and _longer(max(n, d), limit):
         raise ValueError(f"{value!r} has more than {limit} digits (sys.get_int_max_str_digits())")
-    return x
+    return (-n if sign == "-" else n), d
 
 
 # sys.get_int_max_str_digits(): the most digits str() prints, 0 for no limit

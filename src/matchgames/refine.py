@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import List, Mapping, Optional, Set, Tuple
+from functools import cached_property
+from typing import List, Optional, Set, Tuple
 
 from .cne import CnePolicy, OutsideOptions, is_cne, is_feasible, outside_options, solve_cne
-from .games import Instance
+from .games import Instance, PotentialGame
 from .rational import rat, render_event
 from .stability import MatchingError, MatchingProfile, find_blocking_pair
 
@@ -60,16 +61,13 @@ class RefineResult:
     passes: int
     _events: list = field(repr=False)
     failed_couple: Optional[Tuple[int, int]] = None
-    _lines: Optional[List[str]] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def trace(self) -> List[str]:
-        if self._lines is None:
-            self._lines = [
-                render_event(kind, **dict(zip(_EVENT_FIELDS[kind], values, strict=True)))
-                for kind, *values in self._events
-            ]
-        return self._lines
+        return [
+            render_event(kind, **dict(zip(_EVENT_FIELDS[kind], values, strict=True)))
+            for kind, *values in self._events
+        ]
 
 
 def _effective_oo(inst: Instance, raw: OutsideOptions, i: int, j: int, eps: Fraction) -> OutsideOptions:
@@ -83,25 +81,26 @@ def refine(
     inst: Instance,
     profile: MatchingProfile,
     eps,
-    policies: Optional[Mapping[str, CnePolicy]] = None,
+    policy: CnePolicy = CnePolicy.AUTO,
     max_passes: Optional[int] = None,
 ) -> RefineResult:
     """Drive every matched couple to a constrained equilibrium contract.
 
-    ``policies`` maps a game kind (e.g. "potential") to an explicit
-    CnePolicy; unmapped kinds use CnePolicy.AUTO.  The profile must be
-    externally stable at margin eps on entry; external stability is
-    re-asserted after every replacement, and the returned status tells
-    whether a full pass made no change (Converged), the pass budget ran
-    out (PassLimit), or some couple has no constrained equilibrium in its
-    menu (Infeasible, possible for plain bimatrix games).
+    ``policy`` is the CnePolicy of potential couples; every other couple
+    uses CnePolicy.AUTO.  The profile must be externally stable at margin
+    eps on entry; external stability is re-asserted after every
+    replacement, and the returned status tells whether a full pass made no
+    change (Converged), the pass budget ran out (PassLimit), or some
+    couple has no constrained equilibrium in its menu (Infeasible,
+    possible for plain bimatrix games).
     """
     eps = rat(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if not isinstance(policy, CnePolicy):  # a market without potential couples would never check it
+        raise TypeError(f"policy must be a CnePolicy, got {policy!r}")
     if find_blocking_pair(inst, profile, eps) is not None:
         raise MatchingError("refine requires an externally stable input profile")
-    policies = dict(policies or {})
     couples = profile.matched_pairs()
     if max_passes is None:
         max_menu = max((len(inst.game(i, j).menu()) for i, j in couples), default=1)
@@ -125,7 +124,7 @@ def refine(
             if is_cne(game, contract, oo):
                 events.append(("visit", passes, inst.men[i], inst.women[j], oo.u0, oo.v0, contract.id, True))
                 continue
-            result = solve_cne(game, oo, policies.get(game.kind, CnePolicy.AUTO))
+            result = solve_cne(game, oo, policy if isinstance(game, PotentialGame) else CnePolicy.AUTO)
             if result.contract is None:
                 events.append(("stuck", passes, inst.men[i], inst.women[j], result.reason))
                 return RefineResult(current, RefineStatus.INFEASIBLE, passes, events, (i, j))

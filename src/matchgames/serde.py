@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import adapters
@@ -32,7 +31,7 @@ from .games import (
     _scaled,
     build_instance,
 )
-from .rational import fmt, rat
+from .rational import _ratio, fmt, rat
 from .stability import SINGLE, MatchingProfile
 
 
@@ -81,38 +80,18 @@ def dump_json(path: str, data: Any) -> None:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
-def _num(value: Any, where: str) -> Fraction:
+def _pair(value: Any, where: str) -> Tuple[int, int]:
+    """A JSON integer or number string as ``rational._ratio`` reads it; an error names the field at where."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{where}: expected an integer or \"p/q\" string, got {value!r}")
     try:
-        return rat(value)
+        return _ratio(value)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _pair(value: Any, where: str) -> Tuple[int, int]:
-    """What ``_num`` reads, as (n, d) in lowest terms with d > 0, most often without a ``Fraction``.
-
-    A JSON integer is (value, 1), and a plain "n", "-n", "n/d" or "-n/d" in
-    ASCII digits is split and reduced; every other value goes through
-    ``_num``, so the grammar, the digit limit and every error text stay
-    ``rat``'s.
-    """
-    if type(value) is int:
-        return value, 1
-    if type(value) is str and value.isascii():
-        head, slash, tail = value.partition("/")
-        if (head[1:] if head[:1] == "-" else head).isdigit() and (tail.isdigit() or not slash):
-            try:
-                n, d = int(head), int(tail or 1)
-            except ValueError:  # past the digit limit: _num names it
-                pass
-            else:
-                if d:
-                    g = gcd(n, d)
-                    return n // g, d // g
-    x = _num(value, where)
-    return x.numerator, x.denominator
+def _num(value: Any, where: str) -> Fraction:
+    return Fraction(*_pair(value, where))
 
 
 def _num_out(x: Fraction) -> Any:
@@ -185,8 +164,8 @@ def _matrix_in(value: Any, where: str) -> Union[_Matrix, List[list]]:
 
     The entries' types are scanned once: a matrix of JSON integers is kept
     as it is, and otherwise each entry that is not one is read as a pair
-    (``_pair``), a path made only for it.  The game refuses the rows of a
-    matrix that is not rectangular.
+    (``_pair``).  The game refuses the rows of a matrix that is not
+    rectangular.
     """
     rows = _list(value, where)
     if rows and rows[0] and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:

@@ -262,11 +262,11 @@ def test_c07_refinement_converges_on_solvable_classes():
     eps = F(1, 2)
     start = time.perf_counter()
     for kind in ("zero_sum", "potential", "repeated"):
-        policies = {"potential": CnePolicy.MAX_POTENTIAL} if kind == "potential" else None
+        policy = CnePolicy.MAX_POTENTIAL if kind == "potential" else CnePolicy.AUTO
         for _ in range(100):
             inst = random_class_instance(rng, kind, eps)
             profile, _ = run_propose_dispose(inst, eps)
-            out = refine(inst, profile, eps, policies=policies)
+            out = refine(inst, profile, eps, policy=policy)
             assert out.status is RefineStatus.CONVERGED, (kind, out.status)
             assert is_externally_stable(inst, out.profile, eps).holds
             assert is_internally_stable(inst, out.profile, eps).holds

@@ -417,6 +417,16 @@ class TestVerify:
         assert "holds=false" in captured.out
         assert "witness kind=blocking man=m0 woman=w0" in captured.out
 
+    def test_internal_on_an_externally_unstable_profile_is_exit_2(self, tmp_path, capsys):
+        # internal stability is defined on externally stable profiles only: with
+        # everyone single, wage_split is blocked at eps 1, so this is an error
+        inst = str(DEMO_DATA / "wage_split.json")
+        singles = write(tmp_path, "singles.json", {"matching": {"ada": None, "ben": None}, "contracts": {}})
+        assert main(["verify", inst, "--profile", singles, "--notion", "int", "--eps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal stability is defined on externally stable profiles only\n"
+
     def test_repeated_key_in_profile_is_exit_2(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", CLASSIC)
         prof = tmp_path / "men_opt.json"

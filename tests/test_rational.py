@@ -5,11 +5,12 @@ supported Python: 3.10 takes no underscores and 3.10-3.11 no spaces
 around "/", and 3.11-3.12 name a literal such as "1.d" by an ``int()``
 error.  The table runs in this process and, in a child process, under
 every other CPython >= 3.10 found on ``PATH``.  On Python >= 3.13 a
-property checks ``rat`` against that interpreter's own ``Fraction``.
-``rat`` dispatches on exact types and makes "n" and "n/d" straight from
-their integers; a property and fixed cases check it against
-``helpers.reference_rat``, which sends every value through ``isinstance``
-and every string through one path.
+property checks ``rat``, and its pair reader ``_ratio``, against that
+interpreter's own ``Fraction``.
+``_ratio`` dispatches on exact types and splits a plain "n" or "n/d"
+with no regex; a property checks it and ``rat``, and fixed cases check
+``rat``, against ``helpers.reference_rat``, which sends every value
+through ``isinstance`` and every string through one path.
 """
 
 import inspect
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgames.rational import fmt, rat
+from matchgames.rational import _ratio, fmt, rat
 
 from helpers import other_interpreters, reference_rat
 from test_cli import checkout_env
@@ -59,6 +60,14 @@ def read(text):
     """``rat`` of one string in canonical form, or the text of its ValueError."""
     try:
         return fmt(rat(text))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def read_pair(text):
+    """``_ratio`` of one string, or the text of its ValueError."""
+    try:
+        return _ratio(text)
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -107,12 +116,13 @@ def test_rat_agrees_with_fraction(text):
     if mine.endswith("(sys.get_int_max_str_digits())"):
         return  # past the digit limits: rat refuses before Fraction would spend the time
     try:
-        theirs = fmt(Fraction(text))
+        x = Fraction(text)
+        theirs, pair = fmt(x), x.as_integer_ratio()
     except ZeroDivisionError:
-        theirs = f"ValueError: zero denominator in {text!r}"
+        theirs = pair = f"ValueError: zero denominator in {text!r}"
     except ValueError as exc:
-        theirs = f"ValueError: {exc}"
-    assert mine == theirs
+        theirs = pair = f"ValueError: {exc}"
+    assert (mine, read_pair(text)) == (theirs, pair)
 
 
 def outcome(read_number, value):
@@ -156,6 +166,7 @@ def number_texts(draw):
 )
 def test_rat_agrees_with_the_reference(value):
     assert outcome(rat, value) == outcome(reference_rat, value)
+    assert outcome(_ratio, value) == outcome(lambda v: reference_rat(v).as_integer_ratio(), value)
 
 
 class I(int):

@@ -1,6 +1,7 @@
 """Refinement passes: convergence, class monotonicity, failure modes."""
 
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from matchgames import (
     refine,
     run_propose_dispose,
 )
+from matchgames.cli import main
 from matchgames.rational import render_event
 from matchgames.refine import _effective_oo
 
@@ -90,6 +92,61 @@ CROSSCHECK_009 = {
         },
     },
 }
+
+
+_COORDINATION = [[1, 0], [0, 2]]
+_OFF = {"class": "bimatrix", "u": [[-5]], "v": [[-5]]}
+MIXED_POLICY_MARKET = {
+    "men": ["m0", "m1", "m2"],
+    "women": ["w0", "w1", "w2"],
+    "irp": {"men": [-1, -1, -1], "women": [-1, -1, -1]},
+    "games": {
+        "m0": {
+            "w0": {"class": "potential", "u": _COORDINATION, "v": _COORDINATION, "phi": _COORDINATION},
+            "w1": _OFF,
+            "w2": _OFF,
+        },
+        "m1": {"w0": _OFF, "w1": {"class": "bimatrix", "u": [[2, 0], [3, 1]], "v": [[2, 3], [0, 1]]}, "w2": _OFF},
+        "m2": {"w0": _OFF, "w1": _OFF, "w2": {"class": "zero_sum", "g": [[1, -1], [-1, 1]], "resolution": "1/2"}},
+    },
+}
+# what solve-stable --eps 1 --policy max-potential printed on that market
+# before refine took one policy for potential couples
+MIXED_POLICY_STDOUT = """\
+{
+  "matching": {
+    "m0": "w0",
+    "m1": "w1",
+    "m2": "w2"
+  },
+  "contracts": {
+    "m0": {
+      "id": 3,
+      "strategy_a": 1,
+      "strategy_b": 1,
+      "u": 2,
+      "v": 2
+    },
+    "m1": {
+      "id": 3,
+      "strategy_a": 1,
+      "strategy_b": 1,
+      "u": 1,
+      "v": 1
+    },
+    "m2": {
+      "id": 2,
+      "strategy_a": 0,
+      "strategy_b": 0,
+      "u": 0,
+      "v": 0
+    }
+  }
+}
+status=Converged passes=2
+ExternalEps: holds=true eps=1
+Internal: holds=true eps=1
+"""
 
 
 def parse_trace(lines):
@@ -170,7 +227,7 @@ class TestConvergence:
         for _ in range(12):
             inst = random_class_instance(rng, "potential", eps)
             profile, _ = run_propose_dispose(inst, eps)
-            result = refine(inst, profile, eps, {"potential": CnePolicy.MAX_POTENTIAL})
+            result = refine(inst, profile, eps, policy=CnePolicy.MAX_POTENTIAL)
             assert result.status is RefineStatus.CONVERGED
             assert is_externally_stable(inst, result.profile, eps).holds
             assert is_internally_stable(inst, result.profile, eps).holds
@@ -194,7 +251,7 @@ class TestMonotonicity:
         for _ in range(12):
             inst = random_class_instance(rng, "potential", eps)
             profile, _ = run_propose_dispose(inst, eps)
-            result = refine(inst, profile, eps, {"potential": CnePolicy.MAX_POTENTIAL})
+            result = refine(inst, profile, eps, policy=CnePolicy.MAX_POTENTIAL)
             assert result.status is RefineStatus.CONVERGED
             # every replacement maximizes the couple's potential over a set
             # containing the incumbent, so each adopted value dominates
@@ -252,12 +309,43 @@ class TestPolicies:
         start = next(c for c in game.menu() if (c.strategy_a, c.strategy_b) == (0, 1))
         profile = MatchingProfile((0,), {(0, 0): start})
         picks = []
-        for policies in (None, {"potential": CnePolicy.MAX_POTENTIAL}):
-            result = refine(inst, profile, 1, policies)
+        for policy in (CnePolicy.AUTO, CnePolicy.MAX_POTENTIAL):
+            result = refine(inst, profile, 1, policy=policy)
             assert result.status is RefineStatus.CONVERGED
             chosen = result.profile.chosen[(0, 0)]
             picks.append((chosen.strategy_a, chosen.strategy_b))
         assert picks == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("policy", ["max-potential", {"potential": CnePolicy.MAX_POTENTIAL}], ids=repr)
+    def test_a_policy_that_is_not_a_cne_policy_is_refused(self, policy):
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[1]], [[1]])})
+        profile = MatchingProfile((0,), {(0, 0): inst.game(0, 0).menu()[0]})
+        with pytest.raises(TypeError, match="policy must be a CnePolicy"):
+            refine(inst, profile, 1, policy)
+
+    def test_max_potential_reaches_only_the_potential_couple(self, tmp_path, capsys):
+        # The coordination game above beside a prisoner's dilemma and a
+        # zero-sum couple; every off-diagonal couple pays less than the
+        # reservation payoffs, so outside options are the reservations.
+        inst, eps = parse_instance(MIXED_POLICY_MARKET, eps=1)
+        # potential and bimatrix couples start on a cell, the zero-sum one on level 1/2
+        starts = {(0, 0): (0, 1), (1, 1): (0, 0), (2, 2): (F(1, 2), F(1, 2))}
+        chosen = {
+            (i, j): next(c for c in inst.game(i, j).menu() if (c.strategy_a, c.strategy_b) == start)
+            for (i, j), start in starts.items()
+        }
+        profile = MatchingProfile((0, 1, 2), chosen)
+        auto = refine(inst, profile, eps, policy=CnePolicy.AUTO)
+        best = refine(inst, profile, eps, policy=CnePolicy.MAX_POTENTIAL)
+        assert auto.status is best.status is RefineStatus.CONVERGED
+        picks = [result.profile.chosen[(0, 0)] for result in (auto, best)]
+        assert [(c.strategy_a, c.strategy_b) for c in picks] == [(0, 0), (1, 1)]
+        for key in ((1, 1), (2, 2)):
+            assert best.profile.chosen[key] == auto.profile.chosen[key] != chosen[key]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(MIXED_POLICY_MARKET))
+        assert main(["solve-stable", str(path), "--eps", "1", "--policy", "max-potential"]) == 0
+        assert capsys.readouterr().out == MIXED_POLICY_STDOUT
 
 
 class TestFailureModes:
