@@ -307,11 +307,11 @@ class PiecewiseLinear:
     The map keeps one copy of its breakpoints, in integers: a
     ``_Breakpoints`` record, taken as it is when given one (``serde``
     reads a file's into one).  ``points`` makes their ``Fraction``s on
-    first read, and the lines of the segments are made on the first walk
+    each read, and the lines of the segments are made on the first walk
     that needs them, the inverse's on the first inverse walk.
     """
 
-    __slots__ = ("_breakpoints", "_points", "_tables")
+    __slots__ = ("_breakpoints", "_tables")
 
     def __init__(self, breakpoints: Union[_Breakpoints, Sequence[Tuple[RationalLike, RationalLike]]]):
         if type(breakpoints) is not _Breakpoints:
@@ -323,16 +323,13 @@ class PiecewiseLinear:
         if any(b <= a for a, b in zip(xs, xs[1:])) or any(b <= a for a, b in zip(ys, ys[1:])):
             raise GameError("piecewise-linear map must be strictly increasing")
         self._breakpoints = breakpoints
-        self._points: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
         self._tables: List[Optional[tuple]] = [None, None]  # the map's, then its inverse's
 
     @property
     def points(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        """The breakpoints as ``Fraction`` pairs, made on first read."""
-        if self._points is None:
-            dx, xs, dy, ys = self._breakpoints
-            self._points = tuple([(Fraction(x, dx), Fraction(y, dy)) for x, y in zip(xs, ys)])
-        return self._points
+        """The breakpoints as ``Fraction`` pairs, made on each read."""
+        dx, xs, dy, ys = self._breakpoints
+        return tuple([(Fraction(x, dx), Fraction(y, dy)) for x, y in zip(xs, ys)])
 
     def __call__(self, x: RationalLike) -> Fraction:
         return self.walk([_ratio(x)])[0]
@@ -467,7 +464,7 @@ class BimatrixGame(Game):
     """Finite bimatrix game; the menu is all pure strategy cells, contract r*cols + c cell (r, c).
 
     The menu's integer ``Payoffs`` are the game's one copy of its payoffs, read as the stage by
-    ``_matrices``; ``U`` and ``V`` make their ``Fraction`` matrices from them on first access.
+    ``_matrices``; ``U`` and ``V`` make their ``Fraction`` matrices from them on each read.
     """
 
     kind = "bimatrix"
@@ -482,11 +479,11 @@ class BimatrixGame(Game):
         pay = self._payoffs
         return _Matrix(self.rows, self.cols, pay.du, pay.u), _Matrix(self.rows, self.cols, pay.dv, pay.v)
 
-    @cached_property
+    @property
     def U(self) -> List[List[Fraction]]:
         return _fractions(self._matrices[0])
 
-    @cached_property
+    @property
     def V(self) -> List[List[Fraction]]:
         return _fractions(self._matrices[1])
 
@@ -574,7 +571,7 @@ def _same_order(xs: Sequence[int], ps: Sequence[int]) -> bool:
 
 
 class PotentialGame(BimatrixGame):
-    """Bimatrix game carrying a validated ordinal potential, kept in integers; ``phi`` is made on first access."""
+    """Bimatrix game carrying a validated ordinal potential, kept in integers; ``phi`` is made on each read."""
 
     kind = "potential"
 
@@ -586,13 +583,13 @@ class PotentialGame(BimatrixGame):
         if not _is_potential(self._payoffs.u, self._payoffs.v, self._phi.numerators, self.cols):
             raise GameError("phi is not an ordinal potential for (U, V)")
 
-    @cached_property
+    @property
     def phi(self) -> List[List[Fraction]]:
         return _fractions(self._phi)
 
     def potential_of(self, contract: Contract) -> Fraction:
         self.validate_contract(contract)
-        return self.phi[contract.strategy_a][contract.strategy_b]
+        return Fraction(self._phi.numerators[contract.id], self._phi.D)
 
 
 class _Identity:
@@ -644,7 +641,7 @@ class LevelGame(Game):
     u strictly rises and v strictly falls as the id grows, which gives the
     market index both staircases without a sort (``_market``).  Levels
     and payoffs stay integers over their common denominators, and
-    ``levels`` makes their ``Fraction``s on first access.
+    ``levels`` makes their ``Fraction``s on each read.
     """
 
     value_level: Fraction
@@ -660,7 +657,7 @@ class LevelGame(Game):
         self._payoffs = Payoffs(*u_column, *vs, column)
         self._menu = _Menu(self._payoffs)
 
-    @cached_property
+    @property
     def levels(self) -> Tuple[Fraction, ...]:
         """The menu's levels in id order (ascending)."""
         dl, ns = self._payoffs.levels
@@ -711,7 +708,7 @@ def _span(g: _Matrix) -> List[Pair]:
 
 
 class ZeroSumGame(LevelGame):
-    """Zero-sum game discretized into payoff levels u = g, v = -g; g is made on first access."""
+    """Zero-sum game discretized into payoff levels u = g, v = -g; g is made on each read."""
 
     kind = "zero_sum"
 
@@ -721,7 +718,7 @@ class ZeroSumGame(LevelGame):
         grid = _grid_runs(*_span(self._g), res)
         super().__init__(grid, grid, res, _IDENTITY, _IDENTITY)
 
-    @cached_property
+    @property
     def g(self) -> List[List[Fraction]]:
         return _fractions(self._g)
 
@@ -742,8 +739,8 @@ class StrictlyCompetitiveGame(LevelGame):
 
     The menu is gridded on the u scale (so consecutive u values differ
     by at most the resolution) and mapped back to native g levels
-    through the exact piecewise-linear inverse.  g is made on first
-    access, as a zero-sum game's is.
+    through the exact piecewise-linear inverse.  g is made on each
+    read, as a zero-sum game's is.
     """
 
     kind = "strictly_competitive"
@@ -824,10 +821,12 @@ def feasible_payoff_hull(stage: Union[BimatrixGame, RepeatedGame]) -> Tuple[Poin
 
     It is taken on the integer cells (u*du, v*dv): scaling each axis by its
     own positive denominator keeps every order and the sign of every cross
-    product, so the vertices are the same.
+    product, so the vertices are the same.  A repeated game's is the one
+    its constructor took.
     """
     (_, _, du, u), (_, _, dv, v) = stage._matrices
-    return tuple([(Fraction(x, du), Fraction(y, dv)) for x, y in _integer_hull(zip(u, v))])
+    hull = stage._hull if isinstance(stage, RepeatedGame) else _integer_hull(zip(u, v))
+    return tuple([(Fraction(x, du), Fraction(y, dv)) for x, y in hull])
 
 
 class RepeatedGame(Game):
@@ -842,7 +841,8 @@ class RepeatedGame(Game):
     equilibria and internal stability of couples that end up matched.
 
     The stage is kept once, in integers (``_matrices``, as ``_read_matrix``
-    read it); ``U``, ``V`` and ``hull`` make their ``Fraction``s on first access.
+    read it), with its integer hull (``_hull``); ``U`` and ``V`` make their
+    ``Fraction``s on each read, and ``hull`` on its first read.
     """
 
     kind = "repeated"
@@ -856,7 +856,7 @@ class RepeatedGame(Game):
         self._matrices = U, V = _stage(u_matrix, v_matrix)
         self.resolution = _positive(resolution, "menu resolution")
         # as in feasible_payoff_hull; hull[0] is its least point
-        hull = _integer_hull(zip(U.numerators, V.numerators))
+        self._hull = hull = _integer_hull(zip(U.numerators, V.numerators))
         du, u_cols = _made_payoffs(_grid_runs((hull[0][0], U.D), (max(hull)[0], U.D), self.resolution))
         u_ints, v_runs = [], []
         # each grid column u holds the v grid between the hull's lowest and highest v there
@@ -884,11 +884,7 @@ class RepeatedGame(Game):
         # Synthesized contracts (off-grid feasible points) are accepted
         # when the point really lies in the hull.
         point = (contract.u, contract.v)
-        if (
-            contract.strategy_a == point
-            and contract.strategy_b == point
-            and hull_contains(list(self.hull), point)
-        ):
+        if contract.strategy_a == point == contract.strategy_b and hull_contains(list(self.hull), point):
             return
         raise GameError(f"foreign contract {contract!r} for repeated game")
 
@@ -911,9 +907,7 @@ class RepeatedGame(Game):
 
     def describe(self, contract):
         self.validate_contract(contract)
-        if self._in_menu(contract):
-            return "hull grid point"
-        return "synthesized hull point"
+        return "hull grid point" if self._in_menu(contract) else "synthesized hull point"
 
     def improving_deviations(self, contract, side):
         self.validate_contract(contract)

@@ -235,8 +235,8 @@ _CODECS: Dict[str, _Codec] = {
         True,
         lambda p: TransferGame(p["t_min"], p["t_max"], p["resolution"], p["f_u"], p["f_v"]),
         lambda g: {
-            "t_min": _num_out(g.levels[0]),
-            "t_max": _num_out(g.levels[-1]),
+            "t_min": _num_out((levels := g.levels)[0]),  # levels are made on each read: read them once
+            "t_max": _num_out(levels[-1]),
             "f_u": _matrix_out(g.f.points),
             "f_v": _matrix_out(g.h.points),
         },
@@ -408,8 +408,9 @@ def dump_profile(inst: Instance, profile: MatchingProfile) -> dict:
     """Profile file payload: the matching plus each couple's contract.
 
     Synthesized contracts (off the menu grid, repeated games only) get
-    a null id; everything else is identified by menu id.  Payoffs are
-    always included so readers need not rebuild the instance.
+    a null id; everything else is identified by menu id, written as a
+    JSON integer (an equal id such as ``True`` is written as 1).  Payoffs
+    are always included so readers need not rebuild the instance.
     """
     matching = {
         m: (inst.women[profile.matches[i]] if profile.matches[i] is not SINGLE else None)
@@ -418,7 +419,7 @@ def dump_profile(inst: Instance, profile: MatchingProfile) -> dict:
     contracts = {}
     for (i, j), c in sorted(profile.chosen.items()):
         contracts[inst.men[i]] = {
-            "id": c.id if inst.game(i, j)._in_menu(c) else None,
+            "id": int(c.id) if inst.game(i, j)._in_menu(c) else None,
             "strategy_a": _strategy_out(c.strategy_a),
             "strategy_b": _strategy_out(c.strategy_b),
             "u": _num_out(c.u),

@@ -31,7 +31,7 @@ from matchgames import (
 from matchgames import games
 from matchgames.games import _grid_runs
 from matchgames.geometry import hull_contains
-from matchgames.serde import dump_game, parse_instance
+from matchgames.serde import dump_game, dump_instance, parse_instance
 
 from helpers import frac, reference_grid, reference_is_potential, reference_map, support_value
 
@@ -281,6 +281,15 @@ class TestHull:
         hull = feasible_payoff_hull(BimatrixGame(PENNIES, neg))
         assert set(hull) == {(F(-1), F(1)), (F(1), F(-1))}
 
+    def test_membership_in_degenerate_hulls(self):
+        assert not hull_contains([], (F(0), F(0)))
+        assert hull_contains([(F(1), F(1))], (F(1), F(1)))
+        assert not hull_contains([(F(1), F(1))], (F(1), F(2)))
+        segment = [(F(0), F(0)), (F(2), F(2))]
+        assert hull_contains(segment, (F(1, 2), F(1, 2)))
+        assert not hull_contains(segment, (F(1), F(0)))  # off the segment's line
+        assert not hull_contains(segment, (F(3), F(3)))  # on its line, past an end
+
     def test_hull_contains_all_cells(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -379,6 +388,31 @@ class TestRepeated:
             g.validate_contract(c)
         assert unmade(g.menu()) == list(range(len(g.menu())))
 
+    def test_a_hand_made_contract_off_the_hull_is_refused(self):
+        half = (F(1, 2), F(1, 2))
+        one_point = RepeatedGame([[1]], [[1]], 1)
+        with pytest.raises(GameError, match="^foreign contract .* for repeated game$"):
+            one_point.validate_contract(Contract(1, half, half, *half))
+        segment = RepeatedGame([[0, 2]], [[0, 2]], 1)  # two collinear cells: the hull is a segment
+        segment.validate_contract(Contract(3, half, half, *half))  # on it, off the grid
+        off = (F(1), F(0))
+        with pytest.raises(GameError, match="^foreign contract .* for repeated game$"):
+            segment.validate_contract(Contract(3, off, off, *off))
+
+    def test_the_hull_is_taken_once_at_construction(self, monkeypatch):
+        calls, integer_hull = [], games._integer_hull
+
+        def counted(points):
+            calls.append(1)
+            return integer_hull(points)
+
+        monkeypatch.setattr(games, "_integer_hull", counted)
+        g = RepeatedGame(PD_U, PD_V, F(1, 2))
+        assert len(calls) == 1
+        assert g.hull == feasible_payoff_hull(g) == g.hull == feasible_payoff_hull(g)
+        assert len(calls) == 1
+        assert g.hull == feasible_payoff_hull(pd_stage())
+
     def test_nash_iff_above_punishments(self):
         g = RepeatedGame(PD_U, PD_V, F(1, 2))
         for c in g.menu():
@@ -392,6 +426,49 @@ class TestRepeated:
             else:
                 devs = g.improving_deviations(c, Side.MAN)
                 assert devs and all(d.u > c.u for d in devs)
+
+
+class TestViews:
+    """A game hands out views of the integers it keeps: an edit to one reaches nothing."""
+
+    def test_an_edited_matrix_view_changes_no_answer(self):
+        coord = [[2, 0], [0, 1]]
+        potential = PotentialGame(coord, coord, coord)
+        zero_sum = ZeroSumGame(PENNIES, F(1, 2))
+        competitive = StrictlyCompetitiveGame(PENNIES, F(1, 2), PiecewiseLinear(IDENTITY), PiecewiseLinear(IDENTITY))
+        repeated = RepeatedGame(PD_U, PD_V, F(1, 2))
+        couples = [pd_stage(), potential, zero_sum, competitive, repeated]
+        women = [f"w{k}" for k in range(len(couples))]
+        inst = build_instance(["m"], women, [0], [0] * len(women), {(0, k): g for k, g in enumerate(couples)})
+
+        def answers():
+            return (
+                dump_instance(inst),
+                [potential.potential_of(c) for c in potential.menu()],
+                [g.describe(c) for g in couples for c in g.menu()],
+            )
+
+        before = answers()
+        views = [(g, name) for g in couples for name in ("U", "V", "phi", "g") if hasattr(g, name)]
+        assert len(views) == 9
+        for g, name in views:
+            view = getattr(g, name)
+            want = copy.deepcopy(view)
+            view[0][0], view[-1][-1] = F(0), F(100)
+            view.append([F(7)])
+            assert getattr(g, name) == want
+        assert answers() == before
+        assert potential.phi == [[2, 0], [0, 1]] and zero_sum.g == PENNIES
+
+    def test_levels_and_points_are_the_same_on_every_read(self):
+        zero_sum = ZeroSumGame(PENNIES, F(1, 2))
+        f = PiecewiseLinear([(0, F(1, 7)), (1, 2)])
+        transfer = TransferGame(0, 1, F(1, 3), f, PiecewiseLinear(IDENTITY))
+        for _ in range(2):
+            assert zero_sum.levels == (-1, F(-1, 2), 0, F(1, 2), 1)
+            assert transfer.levels == (0, F(1, 3), F(2, 3), 1)
+            assert f.points == ((0, F(1, 7)), (1, 2))
+            assert all(type(x) is Fraction for x in zero_sum.levels + transfer.levels + f.points[0])
 
 
 class TestReEvaluation:

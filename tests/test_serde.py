@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from matchgames import (
     BimatrixGame,
+    Contract,
     MatchingProfile,
     PiecewiseLinear,
     PotentialGame,
@@ -182,6 +183,13 @@ class TestInstanceParsing:
         data["games"] = {"x": data["games"]["m"]}
         with pytest.raises(SchemaError, match="exactly the men"):
             parse_instance(data)
+
+    def test_no_men_refused(self):
+        data = minimal_data()
+        data.update(men=[], irp={"men": [], "women": [0]}, games={})
+        with pytest.raises(SchemaError) as info:
+            parse_instance(data)
+        assert str(info.value) == "instance.men: must be nonempty"
 
     def test_zero_denominators_rejected(self):
         with pytest.raises(SchemaError, match=r"u\[0\]\[0\]"):
@@ -715,6 +723,38 @@ class TestProfileRoundTrip:
         with pytest.raises(SchemaError, match="repeated"):
             parse_profile(inst, data)
 
+    def test_a_bool_menu_id_is_written_as_an_integer(self):
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[1, 2]], [[3, 4]])})
+        contract = Contract(True, 0, 1, 2, 4)  # equal to menu contract 1, as True == 1
+        assert inst.game(0, 0).contract(True) == contract
+        data = dump_profile(inst, MatchingProfile((0,), {(0, 0): contract}))
+        assert data["contracts"]["m"]["id"] == 1 and type(data["contracts"]["m"]["id"]) is int
+        back = parse_profile(inst, json.loads(json.dumps(data)))
+        assert back.chosen[(0, 0)] is inst.game(0, 0).menu()[1]
+
+    def test_an_id_past_the_menu_is_refused(self):
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): BimatrixGame([[1, 2]], [[3, 4]])})
+        entry = {"id": 2, "strategy_a": 0, "strategy_b": 0, "u": 1, "v": 3}
+        with pytest.raises(SchemaError) as info:
+            parse_profile(inst, {"matching": {"m": "w"}, "contracts": {"m": entry}})
+        assert str(info.value) == "profile.contracts['m'].id: no contract with id 2 in this menu"
+
+    def test_a_null_id_off_the_hull_is_refused(self):
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): RepeatedGame(PD_U, PD_V, F(1, 2))})
+        entry = {"id": None, "strategy_a": [5, 5], "strategy_b": [5, 5], "u": 5, "v": 5}
+        with pytest.raises(SchemaError) as info:
+            parse_profile(inst, {"matching": {"m": "w"}, "contracts": {"m": entry}})
+        assert str(info.value) == (
+            "profile.contracts['m']: point (Fraction(5, 1), Fraction(5, 1)) outside the feasible payoff hull"
+        )
+
+    def test_level_strategies_round_trip_as_number_strings(self):
+        inst = build_instance(["m"], ["w"], [0], [0], {(0, 0): ZeroSumGame(PENNIES, F(1, 3))})
+        contract = inst.game(0, 0).menu()[2]
+        data = dump_profile(inst, MatchingProfile((0,), {(0, 0): contract}))
+        assert data["contracts"]["m"] == {"id": 2, "strategy_a": "-1/3", "strategy_b": "-1/3", "u": "-1/3", "v": "1/3"}
+        assert parse_profile(inst, json.loads(json.dumps(data))).chosen[(0, 0)] is contract
+
     def test_tampered_payoff_rejected(self):
         inst = mixed_instance()
         profile, _ = run_propose_dispose(inst, F(1, 2))
@@ -807,6 +847,13 @@ class TestTreeParsing:
             parse_tree(bad)
         with pytest.raises(SchemaError, match="root"):
             parse_tree({"players": ["p"], "nodes": {"0": {"payoffs": [1]}}, "root": "x"})
+
+    def test_a_bool_player_is_refused(self):
+        data = json.loads(json.dumps(TWO_BRANCH))
+        data["nodes"]["0"]["player"] = True
+        with pytest.raises(SchemaError) as info:
+            parse_tree(data)
+        assert str(info.value) == "tree.nodes['0'].player: expected a player name or index"
 
 
 class TestModelParsing:
